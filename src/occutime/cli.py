@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -78,6 +79,17 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _finite_or_null(v):
+    """Replace non-finite floats by None, so that report.json is strict JSON."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return v
+
+
 def _write_artifacts(out_dir: Path, command: str, cfg: ResolvedConfig,
                      seed: int, tables: dict, summary: dict,
                      runtime: float) -> None:
@@ -98,7 +110,8 @@ def _write_artifacts(out_dir: Path, command: str, cfg: ResolvedConfig,
         "runtime_seconds": runtime,
     }
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=str)
+        json.dump(_finite_or_null(report), fh, indent=2, sort_keys=True,
+                  default=str, allow_nan=False)
         fh.write("\n")
     import numpy, scipy
     from . import __version__

@@ -27,7 +27,7 @@ _SCHEMA = {
     "process": {"kind", "dimension", "x0", "shift_half_width",
                 "sigma0", "eta", "drift_const", "diffusion_const"},
     "function": {"descriptor"},
-    "study": {"kind", "n_list", "refine", "paths", "seed", "estimators",
+    "study": {"n_list", "refine", "paths", "seed", "estimators",
               "horizon", "t_eval", "u_list"},
     "norms": {"s", "norm"},
     "simulate": {"n", "refine", "paths", "seed", "horizon"},

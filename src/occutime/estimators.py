@@ -7,13 +7,11 @@ function works on single paths and on ensembles alike.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import CapabilityError, ConfigError
 from .functions import TestFunction
-from .grids import TimeGrid
+from .grids import TimeGrid, gauss_hermite, gauss_legendre
 from .processes import BrownianMotion
 
 
@@ -75,22 +73,11 @@ def bridge_conditional_mean(x_prev, x_next, tau: float):
     return x_prev + tau * (x_next - x_prev)
 
 
-@lru_cache(maxsize=8)
-def _unit_gl(order: int):
-    y, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (y + 1.0), 0.5 * w
-
-
-@lru_cache(maxsize=8)
-def _hermite(order: int):
-    return np.polynomial.hermite.hermgauss(order)
-
-
 def _bridge_expectation_1d(f: TestFunction, mean, var, q_x: int):
     """E[f(N(mean, var))] with var broadcast against mean."""
     if f.gaussian_expectation is not None:
         return f.gaussian_expectation(mean, np.broadcast_to(var, mean.shape))
-    nodes, weights = _hermite(q_x)
+    nodes, weights = gauss_hermite(q_x)
     scale = np.sqrt(2.0 * var)
     points = mean[..., None] + scale[..., None] * nodes
     vals = f.value(points)
@@ -118,7 +105,7 @@ def bridge_conditional_estimate(f: TestFunction, coarse_x: np.ndarray,
     t = grid.horizon if t is None else t
     coarse_x = np.asarray(coarse_x, float)
     k = grid.coarse_index(t)
-    tau, tw = _unit_gl(q_t)
+    tau, tw = gauss_legendre(q_t, unit=True)
     var = tau * (1.0 - tau) * grid.coarse_step
 
     def one_dim(x, fun):

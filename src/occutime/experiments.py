@@ -26,7 +26,7 @@ from .estimators import (
 from .functions import TestFunction, eval_on_path
 from .fourier import compute_E, compute_F1, compute_F2, decompose, g_decay_probe
 from .grids import build_grid
-from .limits import conditional_variances
+from .limits import LowerBound, conditional_variances, gradient_energy
 from .processes import BrownianMotion, ProcessSpec, simulate_paths
 
 ESTIMATOR_NAMES = ("riemann", "trapezoid", "bridge")
@@ -58,6 +58,8 @@ class StudyConfig:
             raise ConfigError("n_list must be strictly increasing")
         if self.paths < 100:
             raise ConfigError(f"need at least 100 paths, got {self.paths}")
+        if not self.estimators:
+            raise ConfigError("estimators must be non-empty")
         for name in self.estimators:
             if name not in ESTIMATOR_NAMES:
                 raise ConfigError(f"unknown estimator {name!r}; "
@@ -285,32 +287,29 @@ def efficiency_study(cfg: StudyConfig) -> StudyReport:
     started = time.perf_counter()
     f = cfg.function
     t = cfg.eval_time
-    estimators = cfg.estimators or ("riemann", "trapezoid", "bridge")
+    top = cfg.n_list[-1]
+
+    def worker(bundle, n):
+        out = _estimator_errors(f, bundle, t, cfg.estimators)
+        if n == top:
+            out["grad_energy"] = gradient_energy(f, bundle)
+        return out
 
     rows = []
     scaled_at_top = {}
     for n in cfg.n_list:
         grid = build_grid(cfg.horizon, n, cfg.refine)
         delta = grid.coarse_step
-        stats = _ensemble_map(
-            cfg.spec, grid, cfg.paths, cfg.master_seed,
-            lambda b: _estimator_errors(f, b, t, estimators), cfg.threads)
-        for name in estimators:
+        stats = _ensemble_map(cfg.spec, grid, cfg.paths, cfg.master_seed,
+                              lambda b: worker(b, n), cfg.threads)
+        for name in cfg.estimators:
             st = _rms_stats(stats[f"err_{name}"] / delta)
             rows.append({"n": n, "delta": delta, "estimator": name,
                          "scaled_rms": st["rms"], "scaled_rms_se": st["rms_se"]})
-            if n == cfg.n_list[-1]:
+            if n == top:
                 scaled_at_top[name] = (st["rms"], st["rms_se"])
-
-    top_grid = build_grid(cfg.horizon, cfg.n_list[-1], cfg.refine)
-    lb_stats = _ensemble_map(
-        cfg.spec, top_grid, cfg.paths, cfg.master_seed,
-        lambda b: {"integral": _grad_integral(f, b)}, cfg.threads)
-    integrals = lb_stats["integral"]
-    mean = float(integrals.mean())
-    se_mean = float(integrals.std(ddof=1) / np.sqrt(len(integrals)))
-    lower = float(np.sqrt(mean))
-    lower_se = se_mean / (2.0 * lower) if lower > 0 else se_mean
+    bound = LowerBound.from_integrals(stats["grad_energy"])
+    lower, lower_se = bound.value, bound.stderr
 
     summary = {"lower_bound": lower, "lower_bound_se": lower_se}
     if "trapezoid" in scaled_at_top and lower > 0:
@@ -325,13 +324,6 @@ def efficiency_study(cfg: StudyConfig) -> StudyReport:
         summary[f"scaled_rms_{name}_se"] = se
     return StudyReport("efficiency", {"efficiency": rows}, summary,
                        time.perf_counter() - started)
-
-
-def _grad_integral(f: TestFunction, bundle) -> np.ndarray:
-    """(1/12) int |grad f(Y_t)|^2 dt per path (fine trapezoid)."""
-    _, grad = eval_on_path(f, bundle, which="fine", gradient=True)
-    sq = np.sum(grad ** 2, axis=2)
-    return np.trapezoid(sq, dx=bundle.grid.fine_step, axis=1) / 12.0
 
 
 def diagnostics_study(cfg: StudyConfig) -> StudyReport:

@@ -10,14 +10,13 @@ empirical probe of the decay of their normalized second moments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.stats import kendalltau
 
 from .errors import CapabilityError, ConfigError
-from .functions import TestFunction, fn_value
-from .grids import TimeGrid, build_grid
+from .functions import TestFunction
+from .grids import build_grid, gauss_hermite, gauss_legendre
 from .processes import (
     BrownianMotion,
     DeterministicGaussian,
@@ -26,12 +25,6 @@ from .processes import (
 )
 
 GL_ORDER = 16
-
-
-@lru_cache(maxsize=4)
-def _unit_gl(order: int):
-    y, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (y + 1.0), 0.5 * w
 
 
 def _require_gaussian(spec, what: str):
@@ -65,30 +58,18 @@ def _phase_factor(spec, t0: float, r: float, u: float) -> complex:
     return np.exp(1j * drift_phase - 0.5 * quad)
 
 
-def _exp_frequency(f: TestFunction) -> float | None:
-    if f.complex_valued and f.name.startswith("complex_exponential("):
-        return float(f.name[len("complex_exponential("):-1])
-    return None
-
-
-@lru_cache(maxsize=4)
-def _hermite(order: int):
-    return np.polynomial.hermite.hermgauss(order)
-
-
 def _cond_expectation(f: TestFunction, spec, y0: np.ndarray, t0: float,
                       r: float, q_hermite: int = 64) -> np.ndarray:
     """E[f(Y_r) | F_{t0}] across paths; y0 holds Y_{t0} (shift included)."""
-    u = _exp_frequency(f)
-    if u is not None:
-        return np.exp(1j * u * y0) * _phase_factor(spec, t0, r, u)
-    if f.gradient is None:
-        raise CapabilityError(
-            f"conditional expectations need an exponential or gradient-"
-            f"bearing function; {f.name} qualifies for neither")
     mu, cov = (np.zeros(1), np.eye(1) * (r - t0)) if isinstance(spec, BrownianMotion) \
         else spec.transition_moments(t0, r)
-    nodes, weights = _hermite(q_hermite)
+    if f.gaussian_expectation is not None:
+        return f.gaussian_expectation(y0 + mu[0], cov[0, 0])
+    if f.gradient is None:
+        raise CapabilityError(
+            f"conditional expectations need a closed-form Gaussian expectation "
+            f"or a gradient; {f.name} has neither")
+    nodes, weights = gauss_hermite(q_hermite)
     pts = y0[:, None] + mu[0] + np.sqrt(max(2.0 * cov[0, 0], 0.0)) * nodes
     return f.value(pts) @ weights / np.sqrt(np.pi)
 
@@ -142,7 +123,7 @@ def decompose(f: TestFunction, bundle: PathBundle, t: float | None = None,
     seg = 0.5 * grid.fine_step * (lo + hi)
     fine_int = seg.reshape(seg.shape[0], K, m).sum(axis=2)
 
-    tau, tw = _unit_gl(q_time)
+    tau, tw = gauss_legendre(q_time, unit=True)
     y_left = y[:, ::m][:, :K]
     cond_int = np.zeros((bundle.count, K), dtype=dtype)
     for k in range(K):
@@ -189,7 +170,7 @@ def _f_terms(u: float, bundle: PathBundle, K: int,
     spec = bundle.spec
     grid = bundle.grid
     delta = grid.coarse_step
-    tau, tw = _unit_gl(q_time)
+    tau, tw = gauss_legendre(q_time, unit=True)
 
     c1 = np.zeros(K, dtype=complex)
     c2 = np.zeros(K, dtype=complex)

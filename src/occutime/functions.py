@@ -191,12 +191,17 @@ def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
         return np.exp(-0.5 * x ** 2 / c2)
 
     # term-by-term accumulation keeps memory at O(len(x)) even on large
-    # path ensembles
+    # path ensembles; the reused term buffer spares the allocator one
+    # ensemble-sized array per term and operation
     def value(x):
         x = np.asarray(x, float)
         series = np.zeros_like(x)
+        term = np.empty_like(x)
         for fj, cj in zip(freqs, coeffs):
-            series += cj * np.cos(fj * x)
+            np.multiply(fj, x, out=term)
+            np.cos(term, out=term)
+            term *= cj
+            series += term
         return w(x) * series
 
     def grad(x):
@@ -226,10 +231,15 @@ def complex_exponential(u: float) -> TestFunction:
     def value(x):
         return np.exp(1j * u * np.asarray(x, float))
 
+    def gauss_expect(mu, var):
+        # E exp(i u (mu + N(0, var))) = exp(i u mu - u^2 var / 2)
+        return np.exp(1j * u * mu - 0.5 * u * u * var)
+
     return TestFunction(f"complex_exponential({u})", value,
                         gradient=lambda x: 1j * u * np.exp(1j * u * np.asarray(x, float)),
                         fourier=None, smoothness=SmoothnessClass(math.inf),
-                        complex_valued=True, integrable=False)
+                        complex_valued=True, integrable=False,
+                        gaussian_expectation=gauss_expect)
 
 
 def identity() -> TestFunction:

@@ -1,9 +1,9 @@
-"""Observation and simulation time grids."""
+"""Observation and simulation time grids, and the shared quadrature nodes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -70,3 +70,24 @@ def build_grid(horizon: float, n: int, m: int = 1) -> TimeGrid:
     if int(m) != m or m < 1:
         raise ConfigError(f"refine factor must be an integer >= 1, got {m}")
     return TimeGrid(float(horizon), int(n), int(m))
+
+
+def _read_only(pair):
+    for a in pair:
+        a.setflags(write=False)
+    return pair
+
+
+@lru_cache(maxsize=16)
+def gauss_legendre(order: int, unit: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], or on [0, 1] with
+    ``unit``. Cached and shared, hence read-only."""
+    y, w = np.polynomial.legendre.leggauss(order)
+    return _read_only((0.5 * (y + 1.0), 0.5 * w) if unit else (y, w))
+
+
+@lru_cache(maxsize=16)
+def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for the weight exp(-x^2). Cached and
+    shared, hence read-only."""
+    return _read_only(np.polynomial.hermite.hermgauss(order))

@@ -33,8 +33,8 @@ class LimitSample:
 
 def _sigma_transpose_grad(bundle: PathBundle, grad: np.ndarray) -> np.ndarray:
     """sigma_t^T grad f(Y_t) along all paths, shape (paths, nodes, d)."""
-    if bundle.sigma is None:
-        raise CapabilityError("bundle carries no diffusion companion data")
+    if bundle.sigma is None:         # Brownian motion: sigma is the identity
+        return grad
     if bundle.sigma.ndim == 3:       # deterministic, shared across paths
         return np.einsum("jab,ija->ijb", bundle.sigma, grad)
     return bundle.sigma[:, :, None] * grad    # scalar stochastic volatility
@@ -98,18 +98,28 @@ class LowerBound:
     stderr: float
     mean_integral: float
 
+    @classmethod
+    def from_integrals(cls, integrals: np.ndarray) -> LowerBound:
+        """Square root of the mean of per-path gradient energies, with its
+        delta-method standard error."""
+        mean = float(integrals.mean())
+        count = len(integrals)
+        se_mean = float(integrals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
+        value = float(np.sqrt(mean))
+        stderr = se_mean / (2.0 * value) if value > 0 else se_mean
+        return cls(value, stderr, mean)
+
+
+def gradient_energy(f: TestFunction, bundle: PathBundle) -> np.ndarray:
+    """Per-path (1/12) int_0^T |grad f(X_t + xi)|^2 dt (fine trapezoid)."""
+    if f.gradient is None:
+        raise CapabilityError(f"lower bound needs a gradient; {f.name} has none")
+    y = bundle.x + bundle.shifts[:, None, :]
+    sq = np.sum(fn_gradient(f, y) ** 2, axis=2)
+    return np.trapezoid(sq, dx=bundle.grid.fine_step, axis=1) / 12.0
+
 
 def lower_bound_constant(f: TestFunction, bundle: PathBundle) -> LowerBound:
     """Monte Carlo estimate of E[(1/12) int_0^T |grad f(X_t)|^2 dt]^(1/2),
     the minimal asymptotic L^2 constant over coarse-grid estimators."""
-    if f.gradient is None:
-        raise CapabilityError(f"lower bound needs a gradient; {f.name} has none")
-    y = bundle.x + bundle.shifts[:, None, :]
-    grad = fn_gradient(f, y)
-    sq = np.sum(grad ** 2, axis=2)
-    integrals = np.trapezoid(sq, dx=bundle.grid.fine_step, axis=1) / 12.0
-    mean = float(integrals.mean())
-    se_mean = float(integrals.std(ddof=1) / np.sqrt(len(integrals))) if len(integrals) > 1 else 0.0
-    value = float(np.sqrt(mean))
-    stderr = se_mean / (2.0 * value) if value > 0 else se_mean
-    return LowerBound(value, stderr, mean)
+    return LowerBound.from_integrals(gradient_energy(f, bundle))

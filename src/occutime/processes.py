@@ -4,20 +4,23 @@ Three coefficient families are supported: standard Brownian motion,
 Gaussian processes with deterministic time-dependent drift/diffusion
 (sampled from the exact transition law), and a stochastic volatility
 example driven by an auxiliary Brownian motion (Euler-Maruyama on the
-fine grid). Per-path random streams are counter-based and derived from
-``(master_seed, path_index)``, so ensembles are reproducible bit for bit
-regardless of chunking or thread count.
+fine grid). All three run one simulation loop: each path draws its start
+point, shift and standard normals from a counter-based stream derived from
+``(master_seed, path_index)``, and only the rule that turns the normals
+into increments depends on the family. Ensembles are therefore
+reproducible bit for bit regardless of chunking or thread count, and the
+driving increments can be regenerated from the stream instead of stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError, SimulationError
-from .grids import TimeGrid
+from .errors import ConfigError, SimulationError
+from .grids import TimeGrid, gauss_legendre
 
 # Stream tags for the splittable per-path RNG. MAIN drives the initial value,
 # the shift and the increments of W; VOL drives the auxiliary Brownian motion
@@ -25,8 +28,6 @@ from .grids import TimeGrid
 STREAM_MAIN = 0
 STREAM_VOL = 1
 STREAM_LIMIT = 2
-
-GL16_NODES, GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def path_rng(master_seed: int, path_index: int, stream: int = STREAM_MAIN) -> np.random.Generator:
@@ -136,14 +137,14 @@ class DeterministicGaussian:
         if self.drift_integral is not None:
             mu = np.asarray(self.drift_integral(t0, t1), float).reshape(self.dimension)
         else:
-            mu = _gl_integrate_vec(self.drift_at, t0, t1, self.dimension)
+            mu = _gl_integrate(self.drift_at, t0, t1, (self.dimension,))
         if self.covariance_integral is not None:
             cov = np.asarray(self.covariance_integral(t0, t1), float).reshape(
                 self.dimension, self.dimension)
         else:
-            cov = _gl_integrate_mat(
+            cov = _gl_integrate(
                 lambda t: self.diffusion_at(t) @ self.diffusion_at(t).T,
-                t0, t1, self.dimension)
+                t0, t1, (self.dimension, self.dimension))
         return mu, cov
 
 
@@ -174,28 +175,22 @@ class StochVol:
 ProcessSpec = BrownianMotion | DeterministicGaussian | StochVol
 
 
-def _gl_integrate_vec(fn, t0, t1, d):
+def _gl_integrate(fn, t0, t1, shape):
+    """16-point Gauss-Legendre integral of an array-valued fn over [t0, t1]."""
+    nodes, weights = gauss_legendre(16)
     half = 0.5 * (t1 - t0)
     mid = 0.5 * (t1 + t0)
-    out = np.zeros(d)
-    for y, w in zip(GL16_NODES, GL16_WEIGHTS):
-        out += w * np.asarray(fn(mid + half * y), float).reshape(d)
-    return half * out
-
-
-def _gl_integrate_mat(fn, t0, t1, d):
-    half = 0.5 * (t1 - t0)
-    mid = 0.5 * (t1 + t0)
-    out = np.zeros((d, d))
-    for y, w in zip(GL16_NODES, GL16_WEIGHTS):
-        out += w * np.asarray(fn(mid + half * y), float).reshape(d, d)
+    out = np.zeros(shape)
+    for y, w in zip(nodes, weights):
+        out += w * np.asarray(fn(mid + half * y), float).reshape(shape)
     return half * out
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Square-root factor of a PSD matrix, tolerant of zero eigenvalues."""
+    """Square-root factors of a stack of PSD matrices, tolerant of zero
+    eigenvalues."""
     vals, vecs = np.linalg.eigh(cov)
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +199,14 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Ensemble of fine-grid trajectories with companion driving data.
+    """Ensemble of fine-grid trajectories.
 
-    ``x`` and ``w`` have shape (paths, fine_count + 1, d). ``sigma`` is either
-    (fine_count + 1, d, d), shared across paths for deterministic
-    coefficients, or (paths, fine_count + 1) for the scalar stochastic
-    volatility. ``drift_values`` follows the same convention.
+    ``x`` has shape (paths, fine_count + 1, d) and ``shifts`` (paths, d).
+    ``sigma`` is the diffusion coefficient at the fine nodes: None for
+    Brownian motion (the identity), (fine_count + 1, d, d) shared across
+    paths for deterministic coefficients, or (paths, fine_count + 1) for the
+    scalar stochastic volatility. The driving normals are not stored:
+    ``one_step_euler`` regenerates them from the path's stream.
     """
 
     grid: TimeGrid
@@ -217,9 +214,7 @@ class PathBundle:
     master_seed: int
     first_path_index: int
     x: np.ndarray
-    w: np.ndarray | None
     sigma: np.ndarray | None
-    drift_values: np.ndarray | None
     shifts: np.ndarray
 
     @property
@@ -237,147 +232,96 @@ class PathBundle:
         """Observations at the coarse nodes, shape (paths, n + 1, d)."""
         return self.x[:, ::self.grid.refine_factor, :]
 
-    def sigma_path(self, i: int) -> np.ndarray:
-        """Diffusion values along path i, shape (fine_count + 1, d, d)."""
-        if self.sigma is None:
-            raise CapabilityError("bundle carries no diffusion companion data")
-        if self.sigma.ndim == 3:
-            return self.sigma
-        return self.sigma[i][:, None, None]
 
-    def drift_path(self, i: int) -> np.ndarray:
-        if self.drift_values is None:
-            raise CapabilityError("bundle carries no drift companion data")
-        if self.drift_values.ndim == 2:
-            return self.drift_values
-        return self.drift_values[i]
+def _draw_path(spec, grid, master_seed, index):
+    """Start point, shift and the (fine_count, d) standard normals of one
+    path, all from its main stream."""
+    d = spec.dimension
+    rng = path_rng(master_seed, index)
+    x0 = spec.initial.sample(rng, d)
+    shift = spec.shift.sample(rng, d) if spec.shift is not None else np.zeros(d)
+    return x0, shift, rng.standard_normal((grid.fine_count, d))
+
+
+def _diffusion_nodes(spec: DeterministicGaussian, grid: TimeGrid) -> np.ndarray:
+    """sigma at the fine nodes, checked for degeneracy unless opted out."""
+    sigma = np.array([spec.diffusion_at(t) for t in grid.fine_times])
+    if spec.nondegenerate:
+        lam = np.linalg.eigvalsh(sigma @ sigma.transpose(0, 2, 1))[:, 0]
+        bad = np.flatnonzero(lam <= 0)
+        if bad.size:
+            raise SimulationError(
+                f"diffusion matrix degenerate at time {grid.fine_times[bad[0]]}: "
+                f"smallest eigenvalue of sigma sigma^T is {lam[bad[0]]}")
+    return sigma
+
+
+def _transition_factors(spec: DeterministicGaussian, grid: TimeGrid):
+    """Mean and covariance factor of every fine-step increment."""
+    times = grid.fine_times
+    moments = [spec.transition_moments(t0, t1)
+               for t0, t1 in zip(times[:-1], times[1:])]
+    mu = np.array([m for m, _ in moments])
+    return mu, _psd_factor(np.array([cov for _, cov in moments]))
+
+
+def _volatility(spec: StochVol, grid: TimeGrid, master_seed, index) -> np.ndarray:
+    """sigma0 (1 + eta sin W') at the fine nodes, W' from the path's VOL stream."""
+    zv = path_rng(master_seed, index, STREAM_VOL).standard_normal(grid.fine_count)
+    w_aux = np.concatenate(([0.0], np.cumsum(zv) * np.sqrt(grid.fine_step)))
+    return spec.sigma0 * (1.0 + spec.eta * np.sin(w_aux))
 
 
 def simulate_paths(spec: ProcessSpec, grid: TimeGrid, count: int,
                    master_seed: int, first_path_index: int = 0) -> PathBundle:
     """Simulate ``count`` trajectories on the fine grid.
 
-    Brownian and deterministic-Gaussian variants use the exact Gaussian
-    transition per fine step; the stochastic volatility variant uses
-    Euler-Maruyama with the volatility frozen between fine nodes.
+    Every family turns the path's standard normals z into fine-step
+    increments: z sqrt(dt) for Brownian motion, the exact Gaussian
+    transition mu + factor z for deterministic coefficients, and
+    Euler-Maruyama sigma z sqrt(dt) with the volatility frozen between fine
+    nodes for stochastic volatility, whose drift, when given, is added by
+    the sequential Euler update.
     """
     if count < 1:
         raise ConfigError(f"path count must be >= 1, got {count}")
+    sqrt_dt = np.sqrt(grid.fine_step)
+    sigma = None
+    drift = None
     if isinstance(spec, BrownianMotion):
-        return _simulate_brownian(spec, grid, count, master_seed, first_path_index)
-    if isinstance(spec, DeterministicGaussian):
-        return _simulate_deterministic(spec, grid, count, master_seed, first_path_index)
-    if isinstance(spec, StochVol):
-        return _simulate_stochvol(spec, grid, count, master_seed, first_path_index)
-    raise ConfigError(f"unknown process spec {type(spec).__name__}")
+        def increments(i, z):
+            return z * sqrt_dt
+    elif isinstance(spec, DeterministicGaussian):
+        sigma = _diffusion_nodes(spec, grid)
+        mu, factor = _transition_factors(spec, grid)
 
+        def increments(i, z):
+            return mu + np.einsum("jab,jb->ja", factor, z)
+    elif isinstance(spec, StochVol):
+        sigma = np.empty((count, grid.fine_count + 1))
+        drift = spec.drift
 
-def _draw_start_and_shift(spec, rng, d):
-    x0 = spec.initial.sample(rng, d)
-    shift = spec.shift.sample(rng, d) if spec.shift is not None else np.zeros(d)
-    return x0, shift
+        def increments(i, z):
+            sigma[i] = _volatility(spec, grid, master_seed, first_path_index + i)
+            return sigma[i, :-1, None] * z * sqrt_dt
+    else:
+        raise ConfigError(f"unknown process spec {type(spec).__name__}")
 
-
-def _simulate_brownian(spec, grid, count, master_seed, first_path_index):
     d = spec.dimension
-    n_fine = grid.fine_count
-    sqrt_dt = np.sqrt(grid.fine_step)
-    x = np.empty((count, n_fine + 1, d))
+    x = np.empty((count, grid.fine_count + 1, d))
     shifts = np.empty((count, d))
     for i in range(count):
-        rng = path_rng(master_seed, first_path_index + i)
-        x0, shifts[i] = _draw_start_and_shift(spec, rng, d)
-        z = rng.standard_normal((n_fine, d))
+        x0, shifts[i], z = _draw_path(spec, grid, master_seed, first_path_index + i)
+        dx = increments(i, z)
         x[i, 0] = x0
-        np.cumsum(z * sqrt_dt, axis=0, out=x[i, 1:])
-        x[i, 1:] += x0
-    w = x - x[:, :1, :]
-    sigma = np.broadcast_to(np.eye(d), (n_fine + 1, d, d)).copy()
-    drift = np.zeros((n_fine + 1, d))
-    return PathBundle(grid, spec, master_seed, first_path_index,
-                      x, w, sigma, drift, shifts)
-
-
-def _simulate_deterministic(spec, grid, count, master_seed, first_path_index):
-    d = spec.dimension
-    n_fine = grid.fine_count
-    times = grid.fine_times
-    sqrt_dt = np.sqrt(grid.fine_step)
-
-    sigma_nodes = np.empty((n_fine + 1, d, d))
-    drift_nodes = np.empty((n_fine + 1, d))
-    for j, t in enumerate(times):
-        sigma_nodes[j] = spec.diffusion_at(t)
-        drift_nodes[j] = spec.drift_at(t)
-    if spec.nondegenerate:
-        for j, t in enumerate(times):
-            ssT = sigma_nodes[j] @ sigma_nodes[j].T
-            lam = np.linalg.eigvalsh(ssT)[0]
-            if lam <= 0:
-                raise SimulationError(
-                    f"diffusion matrix degenerate at time {t}: "
-                    f"smallest eigenvalue of sigma sigma^T is {lam}")
-
-    mu = np.empty((n_fine, d))
-    factor = np.empty((n_fine, d, d))
-    for j in range(n_fine):
-        m, cov = spec.transition_moments(times[j], times[j + 1])
-        mu[j] = m
-        factor[j] = _psd_factor(cov)
-
-    x = np.empty((count, n_fine + 1, d))
-    w = np.empty((count, n_fine + 1, d))
-    shifts = np.empty((count, d))
-    for i in range(count):
-        rng = path_rng(master_seed, first_path_index + i)
-        x0, shifts[i] = _draw_start_and_shift(spec, rng, d)
-        z = rng.standard_normal((n_fine, d))
-        incr = mu + np.einsum("jab,jb->ja", factor, z)
-        x[i, 0] = x0
-        np.cumsum(incr, axis=0, out=x[i, 1:])
-        x[i, 1:] += x0
-        # W is the standardized innovation process driving the increments.
-        w[i, 0] = 0.0
-        np.cumsum(z * sqrt_dt, axis=0, out=w[i, 1:])
-    return PathBundle(grid, spec, master_seed, first_path_index,
-                      x, w, sigma_nodes, drift_nodes, shifts)
-
-
-def _simulate_stochvol(spec, grid, count, master_seed, first_path_index):
-    n_fine = grid.fine_count
-    dt = grid.fine_step
-    sqrt_dt = np.sqrt(dt)
-    times = grid.fine_times
-
-    x = np.empty((count, n_fine + 1, 1))
-    w = np.empty((count, n_fine + 1, 1))
-    sigma = np.empty((count, n_fine + 1))
-    shifts = np.empty((count, 1))
-    for i in range(count):
-        rng = path_rng(master_seed, first_path_index + i)
-        x0, shifts[i] = _draw_start_and_shift(spec, rng, 1)
-        z = rng.standard_normal(n_fine)
-        rng_vol = path_rng(master_seed, first_path_index + i, STREAM_VOL)
-        zv = rng_vol.standard_normal(n_fine)
-        w_aux = np.concatenate(([0.0], np.cumsum(zv) * sqrt_dt))
-        sig = spec.sigma0 * (1.0 + spec.eta * np.sin(w_aux))
-        sigma[i] = sig
-        w[i, 0, 0] = 0.0
-        np.cumsum(z * sqrt_dt, out=w[i, 1:, 0])
-        if spec.drift is None:
-            incr = sig[:-1] * z * sqrt_dt
-            x[i, 0, 0] = x0[0]
-            np.cumsum(incr, out=x[i, 1:, 0])
-            x[i, 1:, 0] += x0[0]
-        else:
-            cur = float(x0[0])
-            x[i, 0, 0] = cur
-            for j in range(n_fine):
-                b = float(np.asarray(spec.drift(times[j], np.array([cur]))).reshape(()))
-                cur = cur + b * dt + sig[j] * z[j] * sqrt_dt
-                x[i, j + 1, 0] = cur
-    return PathBundle(grid, spec, master_seed, first_path_index,
-                      x, w, sigma, None, shifts)
+        if drift is None:
+            np.cumsum(dx, axis=0, out=x[i, 1:])
+            x[i, 1:] += x0
+            continue
+        for j, t in enumerate(grid.fine_times[:-1]):
+            b = np.asarray(drift(t, x[i, j].copy()), float).reshape(d)
+            x[i, j + 1] = x[i, j] + b * grid.fine_step + dx[j]
+    return PathBundle(grid, spec, master_seed, first_path_index, x, sigma, shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +330,24 @@ def _simulate_stochvol(spec, grid, count, master_seed, first_path_index):
 
 def one_step_euler(bundle: PathBundle, path_index: int, s: float, t: float) -> np.ndarray:
     """X_s + b_s (t - s) + sigma_s (W_t - W_s), the frozen-coefficient
-    approximation of X_t started at the fine node s."""
+    approximation of X_t started at the fine node s. The coefficients are
+    taken at that node; W_t - W_s is rebuilt from the path's normals."""
     if not (0 <= s <= t <= bundle.grid.horizon * (1 + 2 ** -40)):
         raise ConfigError(f"need 0 <= s <= t <= T, got s={s}, t={t}")
-    if bundle.w is None:
-        raise CapabilityError("bundle carries no driving Brownian motion")
-    js = bundle.grid.fine_index(s)
-    jt = bundle.grid.fine_index(t)
+    grid, spec = bundle.grid, bundle.spec
+    js = grid.fine_index(s)
+    jt = grid.fine_index(t)
     x_s = bundle.x[path_index, js]
-    dw = bundle.w[path_index, jt] - bundle.w[path_index, js]
-    sig = bundle.sigma_path(path_index)[js]
-    if isinstance(bundle.spec, StochVol):
-        b = np.zeros(1) if bundle.spec.drift is None else np.asarray(
-            bundle.spec.drift(s, x_s), float).reshape(1)
-    else:
-        b = bundle.drift_path(path_index)[js]
-    return x_s + b * (t - s) + sig @ dw
+    *_, z = _draw_path(spec, grid, bundle.master_seed,
+                       bundle.first_path_index + path_index)
+    dw = (z[js:jt] * np.sqrt(grid.fine_step)).sum(axis=0)
+    t_s = grid.fine_times[js]
+    if isinstance(spec, DeterministicGaussian):
+        return x_s + spec.drift_at(t_s) * (t - s) + bundle.sigma[js] @ dw
+    if isinstance(spec, StochVol):
+        b = 0.0 if spec.drift is None else np.asarray(spec.drift(t_s, x_s), float)
+        return x_s + b * (t - s) + bundle.sigma[path_index, js] * dw
+    return x_s + dw
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapabilityError, ConfigError
 from .functions import TestFunction
+from .grids import gauss_legendre
 
 DIVERGENCE_EPS = 0.05
 
@@ -43,16 +43,11 @@ class SeminormResult:
         return self.value
 
 
-@lru_cache(maxsize=16)
-def _gl(order: int):
-    return np.polynomial.legendre.leggauss(order)
-
-
 def _panel_sum(integrand, a: float, b: float, nodes: int, order: int) -> float:
     """Gauss-Legendre over [a, b], split into subpanels of fixed order."""
     pieces = max(1, math.ceil(nodes / order))
     edges = np.linspace(a, b, pieces + 1)
-    y, w = _gl(order)
+    y, w = gauss_legendre(order)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     u = mid[:, None] + half[:, None] * y[None, :]

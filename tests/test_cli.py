@@ -80,6 +80,10 @@ def test_simulate_writes_paths_csv(tmp_path):
     assert len(lines) == 1 + 3 * 9
 
 
+def _reject_constant(name):
+    raise ValueError(f"report.json holds the non-JSON constant {name}")
+
+
 def test_rate_study_constant_flags_degenerate(tmp_path):
     cfg = _write(tmp_path, STUDY_CFG)
     out = tmp_path / "deg"
@@ -87,8 +91,10 @@ def test_rate_study_constant_flags_degenerate(tmp_path):
                "--set", "function.descriptor=constant(c=2)",
                "--set", "study.paths=100"])
     assert rc == 0
-    report = json.loads((out / "report.json").read_text())
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=_reject_constant)
     assert report["summary"]["riemann"]["degenerate"] is True
+    assert report["summary"]["riemann"]["slope"] is None
     # the resolved config reflects the overrides
     assert report["config"]["function"]["descriptor"] == "constant(c=2)"
 
@@ -125,7 +131,8 @@ def test_env_threads_fallback(tmp_path, monkeypatch):
 
 def test_bad_override_exits_1(tmp_path, capsys):
     cfg = _write(tmp_path, STUDY_CFG)
-    rc = main(["rate-study", "--config", cfg, "--out", str(tmp_path / "x"),
-               "--set", "study.nope=3"])
-    assert rc == 1
-    assert "nope" in capsys.readouterr().err
+    for key, value in (("nope", "3"), ("kind", "rate")):
+        rc = main(["rate-study", "--config", cfg, "--out", str(tmp_path / "x"),
+                   "--set", f"study.{key}={value}"])
+        assert rc == 1
+        assert f"[study] {key}" in capsys.readouterr().err

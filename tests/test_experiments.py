@@ -30,6 +30,7 @@ def _cfg(**kw):
     dict(paths=50),
     dict(kind="nope"),
     dict(estimators=("simpson",)),
+    dict(estimators=()),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):

@@ -5,7 +5,6 @@ import pytest
 
 from occutime import (
     BrownianMotion,
-    CapabilityError,
     ConfigError,
     DeterministicGaussian,
     FixedStart,
@@ -20,14 +19,28 @@ from occutime import (
 from occutime.processes import dump_paths_csv, path_rng
 
 
-def test_streams_independent_of_chunking():
+@pytest.mark.parametrize("spec", [
+    BrownianMotion(dimension=2, initial=FixedStart((0.0, 1.0)),
+                   shift=UniformShift(0.5)),
+    DeterministicGaussian(dimension=1, drift=lambda t: np.array([t]),
+                          diffusion=lambda t: np.array([[1.0 + t]])),
+    StochVol(),
+    StochVol(drift=lambda t, x: -x),
+], ids=["brownian-2d-shift", "deterministic", "stochvol", "stochvol-drift"])
+def test_streams_independent_of_chunking(spec):
     grid = build_grid(1.0, 4, 8)
-    spec = BrownianMotion()
     whole = simulate_paths(spec, grid, 6, master_seed=99)
     head = simulate_paths(spec, grid, 2, master_seed=99)
     tail = simulate_paths(spec, grid, 4, master_seed=99, first_path_index=2)
-    np.testing.assert_array_equal(whole.x[:2], head.x)
-    np.testing.assert_array_equal(whole.x[2:], tail.x)
+    for part, rows in ((head, slice(0, 2)), (tail, slice(2, 6))):
+        np.testing.assert_array_equal(whole.x[rows], part.x)
+        np.testing.assert_array_equal(whole.shifts[rows], part.shifts)
+        if isinstance(spec, BrownianMotion):
+            assert part.sigma is None
+        elif isinstance(spec, DeterministicGaussian):
+            np.testing.assert_array_equal(whole.sigma, part.sigma)
+        else:
+            np.testing.assert_array_equal(whole.sigma[rows], part.sigma)
 
 
 def test_streams_distinct_per_path_and_tag():
@@ -45,7 +58,8 @@ def test_brownian_moments():
     x_end = bundle.x[:, -1, 0]
     assert abs(x_end.mean()) < 4 * np.sqrt(2.0 / 4000)
     assert x_end.var() == pytest.approx(2.0, rel=0.1)
-    np.testing.assert_array_equal(bundle.w[:, :, 0], bundle.x[:, :, 0])
+    assert np.all(bundle.x[:, 0] == 0.0)
+    assert bundle.sigma is None   # the identity is not stored
 
 
 def test_deterministic_gaussian_matches_closed_form():
@@ -120,9 +134,27 @@ def test_one_step_euler_freezes_coefficients():
     bundle = simulate_paths(spec, grid, 2, master_seed=5)
     s, t = 0.5, 1.0
     js, jt = grid.fine_index(s), grid.fine_index(t)
-    expected = (bundle.x[0, js, 0] + s * (t - s)
-                + (bundle.w[0, jt, 0] - bundle.w[0, js, 0]))
+    # X = W + t^2 / 2, so W_t - W_s = X_t - X_s - (t^2 - s^2) / 2
+    dw = bundle.x[0, jt, 0] - bundle.x[0, js, 0] - 0.5 * (t * t - s * s)
+    expected = bundle.x[0, js, 0] + s * (t - s) + dw
     assert one_step_euler(bundle, 0, s, t)[0] == pytest.approx(expected)
+
+
+def test_one_step_euler_exact_for_constant_stochvol():
+    # eta = 0 freezes sigma at sigma0, so the Euler step is exact
+    grid = build_grid(1.0, 4, 4)
+    bundle = simulate_paths(StochVol(sigma0=1.5, eta=0.0), grid, 3, master_seed=5)
+    approx = one_step_euler(bundle, 2, s=0.25, t=0.75)
+    np.testing.assert_allclose(approx, bundle.x[2, grid.fine_index(0.75)])
+
+
+def test_one_step_euler_on_a_later_chunk():
+    spec = StochVol(drift=lambda t, x: -x)
+    grid = build_grid(1.0, 4, 4)
+    whole = simulate_paths(spec, grid, 6, master_seed=9)
+    tail = simulate_paths(spec, grid, 4, master_seed=9, first_path_index=2)
+    np.testing.assert_array_equal(one_step_euler(tail, 1, 0.25, 0.75),
+                                  one_step_euler(whole, 3, 0.25, 0.75))
 
 
 def test_regularity_probe_stochvol_exponent():
@@ -149,9 +181,3 @@ def test_dump_paths_csv_layout():
     assert len(lines) == 1 + 2 * (grid.fine_count + 1)
     assert lines[1].startswith("0,0.0,")
 
-
-def test_missing_companion_data_raises():
-    grid = build_grid(1.0, 4, 2)
-    bundle = simulate_paths(StochVol(), grid, 2, master_seed=1)
-    with pytest.raises(CapabilityError):
-        bundle.drift_path(0)
