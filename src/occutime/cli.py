@@ -128,12 +128,12 @@ def _write_artifacts(out_dir: Path, command: str, cfg: ResolvedConfig,
 
 def _run_simulate(cfg: ResolvedConfig, seed_override, threads, out_dir) -> dict:
     spec = build_process(cfg)
-    n = int(cfg.require("simulate", "n"))
-    refine = int(cfg.get("simulate", "refine", "1"))
-    paths = int(cfg.require("simulate", "paths"))
+    n = cfg.number("simulate", "n", kind=int)
+    refine = cfg.number("simulate", "refine", "1", int)
+    paths = cfg.number("simulate", "paths", kind=int)
     seed = seed_override if seed_override is not None \
-        else int(cfg.require("simulate", "seed"))
-    horizon = float(cfg.get("simulate", "horizon", "1.0"))
+        else cfg.number("simulate", "seed", kind=int)
+    horizon = cfg.number("simulate", "horizon", "1.0")
     grid = build_grid(horizon, n, refine)
     bundle = simulate_paths(spec, grid, paths, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -147,7 +147,7 @@ def _run_simulate(cfg: ResolvedConfig, seed_override, threads, out_dir) -> dict:
 
 def _run_norms(cfg: ResolvedConfig, seed_override, threads, out_dir) -> dict:
     f = build_function(cfg)
-    s = float(cfg.get("norms", "s", "1.0"))
+    s = cfg.number("norms", "s", "1.0")
     which = cfg.get("norms", "norm", "both").strip().lower()
     if which not in ("sobolev", "fourier_lebesgue", "both"):
         raise ConfigError(f"unknown norm kind {which!r}")

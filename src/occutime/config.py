@@ -50,6 +50,33 @@ class ResolvedConfig:
             raise ConfigError(f"missing required key [{section}] {key}")
         return value
 
+    def number(self, section: str, key: str, default: str | None = None,
+               kind=float):
+        """[section] key as a float or int, required unless a default is
+        given; a value of the wrong kind is a ConfigError naming the key."""
+        text = self.get(section, key, default) or self.require(section, key)
+        return _number(text, kind, section, key)
+
+    def numbers(self, section: str, key: str, default: str | None = None,
+                kind=float) -> tuple:
+        """Comma-separated list form of :meth:`number`."""
+        text = self.get(section, key, default) or self.require(section, key)
+        return tuple(_number(p, kind, section, key)
+                     for p in text.split(",") if p.strip())
+
+
+def _number(text: str, kind, section: str, key: str):
+    try:
+        value = float(text)
+        if kind is float:
+            return value
+        if value.is_integer():      # exact for long digit strings
+            return int(text) if text.strip().isdigit() else int(value)
+    except ValueError:
+        pass
+    what = "a number" if kind is float else "an integer"
+    raise ConfigError(f"[{section}] {key} must be {what}, got {text.strip()!r}")
+
 
 def _validate(parser: configparser.ConfigParser):
     for section in parser.sections():
@@ -100,44 +127,27 @@ def load_config(text: str, overrides=()) -> ResolvedConfig:
     return ResolvedConfig(sections, _canonical_text(parser))
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    out = []
-    for p in text.split(","):
-        p = p.strip()
-        if p:
-            v = float(p)
-            if v != int(v):
-                raise ConfigError(f"expected an integer, got {p!r}")
-            out.append(int(v))
-    return tuple(out)
-
-
 def build_process(cfg: ResolvedConfig) -> ProcessSpec:
     kind = cfg.get("process", "kind", "brownian").strip().lower()
-    d = int(cfg.get("process", "dimension", "1"))
-    x0 = _floats(cfg.get("process", "x0", ",".join(["0.0"] * d)))
+    d = cfg.number("process", "dimension", "1", int)
+    x0 = cfg.numbers("process", "x0", ",".join(["0.0"] * d))
     if len(x0) != d:
         raise ConfigError(f"x0 has {len(x0)} coordinates for dimension {d}")
     initial = FixedStart(x0)
     shift = None
-    half = cfg.get("process", "shift_half_width")
-    if half is not None:
-        shift = UniformShift(float(half))
+    if cfg.get("process", "shift_half_width") is not None:
+        shift = UniformShift(cfg.number("process", "shift_half_width"))
 
     if kind == "brownian":
         return BrownianMotion(dimension=d, initial=initial, shift=shift)
     if kind == "stochvol":
-        return StochVol(sigma0=float(cfg.get("process", "sigma0", "1.0")),
-                        eta=float(cfg.get("process", "eta", "0.5")),
+        return StochVol(sigma0=cfg.number("process", "sigma0", "1.0"),
+                        eta=cfg.number("process", "eta", "0.5"),
                         initial=initial, shift=shift)
     if kind == "deterministic_gaussian":
         import numpy as np
-        b = _floats(cfg.get("process", "drift_const", ",".join(["0.0"] * d)))
-        s = _floats(cfg.get("process", "diffusion_const", ",".join(["1.0"] * d)))
+        b = cfg.numbers("process", "drift_const", ",".join(["0.0"] * d))
+        s = cfg.numbers("process", "diffusion_const", ",".join(["1.0"] * d))
         if len(b) != d or len(s) != d:
             raise ConfigError("drift_const / diffusion_const must have one "
                               "entry per dimension")
@@ -163,9 +173,9 @@ def build_study(cfg: ResolvedConfig, kind: str, seed_override: int | None = None
                 threads: int = 1) -> StudyConfig:
     spec = build_process(cfg)
     function = build_function(cfg)
-    n_list = _ints(cfg.require("study", "n_list"))
+    n_list = cfg.numbers("study", "n_list", kind=int)
     seed = seed_override if seed_override is not None \
-        else int(cfg.require("study", "seed"))
+        else cfg.number("study", "seed", kind=int)
     t_eval = cfg.get("study", "t_eval")
     estimators = tuple(
         p.strip() for p in cfg.get("study", "estimators",
@@ -174,13 +184,13 @@ def build_study(cfg: ResolvedConfig, kind: str, seed_override: int | None = None
         spec=spec,
         function=function,
         n_list=n_list,
-        refine=int(cfg.get("study", "refine", "64")),
-        paths=int(cfg.require("study", "paths")),
+        refine=cfg.number("study", "refine", "64", int),
+        paths=cfg.number("study", "paths", kind=int),
         master_seed=seed,
         kind=kind,
         estimators=estimators,
-        t_eval=None if t_eval is None else float(t_eval),
-        horizon=float(cfg.get("study", "horizon", "1.0")),
+        t_eval=None if t_eval is None else cfg.number("study", "t_eval"),
+        horizon=cfg.number("study", "horizon", "1.0"),
         threads=threads,
-        u_list=_floats(cfg.get("study", "u_list", "1,3,10")),
+        u_list=cfg.numbers("study", "u_list", "1,3,10"),
     )

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapabilityError, ConfigError
-from .functions import TestFunction
-from .grids import TimeGrid, gauss_hermite, gauss_legendre
+from .functions import TestFunction, gaussian_mean
+from .grids import TimeGrid, gauss_legendre
 from .processes import BrownianMotion
 
 
@@ -73,17 +73,6 @@ def bridge_conditional_mean(x_prev, x_next, tau: float):
     return x_prev + tau * (x_next - x_prev)
 
 
-def _bridge_expectation_1d(f: TestFunction, mean, var, q_x: int):
-    """E[f(N(mean, var))] with var broadcast against mean."""
-    if f.gaussian_expectation is not None:
-        return f.gaussian_expectation(mean, np.broadcast_to(var, mean.shape))
-    nodes, weights = gauss_hermite(q_x)
-    scale = np.sqrt(2.0 * var)
-    points = mean[..., None] + scale[..., None] * nodes
-    vals = f.value(points)
-    return vals @ weights / np.sqrt(np.pi)
-
-
 def bridge_conditional_estimate(f: TestFunction, coarse_x: np.ndarray,
                                 grid: TimeGrid, t: float | None = None,
                                 q_t: int = 8, q_x: int = 32,
@@ -108,37 +97,25 @@ def bridge_conditional_estimate(f: TestFunction, coarse_x: np.ndarray,
     tau, tw = gauss_legendre(q_t, unit=True)
     var = tau * (1.0 - tau) * grid.coarse_step
 
-    def one_dim(x, fun):
-        _check_samples(x, k + 1, "bridge_conditional_estimate")
-        if k == 0:
-            return np.zeros(x.shape[:-1])
-        left = x[..., :k, None]
-        right = x[..., 1:k + 1, None]
-        mean = left + tau * (right - left)          # (..., k, q_t)
-        expect = _bridge_expectation_1d(fun, mean, var, q_x)
-        return grid.coarse_step * (expect @ tw).sum(axis=-1)
-
     if f.dimension == 1:
-        return one_dim(coarse_x, f)
-
-    if f.components is None:
+        coarse_x, factors = coarse_x[..., None], (f,)
+    elif f.components is None:
         raise CapabilityError(
             "bridge estimator in d >= 2 needs a tensor-product function")
-    if coarse_x.ndim < 2 or coarse_x.shape[-1] != f.dimension:
+    elif coarse_x.ndim < 2 or coarse_x.shape[-1] != f.dimension:
         raise ConfigError("coarse_x must have shape (..., n + 1, d)")
+    else:
+        factors = f.components
+    _check_samples(coarse_x[..., 0], k + 1, "bridge_conditional_estimate")
+    if k == 0:
+        return np.zeros(coarse_x.shape[:-2])
     # independent coordinates under the Brownian bridge: the conditional
     # expectation of the product factorizes per coordinate inside the
     # time quadrature
-    _check_samples(np.moveaxis(coarse_x, -1, 0)[0], k + 1,
-                   "bridge_conditional_estimate")
-    if k == 0:
-        return np.zeros(coarse_x.shape[:-2])
-    prod = None
-    for i, fun in enumerate(f.components):
-        x = coarse_x[..., i]
-        left = x[..., :k, None]
-        right = x[..., 1:k + 1, None]
-        mean = left + tau * (right - left)
-        expect = _bridge_expectation_1d(fun, mean, var, q_x)
-        prod = expect if prod is None else prod * expect
-    return grid.coarse_step * (prod @ tw).sum(axis=-1)
+    expect = 1.0
+    for i, fun in enumerate(factors):
+        left = coarse_x[..., :k, i, None]
+        right = coarse_x[..., 1:k + 1, i, None]
+        mean = left + tau * (right - left)          # (..., k, q_t)
+        expect = expect * gaussian_mean(fun, mean, var, q_x)
+    return grid.coarse_step * (expect @ tw).sum(axis=-1)

@@ -24,7 +24,7 @@ from .estimators import (
     trapezoid_estimate,
 )
 from .functions import TestFunction, eval_on_path
-from .fourier import compute_E, compute_F1, compute_F2, decompose, g_decay_probe
+from .fourier import compute_E, compute_F, decompose, g_decay_probe
 from .grids import build_grid
 from .limits import LowerBound, conditional_variances, gradient_energy
 from .processes import BrownianMotion, ProcessSpec, simulate_paths
@@ -349,9 +349,8 @@ def diagnostics_study(cfg: StudyConfig) -> StudyReport:
         realized = (reference_value(fine_vals, grid)
                     - riemann_estimate(fine_vals[:, ::grid.refine_factor], grid))
         trace = decompose(f, bundle)
-        u0 = float(cfg.u_list[0])
-        drift_gap = (trace.drift - compute_E(f, bundle)
-                     - compute_F1(u0, bundle) - compute_F2(u0, bundle))
+        f1, f2 = compute_F(float(cfg.u_list[0]), bundle)
+        drift_gap = trace.drift - compute_E(f, bundle) - f1 - f2
         summary["max_decomposition_residual"] = float(
             np.max(np.abs(trace.total - realized)))
         summary["max_drift_identity_residual"] = float(

@@ -5,6 +5,13 @@ martingale/drift split of the error are available in closed form through the
 conditional characteristic function. This module assembles the split, the
 endpoint sum E, the weighted drift/diffusion integrals F1/F2, and an
 empirical probe of the decay of their normalized second moments.
+
+All of these read one deterministic node table (``_interval_nodes``): the
+mean and variance of X_r - X_{t_k} at the Gauss-Legendre times r of every
+coarse interval and at its right end, with b_r, sigma_r^2 and the F weights.
+The table is built once per grid, for all frequencies, and is the only place
+that tells Brownian from deterministic coefficients; every reader is array
+arithmetic over (paths, intervals, nodes).
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ import numpy as np
 from scipy.stats import kendalltau
 
 from .errors import CapabilityError, ConfigError
-from .functions import TestFunction
-from .grids import build_grid, gauss_hermite, gauss_legendre
+from .functions import TestFunction, gaussian_mean
+from .grids import TimeGrid, build_grid, gauss_legendre
 from .processes import (
     BrownianMotion,
     DeterministicGaussian,
@@ -34,44 +41,78 @@ def _require_gaussian(spec, what: str):
             f"(no tractable conditional law for {type(spec).__name__})")
 
 
-def _moments(spec, t0: float, t1: float, u: np.ndarray):
-    """(u . mean, u^T cov u) of the increment X_{t1} - X_{t0}."""
-    if isinstance(spec, BrownianMotion):
-        return 0.0, float(u @ u) * (t1 - t0)
-    mu, cov = spec.transition_moments(t0, t1)
-    return float(u @ mu), float(u @ cov @ u)
-
-
 def char_increment(u, spec, h: float, r: float) -> float:
     """|E exp(i <u, X_r - X_h>)| = exp(-1/2 int_h^r |sigma^T u|^2 dt)."""
     if h > r:
         raise ConfigError(f"need h <= r, got h={h}, r={r}")
     _require_gaussian(spec, "char_increment")
     u = np.atleast_1d(np.asarray(u, float))
-    _, quad = _moments(spec, h, r, u)
+    if isinstance(spec, BrownianMotion):
+        quad = float(u @ u) * (r - h)
+    else:
+        quad = float(u @ spec.transition_moments(h, r)[1] @ u)
     return float(np.exp(-0.5 * quad))
 
 
-def _phase_factor(spec, t0: float, r: float, u: float) -> complex:
-    """E[e^{i u (X_r - X_{t0})} | F_{t0}] for scalar frequency u, d = 1."""
-    drift_phase, quad = _moments(spec, t0, r, np.array([u]))
-    return np.exp(1j * drift_phase - 0.5 * quad)
+@dataclass(frozen=True)
+class _IntervalNodes:
+    """Moments of X_r - X_{t_k} (first coordinate) at the nodes
+    r = t_k + tau_i step of the first K intervals, shape (K, q), and at
+    r = t_{k+1}, shape (K,); b_r and (sigma sigma^T)_r at the nodes; the unit
+    Gauss-Legendre weights tw and the F weights (1/2 - tau_i) step^2 tw_i."""
+
+    mean: np.ndarray
+    var: np.ndarray
+    mean_end: np.ndarray
+    var_end: np.ndarray
+    drift: np.ndarray
+    sig2: np.ndarray
+    tw: np.ndarray
+    weight: np.ndarray
 
 
-def _cond_expectation(f: TestFunction, spec, y0: np.ndarray, t0: float,
-                      r: float, q_hermite: int = 64) -> np.ndarray:
-    """E[f(Y_r) | F_{t0}] across paths; y0 holds Y_{t0} (shift included)."""
-    mu, cov = (np.zeros(1), np.eye(1) * (r - t0)) if isinstance(spec, BrownianMotion) \
-        else spec.transition_moments(t0, r)
-    if f.gaussian_expectation is not None:
-        return f.gaussian_expectation(y0 + mu[0], cov[0, 0])
-    if f.gradient is None:
+def _interval_nodes(spec, grid: TimeGrid, K: int, q_time: int) -> _IntervalNodes:
+    tau, tw = gauss_legendre(q_time, unit=True)
+    delta = grid.coarse_step
+    if isinstance(spec, BrownianMotion):
+        mean = np.zeros((K, q_time + 1))
+        var = np.broadcast_to(np.append(tau, 1.0) * delta, (K, q_time + 1))
+        drift = np.zeros((K, q_time))
+        sig2 = np.ones((K, q_time))
+    else:
+        t0 = grid.coarse_times[:K]
+        r = t0[:, None] + tau * delta
+        ends = np.column_stack([r, grid.coarse_times[1:K + 1]])
+        pairs = [spec.transition_moments(a, b)
+                 for a, row in zip(t0, ends) for b in row]
+        mean = np.array([mu[0] for mu, _ in pairs]).reshape(K, q_time + 1)
+        var = np.array([cov[0, 0] for _, cov in pairs]).reshape(K, q_time + 1)
+        drift = np.array([spec.drift_at(s)[0] for s in r.ravel()]).reshape(r.shape)
+        sig2 = np.array([np.sum(spec.diffusion_at(s)[0] ** 2)
+                         for s in r.ravel()]).reshape(r.shape)
+    return _IntervalNodes(mean[:, :-1], var[:, :-1], mean[:, -1], var[:, -1],
+                          drift, sig2, tw, (0.5 - tau) * delta * delta * tw)
+
+
+def _setup(bundle: PathBundle, t: float | None, what: str, q_time: int):
+    """Checks shared by the readers; the node table of the K intervals up to
+    t and the coarse observations Y_{t_0}, ..., Y_{t_K} (shift included)."""
+    _require_gaussian(bundle.spec, what)
+    if bundle.dimension != 1:
+        raise CapabilityError(f"{what} is implemented for dimension 1")
+    grid = bundle.grid
+    K = grid.coarse_index(grid.horizon if t is None else t)
+    y = bundle.coarse_x()[:, :K + 1, 0] + bundle.shifts[:, :1]
+    return _interval_nodes(bundle.spec, grid, K, q_time), y
+
+
+def _cond_expectation(f: TestFunction, mean, var) -> np.ndarray:
+    """E[f(N(mean, var))], elementwise; mean holds Y_{t0} plus the drift."""
+    if f.gaussian_expectation is None and f.gradient is None:
         raise CapabilityError(
             f"conditional expectations need a closed-form Gaussian expectation "
             f"or a gradient; {f.name} has neither")
-    nodes, weights = gauss_hermite(q_hermite)
-    pts = y0[:, None] + mu[0] + np.sqrt(max(2.0 * cov[0, 0], 0.0)) * nodes
-    return f.value(pts) @ weights / np.sqrt(np.pi)
+    return gaussian_mean(f, mean, var, 64)
 
 
 @dataclass(frozen=True)
@@ -95,129 +136,59 @@ class DecompositionTrace:
         return self.martingale + self.drift
 
 
-def _check_d1(bundle: PathBundle, what: str):
-    if bundle.dimension != 1:
-        raise CapabilityError(f"{what} is implemented for dimension 1")
-
-
 def decompose(f: TestFunction, bundle: PathBundle, t: float | None = None,
               q_time: int = GL_ORDER) -> DecompositionTrace:
     """Split the realized error Gamma_t - Gamma_hat into the martingale part
     M (integrand centered at its conditional expectation) and the drift part
     D (conditional expectation of the increment of f along the path)."""
-    _require_gaussian(bundle.spec, "decompose")
-    _check_d1(bundle, "decompose")
+    nodes, y = _setup(bundle, t, "decompose", q_time)
     grid = bundle.grid
-    t = grid.horizon if t is None else t
-    K = grid.coarse_index(t)
-    delta = grid.coarse_step
+    K = nodes.mean.shape[0]
     m = grid.refine_factor
-
-    y = bundle.x[:, :, 0] + bundle.shifts[:, :1]
-    fy = f.value(y)
-    dtype = complex if f.complex_valued else float
+    delta = grid.coarse_step
 
     # per-interval fine-grid trapezoid of f(Y_r)
-    lo = fy[:, :K * m]
-    hi = fy[:, 1:K * m + 1]
-    seg = 0.5 * grid.fine_step * (lo + hi)
-    fine_int = seg.reshape(seg.shape[0], K, m).sum(axis=2)
+    fy = f.value(bundle.x[:, :K * m + 1, 0] + bundle.shifts[:, :1])
+    seg = 0.5 * grid.fine_step * (fy[:, :-1] + fy[:, 1:])
+    fine_int = seg.reshape(bundle.count, K, m).sum(axis=2)
 
-    tau, tw = gauss_legendre(q_time, unit=True)
-    y_left = y[:, ::m][:, :K]
-    cond_int = np.zeros((bundle.count, K), dtype=dtype)
-    for k in range(K):
-        t0 = k * delta
-        acc = np.zeros(bundle.count, dtype=dtype)
-        for ti, wi in zip(tau, tw):
-            acc += wi * _cond_expectation(f, bundle.spec, y_left[:, k],
-                                          t0, t0 + ti * delta)
-        cond_int[:, k] = delta * acc
-
-    m_terms = fine_int.astype(dtype) - cond_int
-    d_terms = cond_int - delta * fy[:, ::m][:, :K]
-    return DecompositionTrace(t, m_terms, d_terms)
+    cond = _cond_expectation(f, y[:, :K, None] + nodes.mean, nodes.var)
+    cond_int = delta * (cond @ nodes.tw)
+    return DecompositionTrace(t if t is not None else grid.horizon,
+                              fine_int - cond_int,
+                              cond_int - delta * fy[:, :K * m:m])
 
 
 def compute_E(f: TestFunction, bundle: PathBundle, t: float | None = None) -> np.ndarray:
     """(step / 2) sum_k E[f(Y_{t_k}) - f(Y_{t_{k-1}}) | F_{t_{k-1}}]."""
-    _require_gaussian(bundle.spec, "compute_E")
-    _check_d1(bundle, "compute_E")
-    grid = bundle.grid
-    t = grid.horizon if t is None else t
-    K = grid.coarse_index(t)
-    delta = grid.coarse_step
-    y_coarse = bundle.coarse_x()[:, :, 0] + bundle.shifts[:, :1]
-    dtype = complex if f.complex_valued else float
-    total = np.zeros(bundle.count, dtype=dtype)
-    fy_left = f.value(y_coarse)
-    for k in range(K):
-        ce = _cond_expectation(f, bundle.spec, y_coarse[:, k],
-                               k * delta, (k + 1) * delta)
-        total += ce - fy_left[:, k]
-    return 0.5 * delta * total
+    nodes, y = _setup(bundle, t, "compute_E", GL_ORDER)
+    left = y[:, :-1]
+    ce = _cond_expectation(f, left + nodes.mean_end, nodes.var_end)
+    return 0.5 * bundle.grid.coarse_step * (ce - f.value(left)).sum(axis=1)
 
 
-def _f_terms(u: float, bundle: PathBundle, K: int,
-             q_time: int) -> tuple[np.ndarray, np.ndarray]:
+def _f_terms(u: float, nodes: _IntervalNodes,
+             y_left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-interval contributions to F1 and F2, shape (paths, K) each.
 
     F1 integrates (t_k - r - step/2) i u b_r against the conditional
     characteristic function, F2 the same weight against -(1/2) |sigma_r u|^2.
-    Both reduce to a per-path phase at the interval start times deterministic
-    interval weights.
+    Both are a per-path phase at the interval start times a deterministic
+    sum over the nodes.
     """
-    spec = bundle.spec
-    grid = bundle.grid
-    delta = grid.coarse_step
-    tau, tw = gauss_legendre(q_time, unit=True)
-
-    c1 = np.zeros(K, dtype=complex)
-    c2 = np.zeros(K, dtype=complex)
-    brownian = isinstance(spec, BrownianMotion)
-    for k in range(K):
-        t0 = k * delta
-        for ti, wi in zip(tau, tw):
-            r = t0 + ti * delta
-            weight = (t0 + delta - r - 0.5 * delta) * delta * wi
-            phase = _phase_factor(spec, t0, r, u)
-            if brownian:
-                sig_u_sq = u * u
-            else:
-                sig = spec.diffusion_at(r)
-                sig_u_sq = float((sig.T @ np.array([u])) @ (sig.T @ np.array([u])))
-                b = spec.drift_at(r)[0]
-                c1[k] += weight * 1j * u * b * phase
-            c2[k] += -0.5 * weight * sig_u_sq * phase
-        if brownian and k == 0:
-            # time homogeneous: reuse the first interval for all k
-            c1[:] = 0.0
-            c2[:] = c2[0]
-            break
-
-    y_left = (bundle.coarse_x()[:, :K, 0] + bundle.shifts[:, :1])
-    phases = np.exp(1j * u * y_left)
-    return phases * c1, phases * c2
+    phase = np.exp(1j * u * nodes.mean - 0.5 * u * u * nodes.var)
+    c1 = (1j * u * nodes.drift * phase) @ nodes.weight
+    c2 = (-0.5 * u * u * nodes.sig2 * phase) @ nodes.weight
+    left = np.exp(1j * u * y_left)
+    return left * c1, left * c2
 
 
-def compute_F1(u: float, bundle: PathBundle, t: float | None = None,
-               q_time: int = GL_ORDER) -> np.ndarray:
-    _require_gaussian(bundle.spec, "compute_F1")
-    _check_d1(bundle, "compute_F1")
-    grid = bundle.grid
-    K = grid.coarse_index(grid.horizon if t is None else t)
-    f1, _ = _f_terms(float(u), bundle, K, q_time)
-    return f1.sum(axis=1)
-
-
-def compute_F2(u: float, bundle: PathBundle, t: float | None = None,
-               q_time: int = GL_ORDER) -> np.ndarray:
-    _require_gaussian(bundle.spec, "compute_F2")
-    _check_d1(bundle, "compute_F2")
-    grid = bundle.grid
-    K = grid.coarse_index(grid.horizon if t is None else t)
-    _, f2 = _f_terms(float(u), bundle, K, q_time)
-    return f2.sum(axis=1)
+def compute_F(u: float, bundle: PathBundle, t: float | None = None,
+              q_time: int = GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+    """(F1, F2) per path at time t, from one node table."""
+    nodes, y = _setup(bundle, t, "compute_F", q_time)
+    f1, f2 = _f_terms(float(u), nodes, y[:, :-1])
+    return f1.sum(axis=1), f2.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -253,12 +224,13 @@ def g_decay_probe(u_list, n_list, spec, count: int, seed: int,
     for n in n_list:
         grid = build_grid(horizon, int(n), 1)
         bundle = simulate_paths(spec, grid, count, seed)
-        delta = grid.coarse_step
+        nodes = _interval_nodes(spec, grid, grid.coarse_count, q_time)
+        y_left = bundle.coarse_x()[:, :-1, 0] + bundle.shifts[:, :1]
         for u in u_list:
-            f1, f2 = _f_terms(float(u), bundle, grid.coarse_count, q_time)
+            f1, f2 = _f_terms(float(u), nodes, y_left)
             sup = np.max(np.abs(np.cumsum(f1, axis=1)) ** 2
                          + np.abs(np.cumsum(f2, axis=1)) ** 2, axis=1)
-            scale = delta ** -2 / (1.0 + u * u) ** s
+            scale = grid.coarse_step ** -2 / (1.0 + u * u) ** s
             vals = scale * sup
             g_hat = float(vals.mean())
             stderr = float(vals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import CapabilityError, ConfigError
+from .grids import gauss_hermite
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -86,6 +87,19 @@ def eval_on_path(f: TestFunction, bundle, which: str = "fine",
     if not gradient:
         return vals
     return vals, fn_gradient(f, y)
+
+
+def gaussian_mean(f: TestFunction, mean, var, order: int) -> np.ndarray:
+    """E[f(N(mean, var))] elementwise for one-dimensional f, with var
+    broadcast against mean: f's closed form when it has one, Gauss-Hermite
+    with ``order`` nodes otherwise."""
+    mean = np.asarray(mean)
+    if f.gaussian_expectation is not None:
+        return f.gaussian_expectation(mean, np.broadcast_to(var, mean.shape))
+    nodes, weights = gauss_hermite(order)
+    scale = np.sqrt(np.maximum(2.0 * np.asarray(var), 0.0))
+    points = mean[..., None] + scale[..., None] * nodes
+    return f.value(points) @ weights / np.sqrt(np.pi)
 
 
 # ---------------------------------------------------------------------------

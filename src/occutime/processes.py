@@ -68,10 +68,6 @@ class GaussianStart:
                 + np.asarray(self.std, float) * rng.standard_normal(d))
 
 
-def fixed_start(*coords: float) -> FixedStart:
-    return FixedStart(tuple(float(c) for c in coords))
-
-
 @dataclass(frozen=True)
 class UniformShift:
     """Independent shift with bounded density, uniform on [-w, w]^d."""
@@ -153,6 +149,7 @@ class StochVol:
     """d = 1 stochastic volatility: sigma_t = sigma0 * (1 + eta * sin(W'_t))
     with an independent auxiliary Brownian motion W'. The volatility is an
     Ito semimartingale, so the declared modulus exponents are 1/2.
+    ``sigma0 > 0`` and ``|eta| < 1`` keep sigma bounded away from zero.
     """
 
     sigma0: float = 1.0
@@ -168,6 +165,12 @@ class StochVol:
     def __post_init__(self):
         if self.dimension != 1:
             raise ConfigError("StochVol is implemented for dimension 1 only")
+        if not self.sigma0 > 0:
+            raise ConfigError(f"StochVol needs sigma0 > 0, got {self.sigma0}")
+        if not abs(self.eta) < 1:
+            raise ConfigError(
+                f"StochVol needs |eta| < 1 so that sigma stays positive, "
+                f"got eta={self.eta}")
         if not (0 < self.alpha <= 1 and 0 < self.beta <= 1):
             raise ConfigError("regularity exponents must lie in (0, 1]")
 

@@ -8,6 +8,7 @@ raises a divergence flag, fast decay is extrapolated geometrically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -149,19 +150,41 @@ def _weighted_integral(f: TestFunction, s: float, quad: QuadratureSettings,
     return body, tail, divergent, p_hat
 
 
+def _tensor_seminorm(f: TestFunction, s: float, quad: QuadratureSettings,
+                     squared: bool) -> SeminormResult:
+    """Seminorm of a tensor product g_1 x ... x g_d. Its weight |u|^{2s}
+    (Sobolev) or |u|^s (Fourier-Lebesgue) is (sum_i u_i^2)^k, k = s or s/2;
+    for an integer k it expands as sum_{|a| = k} k!/a! prod_i u_i^{2 a_i},
+    a sum of products of one-dimensional weighted integrals of the g_i."""
+    if s < 0:
+        raise ConfigError(f"smoothness order must be >= 0, got s={s}")
+    k = s if squared else s / 2
+    if not float(k).is_integer():
+        form = "H^s needs an integer s" if squared else "FL^s needs an even s"
+        raise CapabilityError(f"{f.name}: the tensor-product {form}, got s={s}")
+    k = int(k)
+    one_dim = sobolev_seminorm if squared else fourier_lebesgue_seminorm
+    parts = [[one_dim(g, a if squared else 2 * a, quad) for a in range(k + 1)]
+             for g in f.components]
+    p_min = min(p.tail_exponent for row in parts for p in row)
+    if any(p.divergent for row in parts for p in row):
+        return SeminormResult(math.inf, True, p_min, math.inf)
+    total = sum(
+        math.factorial(k) / math.prod(map(math.factorial, a))
+        * math.prod(row[a_i].value ** (2 if squared else 1)
+                    for row, a_i in zip(parts, a))
+        for a in itertools.product(range(k + 1), repeat=len(parts))
+        if sum(a) == k)
+    return SeminormResult(math.sqrt(total) if squared else total, False,
+                          p_min, total)
+
+
 def sobolev_seminorm(f: TestFunction, s: float,
                      quad: QuadratureSettings | None = None) -> SeminormResult:
     """(int |Ff(u)|^2 |u|^{2s} du)^{1/2}, with divergence detection."""
     quad = quad or QuadratureSettings()
     if f.components is not None:
-        # separable surrogate: product of factor seminorms (upper-bound style
-        # bookkeeping for tensor members)
-        parts = [sobolev_seminorm(g, s, quad) for g in f.components]
-        if any(p.divergent for p in parts):
-            return SeminormResult(math.inf, True, min(p.tail_exponent for p in parts), math.inf)
-        val = math.prod(p.value for p in parts)
-        return SeminormResult(val, False, min(p.tail_exponent for p in parts),
-                              val ** 2)
+        return _tensor_seminorm(f, s, quad, squared=True)
     body, tail, divergent, p_hat = _weighted_integral(f, s, quad, squared=True)
     if divergent:
         return SeminormResult(math.inf, True, p_hat, body)
@@ -173,11 +196,7 @@ def fourier_lebesgue_seminorm(f: TestFunction, s: float,
     """int |Ff(u)| |u|^s du, with divergence detection."""
     quad = quad or QuadratureSettings()
     if f.components is not None:
-        parts = [fourier_lebesgue_seminorm(g, s, quad) for g in f.components]
-        if any(p.divergent for p in parts):
-            return SeminormResult(math.inf, True, min(p.tail_exponent for p in parts), math.inf)
-        val = math.prod(p.value for p in parts)
-        return SeminormResult(val, False, min(p.tail_exponent for p in parts), val)
+        return _tensor_seminorm(f, s, quad, squared=False)
     body, tail, divergent, p_hat = _weighted_integral(f, s, quad, squared=False)
     if divergent:
         return SeminormResult(math.inf, True, p_hat, body)

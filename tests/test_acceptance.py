@@ -39,8 +39,7 @@ from occutime.experiments import _ensemble_map, _estimator_errors, _rms_stats
 from occutime.fourier import (
     char_increment,
     compute_E,
-    compute_F1,
-    compute_F2,
+    compute_F,
     decompose,
     g_decay_probe,
 )
@@ -222,7 +221,7 @@ def test_7_fourier_decomposition():
         gap_md = float(np.max(np.abs(trace.total - realized)))
         gap_de = float(np.max(np.abs(
             trace.drift - compute_E(f, bundle)
-            - compute_F1(u, bundle) - compute_F2(u, bundle))))
+            - sum(compute_F(u, bundle)))))
         worst_md = max(worst_md, gap_md)
         worst_de = max(worst_de, gap_de)
         decomp_ok &= gap_md < 1e-6

@@ -131,8 +131,9 @@ def test_env_threads_fallback(tmp_path, monkeypatch):
 
 def test_bad_override_exits_1(tmp_path, capsys):
     cfg = _write(tmp_path, STUDY_CFG)
-    for key, value in (("nope", "3"), ("kind", "rate")):
+    for key, value in (("nope", "3"), ("kind", "rate"), ("paths", "abc")):
         rc = main(["rate-study", "--config", cfg, "--out", str(tmp_path / "x"),
                    "--set", f"study.{key}={value}"])
         assert rc == 1
         assert f"[study] {key}" in capsys.readouterr().err
+

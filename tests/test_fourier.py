@@ -12,6 +12,7 @@ from occutime import (
     constant,
     gaussian_bump,
     identity,
+    power_singularity,
     reference_value,
     riemann_estimate,
     simulate_paths,
@@ -19,8 +20,7 @@ from occutime import (
 from occutime.fourier import (
     char_increment,
     compute_E,
-    compute_F1,
-    compute_F2,
+    compute_F,
     decompose,
     g_decay_probe,
 )
@@ -68,11 +68,11 @@ def test_zero_frequency_terms_vanish(bundle):
     f0 = complex_exponential(0.0)
     trace = decompose(f0, bundle)
     np.testing.assert_allclose(np.abs(trace.total), 0.0, atol=1e-12)
-    np.testing.assert_allclose(np.abs(compute_F2(0.0, bundle)), 0.0, atol=1e-14)
+    np.testing.assert_allclose(np.abs(compute_F(0.0, bundle)[1]), 0.0, atol=1e-14)
 
 
 def test_brownian_f1_vanishes(bundle):
-    np.testing.assert_allclose(np.abs(compute_F1(2.0, bundle)), 0.0, atol=1e-15)
+    np.testing.assert_allclose(np.abs(compute_F(2.0, bundle)[0]), 0.0, atol=1e-15)
 
 
 def test_identity_drift_sum_vanishes_for_brownian(bundle):
@@ -101,12 +101,27 @@ def test_decomposition_identity(bundle, u):
     assert np.max(np.abs(trace.total - realized)) < 1e-6
 
 
-@pytest.mark.parametrize("u", [1.0, 3.0])
-def test_drift_identity(bundle, u):
+def _time_varying_bundle():
+    # no closed-form integrals: the moments come from Gauss-Legendre
+    spec = DeterministicGaussian(
+        dimension=1, drift=lambda t: np.array([np.sin(3.0 * t)]),
+        diffusion=lambda t: np.array([[1.0 + 0.5 * t]]))
+    return simulate_paths(spec, build_grid(1.0, 8, 64), 40, master_seed=78)
+
+
+@pytest.mark.parametrize("process, u", [
+    pytest.param("brownian", 1.0, id="1.0"),
+    pytest.param("brownian", 3.0, id="3.0"),
+    pytest.param("time_varying", 1.0, id="time_varying-1.0"),
+    pytest.param("time_varying", 3.0, id="time_varying-3.0"),
+])
+def test_drift_identity(bundle, process, u):
+    if process == "time_varying":
+        bundle = _time_varying_bundle()
     f = complex_exponential(u)
     trace = decompose(f, bundle)
     gap = (trace.drift - compute_E(f, bundle)
-           - compute_F1(u, bundle) - compute_F2(u, bundle))
+           - sum(compute_F(u, bundle)))
     assert np.max(np.abs(gap)) < 1e-8
 
 
@@ -135,6 +150,11 @@ def test_decompose_rejects_stochvol():
     b = simulate_paths(StochVol(), grid, 3, master_seed=2)
     with pytest.raises(CapabilityError):
         decompose(complex_exponential(1.0), b)
+
+
+def test_decompose_needs_closed_form_or_gradient(bundle):
+    with pytest.raises(CapabilityError):
+        decompose(power_singularity(0.3), bundle)
 
 
 def test_g_probe_zero_frequency_row():

@@ -103,6 +103,15 @@ def test_stochvol_volatility_range():
     assert np.all(bundle.sigma[:, 0] == 2.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"eta": 1.0}, {"eta": -1.5}, {"eta": float("nan")},
+    {"sigma0": 0.0}, {"sigma0": -1.0},
+])
+def test_stochvol_rejects_vanishing_volatility(kwargs):
+    with pytest.raises(ConfigError):
+        StochVol(**kwargs)
+
+
 def test_stochvol_drift_path():
     spec = StochVol(drift=lambda t, x: -x)
     grid = build_grid(1.0, 4, 4)

@@ -86,11 +86,14 @@ def test_negative_order_rejected():
         sobolev_seminorm(gaussian_bump(), -0.5)
 
 
-def test_tensor_product_seminorm_multiplies():
-    f = gaussian_bump()
-    t = tensor_product([f, f])
-    single = sobolev_seminorm(f, 1.0).value
-    assert sobolev_seminorm(t, 1.0).value == pytest.approx(single ** 2, rel=1e-8)
+def test_tensor_product_seminorm_closed_form():
+    # |u|^2 = u_1^2 + u_2^2 does not factor: H^1(bump x bump) = 2 pi^(3/2),
+    # not the product pi^(3/2) of the factor seminorms
+    t = tensor_product([gaussian_bump(), gaussian_bump()])
+    assert sobolev_seminorm(t, 1.0).value == pytest.approx(
+        2.0 * np.pi ** 1.5, rel=1e-8)
+    with pytest.raises(CapabilityError):
+        sobolev_seminorm(t, 0.5)
 
 
 def test_inverse_transform_recovers_values():
