@@ -166,7 +166,11 @@ def build_process(cfg: ResolvedConfig) -> ProcessSpec:
 
 
 def build_function(cfg: ResolvedConfig) -> TestFunction:
-    return parse_function(cfg.require("function", "descriptor"))
+    descriptor = cfg.require("function", "descriptor")
+    try:
+        return parse_function(descriptor)
+    except ConfigError as exc:
+        raise ConfigError(f"[function] descriptor: {exc}") from exc
 
 
 def build_study(cfg: ResolvedConfig, kind: str, seed_override: int | None = None,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.stats import chi2, kstest
@@ -26,7 +27,7 @@ from .estimators import (
 from .functions import TestFunction, eval_on_path
 from .fourier import compute_E, compute_F, decompose, g_decay_probe
 from .grids import build_grid
-from .limits import LowerBound, conditional_variances, gradient_energy
+from .limits import LowerBound, gradient_energy
 from .processes import BrownianMotion, ProcessSpec, simulate_paths
 
 ESTIMATOR_NAMES = ("riemann", "trapezoid", "bridge")
@@ -104,11 +105,11 @@ def _ensemble_map(spec, grid, paths: int, seed: int, worker,
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
-def _estimator_errors(f: TestFunction, bundle, t: float,
-                      estimators) -> dict:
-    """Reference minus estimator per path, on shared paths."""
+def _estimator_errors(f: TestFunction, bundle, fine_vals: np.ndarray,
+                      t: float, estimators) -> dict:
+    """Reference minus estimator per path, on shared paths, from the values
+    of f at the fine nodes of the observed paths."""
     grid = bundle.grid
-    fine_vals = eval_on_path(f, bundle, which="fine")
     ref = reference_value(fine_vals, grid, t)
     coarse_vals = fine_vals[:, ::grid.refine_factor]
     out = {}
@@ -118,12 +119,34 @@ def _estimator_errors(f: TestFunction, bundle, t: float,
         elif name == "trapezoid":
             est = trapezoid_estimate(coarse_vals, grid, t)
         else:
-            y = bundle.coarse_x() + bundle.shifts[:, None, :]
+            y = bundle.observed(coarse=True)
             x_arg = y[:, :, 0] if f.dimension == 1 else y
             est = bridge_conditional_estimate(f, x_arg, grid, t,
                                               spec=bundle.spec)
         out[f"err_{name}"] = ref - est
     return out
+
+
+def _clt_outputs(f: TestFunction, t: float, bundle) -> dict:
+    """Riemann and trapezoid errors, conditional variance and realized
+    endpoint bias at t per path, from one evaluation of f and grad f."""
+    vals, grad = eval_on_path(f, bundle, gradient=True)
+    j = bundle.grid.fine_index(t)
+    return {**_estimator_errors(f, bundle, vals, t, ("riemann", "trapezoid")),
+            "condvar": gradient_energy(bundle, grad, t),
+            "bias_realized": 0.5 * (vals[:, j] - vals[:, 0]).real}
+
+
+def _error_outputs(f: TestFunction, t: float, estimators, energy: bool,
+                   bundle) -> dict:
+    """Estimator errors at t per path; with ``energy`` also the gradient
+    energy up to t, from one evaluation of f and grad f."""
+    if not energy:
+        return _estimator_errors(f, bundle, eval_on_path(f, bundle), t,
+                                 estimators)
+    vals, grad = eval_on_path(f, bundle, gradient=True)
+    return {**_estimator_errors(f, bundle, vals, t, estimators),
+            "grad_energy": gradient_energy(bundle, grad, t)}
 
 
 def _rms_stats(err: np.ndarray) -> dict:
@@ -192,7 +215,7 @@ def rate_study(cfg: StudyConfig) -> StudyReport:
         grid = build_grid(cfg.horizon, n, cfg.refine)
         stats = _ensemble_map(
             cfg.spec, grid, cfg.paths, cfg.master_seed,
-            lambda b: _estimator_errors(cfg.function, b, t, cfg.estimators),
+            partial(_error_outputs, cfg.function, t, cfg.estimators, False),
             cfg.threads)
         for name in cfg.estimators:
             st = _rms_stats(stats[f"err_{name}"])
@@ -235,17 +258,8 @@ def clt_check(cfg: StudyConfig) -> StudyReport:
     grid = build_grid(cfg.horizon, n, cfg.refine)
     delta = grid.coarse_step
 
-    def worker(bundle):
-        out = _estimator_errors(f, bundle, t, ("riemann", "trapezoid"))
-        out["condvar"] = conditional_variances(f, bundle)
-        y = bundle.x + bundle.shifts[:, None, :]
-        ends = f.value(y[:, [0, grid.fine_index(t)], 0] if f.dimension == 1
-                       else y[:, [0, grid.fine_index(t)], :])
-        out["bias_realized"] = 0.5 * (ends[:, 1] - ends[:, 0]).real
-        return out
-
     stats = _ensemble_map(cfg.spec, grid, cfg.paths, cfg.master_seed,
-                          worker, cfg.threads)
+                          partial(_clt_outputs, f, t), cfg.threads)
     condvar = stats["condvar"]
     keep = condvar > 0
     excluded = int(np.sum(~keep))
@@ -289,19 +303,15 @@ def efficiency_study(cfg: StudyConfig) -> StudyReport:
     t = cfg.eval_time
     top = cfg.n_list[-1]
 
-    def worker(bundle, n):
-        out = _estimator_errors(f, bundle, t, cfg.estimators)
-        if n == top:
-            out["grad_energy"] = gradient_energy(f, bundle)
-        return out
-
     rows = []
     scaled_at_top = {}
     for n in cfg.n_list:
         grid = build_grid(cfg.horizon, n, cfg.refine)
         delta = grid.coarse_step
         stats = _ensemble_map(cfg.spec, grid, cfg.paths, cfg.master_seed,
-                              lambda b: worker(b, n), cfg.threads)
+                              partial(_error_outputs, f, t,
+                                      cfg.estimators, n == top),
+                              cfg.threads)
         for name in cfg.estimators:
             st = _rms_stats(stats[f"err_{name}"] / delta)
             rows.append({"n": n, "delta": delta, "estimator": name,
@@ -345,7 +355,7 @@ def diagnostics_study(cfg: StudyConfig) -> StudyReport:
         grid = build_grid(cfg.horizon, cfg.n_list[0], cfg.refine)
         bundle = simulate_paths(cfg.spec, grid, min(cfg.paths, 100),
                                 cfg.master_seed)
-        fine_vals = eval_on_path(f, bundle, which="fine")
+        fine_vals = eval_on_path(f, bundle)
         realized = (reference_value(fine_vals, grid)
                     - riemann_estimate(fine_vals[:, ::grid.refine_factor], grid))
         trace = decompose(f, bundle)

@@ -102,7 +102,7 @@ def _setup(bundle: PathBundle, t: float | None, what: str, q_time: int):
         raise CapabilityError(f"{what} is implemented for dimension 1")
     grid = bundle.grid
     K = grid.coarse_index(grid.horizon if t is None else t)
-    y = bundle.coarse_x()[:, :K + 1, 0] + bundle.shifts[:, :1]
+    y = bundle.observed(coarse=True)[:, :K + 1, 0]
     return _interval_nodes(bundle.spec, grid, K, q_time), y
 
 
@@ -148,7 +148,7 @@ def decompose(f: TestFunction, bundle: PathBundle, t: float | None = None,
     delta = grid.coarse_step
 
     # per-interval fine-grid trapezoid of f(Y_r)
-    fy = f.value(bundle.x[:, :K * m + 1, 0] + bundle.shifts[:, :1])
+    fy = f.value(bundle.observed()[:, :K * m + 1, 0])
     seg = 0.5 * grid.fine_step * (fy[:, :-1] + fy[:, 1:])
     fine_int = seg.reshape(bundle.count, K, m).sum(axis=2)
 
@@ -225,7 +225,7 @@ def g_decay_probe(u_list, n_list, spec, count: int, seed: int,
         grid = build_grid(horizon, int(n), 1)
         bundle = simulate_paths(spec, grid, count, seed)
         nodes = _interval_nodes(spec, grid, grid.coarse_count, q_time)
-        y_left = bundle.coarse_x()[:, :-1, 0] + bundle.shifts[:, :1]
+        y_left = bundle.observed(coarse=True)[:, :-1, 0]
         for u in u_list:
             f1, f2 = _f_terms(float(u), nodes, y_left)
             sup = np.max(np.abs(np.cumsum(f1, axis=1)) ** 2

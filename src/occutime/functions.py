@@ -23,10 +23,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class SmoothnessClass:
-    """Declared regularity: Sobolev exponent bound and locality flavour."""
+    """Declared regularity: the Sobolev exponent bound."""
 
     sobolev_s: float                     # strict upper bound, inf for smooth
-    locality: str = "global"             # global | local | fourier_lebesgue
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,6 @@ class TestFunction:
     support_radius: float | None = None
     osc_scale: float = 1.0               # node density hint for u-quadrature
     dimension: int = 1
-    complex_valued: bool = False
     integrable: bool = True              # admits a (numerical) Fourier transform
     gaussian_expectation: Callable | None = None  # (mu, var) -> E[f(N(mu, var))]
     components: tuple | None = None      # tensor product factors
@@ -68,21 +66,14 @@ def fn_gradient(f: TestFunction, x: np.ndarray) -> np.ndarray:
     return f.gradient(x)
 
 
-def eval_on_path(f: TestFunction, bundle, which: str = "fine",
-                 gradient: bool = False):
-    """Sample f (and optionally its gradient) along bundle trajectories.
+def eval_on_path(f: TestFunction, bundle, gradient: bool = False):
+    """Sample f (and optionally its gradient) at the fine nodes of the
+    observed paths Y = X + xi (see ``PathBundle.observed``).
 
-    The process's independent shift, when present, is applied: values are
-    f(X_t + xi). Returns an array of shape (paths, nodes) or a pair with the
-    gradient array (paths, nodes, d).
+    Returns an array of shape (paths, nodes) or a pair with the gradient
+    array (paths, nodes, d).
     """
-    if which == "fine":
-        x = bundle.x
-    elif which == "coarse":
-        x = bundle.coarse_x()
-    else:
-        raise ConfigError(f"unknown node set {which!r}")
-    y = x + bundle.shifts[:, None, :]
+    y = bundle.observed()
     vals = fn_value(f, y)
     if not gradient:
         return vals
@@ -183,7 +174,7 @@ def power_singularity(alpha: float, cutoff: float = 1.0) -> TestFunction:
         return np.where(x == 0.0, 0.0, out)
 
     return TestFunction(f"power_singularity({alpha})", value, None, None,
-                        SmoothnessClass(0.5 - alpha, "local"),
+                        SmoothnessClass(0.5 - alpha),
                         support_radius=8.0 * cutoff, osc_scale=1.0)
 
 
@@ -252,21 +243,21 @@ def complex_exponential(u: float) -> TestFunction:
     return TestFunction(f"complex_exponential({u})", value,
                         gradient=lambda x: 1j * u * np.exp(1j * u * np.asarray(x, float)),
                         fourier=None, smoothness=SmoothnessClass(math.inf),
-                        complex_valued=True, integrable=False,
+                        integrable=False,
                         gaussian_expectation=gauss_expect)
 
 
 def identity() -> TestFunction:
     return TestFunction("identity", lambda x: np.asarray(x, float) + 0.0,
                         gradient=lambda x: np.ones_like(np.asarray(x, float)),
-                        smoothness=SmoothnessClass(math.inf, "local"),
+                        smoothness=SmoothnessClass(math.inf),
                         integrable=False)
 
 
 def quadratic() -> TestFunction:
     return TestFunction("quadratic", lambda x: np.asarray(x, float) ** 2,
                         gradient=lambda x: 2.0 * np.asarray(x, float),
-                        smoothness=SmoothnessClass(math.inf, "local"),
+                        smoothness=SmoothnessClass(math.inf),
                         integrable=False)
 
 
@@ -275,7 +266,7 @@ def constant(c: float = 1.0) -> TestFunction:
     return TestFunction(f"constant({c})",
                         lambda x: np.full(np.shape(np.asarray(x)), c),
                         gradient=lambda x: np.zeros_like(np.asarray(x, float)),
-                        smoothness=SmoothnessClass(math.inf, "local"),
+                        smoothness=SmoothnessClass(math.inf),
                         integrable=False)
 
 
@@ -380,5 +371,8 @@ def parse_function(text: str) -> TestFunction:
 
 
 def _number(text: str):
-    v = float(text)
+    try:
+        v = float(text)
+    except ValueError:
+        raise ConfigError(f"{text.strip()!r} is not a number") from None
     return int(v) if v == int(v) and "." not in text and "e" not in text.lower() else v

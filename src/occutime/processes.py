@@ -231,9 +231,11 @@ class PathBundle:
     def path_indices(self) -> np.ndarray:
         return self.first_path_index + np.arange(self.count)
 
-    def coarse_x(self) -> np.ndarray:
-        """Observations at the coarse nodes, shape (paths, n + 1, d)."""
-        return self.x[:, ::self.grid.refine_factor, :]
+    def observed(self, coarse: bool = False) -> np.ndarray:
+        """Y = X + xi at the fine (or coarse) nodes, shape (paths, nodes, d);
+        a view of ``x`` when the process has no shift."""
+        x = self.x[:, ::self.grid.refine_factor] if coarse else self.x
+        return x if self.spec.shift is None else x + self.shifts[:, None, :]
 
 
 def _draw_path(spec, grid, master_seed, index):

@@ -69,7 +69,8 @@ def identity_scaled():
             else ("riemann", "trapezoid")
         stats = _ensemble_map(
             BrownianMotion(), grid, 10000, 2024,
-            lambda b: _estimator_errors(f, b, 1.0, estimators), threads=1)
+            lambda b: _estimator_errors(f, b, eval_on_path(f, b), 1.0,
+                                        estimators), threads=1)
         out[n] = {}
         for name in estimators:
             st = _rms_stats(stats[f"err_{name}"] / grid.coarse_step)
@@ -99,7 +100,7 @@ def test_1_algebraic_identities():
     # bridge estimator equals the trapezoid for f = identity, 1e-10
     grid = build_grid(1.0, 32, 1)
     bundle = simulate_paths(BrownianMotion(), grid, 1000, master_seed=2)
-    coarse = bundle.coarse_x()[:, :, 0]
+    coarse = bundle.observed(coarse=True)[:, :, 0]
     gap = np.max(np.abs(bridge_conditional_estimate(identity(), coarse, grid)
                         - trapezoid_estimate(coarse, grid)))
     bridge_ok = gap < 1e-10

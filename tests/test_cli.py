@@ -131,9 +131,12 @@ def test_env_threads_fallback(tmp_path, monkeypatch):
 
 def test_bad_override_exits_1(tmp_path, capsys):
     cfg = _write(tmp_path, STUDY_CFG)
-    for key, value in (("nope", "3"), ("kind", "rate"), ("paths", "abc")):
+    for section, key, value in (("study", "nope", "3"),
+                                ("study", "kind", "rate"),
+                                ("study", "paths", "abc"),
+                                ("function", "descriptor", "lacunary(s=abc)")):
         rc = main(["rate-study", "--config", cfg, "--out", str(tmp_path / "x"),
-                   "--set", f"study.{key}={value}"])
+                   "--set", f"{section}.{key}={value}"])
         assert rc == 1
-        assert f"[study] {key}" in capsys.readouterr().err
+        assert f"[{section}] {key}" in capsys.readouterr().err
 

@@ -1,19 +1,27 @@
+import math
+from functools import cache, partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from occutime import (
     BrownianMotion,
     ConfigError,
     StochVol,
     StudyConfig,
+    UniformShift,
     clt_check,
     constant,
     diagnostics_study,
     efficiency_study,
+    build_grid,
     gaussian_bump,
     identity,
     rate_study,
 )
+from occutime.experiments import _clt_outputs, _ensemble_map, _error_outputs
 
 
 def _cfg(**kw):
@@ -81,6 +89,11 @@ def test_clt_check_summary_fields():
     assert len(report.tables["standardized"]) == 400
 
 
+def test_clt_standardizes_up_to_t_eval():
+    cfg = _cfg(kind="clt", n_list=(64,), paths=400, t_eval=0.5)
+    assert clt_check(cfg).summary["ks_pvalue"] > 1e-3
+
+
 def test_clt_requires_gradient():
     from occutime import indicator
     with pytest.raises(Exception):
@@ -109,6 +122,39 @@ def test_efficiency_identity_constants():
         s["scaled_rms_trapezoid"], rel=1e-10)
 
 
+def test_efficiency_lower_bound_up_to_t_eval():
+    # E|f'(W_t)|^2 = t (1 + 2t)^(-3/2) for the Gaussian bump
+    cfg = _cfg(kind="efficiency", n_list=(16, 32), paths=400, t_eval=0.5)
+    s = efficiency_study(cfg).summary
+    oracle = math.sqrt(quad(lambda t: t * (1 + 2 * t) ** -1.5, 0, 0.5)[0] / 12)
+    assert s["lower_bound"] == pytest.approx(oracle, abs=4 * s["lower_bound_se"])
+
+
+_CHUNK_WORKERS = {
+    "clt": partial(_clt_outputs, gaussian_bump(), 0.75),
+    "efficiency": partial(_error_outputs, gaussian_bump(), 0.75,
+                          ("riemann", "trapezoid", "bridge"), True),
+}
+
+
+@cache
+def _chunked_outputs(kind, chunk_size):
+    return _ensemble_map(BrownianMotion(shift=UniformShift(0.5)),
+                         build_grid(1.0, 8, 8), 100, 5, _CHUNK_WORKERS[kind],
+                         chunk_size=chunk_size)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(sorted(_CHUNK_WORKERS)),
+       chunk_size=st.integers(16, 300))
+def test_worker_outputs_independent_of_chunk_size(kind, chunk_size):
+    whole = _chunked_outputs(kind, 100)
+    chunked = _chunked_outputs(kind, chunk_size)
+    assert whole.keys() == chunked.keys()
+    for key in whole:
+        np.testing.assert_array_equal(whole[key], chunked[key])
+
+
 def test_diagnostics_study_tables():
     cfg = _cfg(kind="diagnostics", n_list=(8, 16, 32, 64), refine=8,
                paths=200, u_list=(1.0, 3.0))
@@ -128,7 +174,6 @@ def test_thread_count_does_not_change_results():
 
 
 def test_shift_does_not_change_slope_conclusion():
-    from occutime import UniformShift
     plain = rate_study(_cfg(paths=300))
     shifted = rate_study(_cfg(paths=300,
                               spec=BrownianMotion(shift=UniformShift(0.5))))

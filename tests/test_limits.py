@@ -14,7 +14,12 @@ from occutime import (
     simulate_limit,
     simulate_paths,
 )
-from occutime.limits import conditional_variances
+from occutime.functions import eval_on_path
+from occutime.limits import gradient_energy
+
+
+def _energy(f, bundle, t=None):
+    return gradient_energy(bundle, eval_on_path(f, bundle, gradient=True)[1], t)
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +29,11 @@ def brownian_bundle():
 
 
 def test_identity_conditional_variance_exact(brownian_bundle):
-    cv = conditional_variances(identity(), brownian_bundle)
+    cv = _energy(identity(), brownian_bundle)
     np.testing.assert_allclose(cv, 1.0 / 12.0, rtol=1e-12)
+    # integrated up to t, not over the whole horizon
+    np.testing.assert_allclose(_energy(identity(), brownian_bundle, 0.5),
+                               0.5 / 12.0, rtol=1e-12)
 
 
 def test_constant_limit_is_zero(brownian_bundle):
@@ -82,8 +90,8 @@ def test_scale_equivariance(brownian_bundle):
     f = gaussian_bump()
     g = TestFunction("scaled", lambda x: 2.0 * f.value(x),
                      gradient=lambda x: 2.0 * f.gradient(x))
-    cv_f = conditional_variances(f, brownian_bundle)
-    cv_g = conditional_variances(g, brownian_bundle)
+    cv_f = _energy(f, brownian_bundle)
+    cv_g = _energy(g, brownian_bundle)
     np.testing.assert_allclose(cv_g, 4.0 * cv_f, rtol=1e-12)
     assert lower_bound_constant(g, brownian_bundle).value == pytest.approx(
         2.0 * lower_bound_constant(f, brownian_bundle).value, rel=1e-12)
@@ -107,5 +115,7 @@ def test_stochvol_conditional_variance_uses_sigma():
     grid = build_grid(1.0, 8, 16)
     bundle = simulate_paths(StochVol(sigma0=2.0, eta=0.0), grid, 10,
                             master_seed=3)
-    cv = conditional_variances(identity(), bundle)
+    cv = _energy(identity(), bundle)
     np.testing.assert_allclose(cv, 4.0 / 12.0, rtol=1e-12)
+    lb = lower_bound_constant(identity(), bundle)
+    assert lb.value == pytest.approx(2.0 / np.sqrt(12.0), rel=1e-12)

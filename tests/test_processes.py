@@ -128,6 +128,20 @@ def test_uniform_shift_sampled_once_per_path():
     assert len(np.unique(bundle.shifts)) > 100
 
 
+def test_observed_paths_apply_the_shift_once():
+    grid = build_grid(1.0, 4, 3)
+    plain = simulate_paths(BrownianMotion(dimension=2,
+                                          initial=FixedStart((0.0, 1.0))),
+                           grid, 6, master_seed=4)
+    assert np.shares_memory(plain.observed(), plain.x)
+    assert np.shares_memory(plain.observed(coarse=True), plain.x)
+    shifted = simulate_paths(BrownianMotion(shift=UniformShift(0.5)), grid, 6,
+                             master_seed=4)
+    y = shifted.x + shifted.shifts[:, None, :]
+    np.testing.assert_array_equal(shifted.observed(), y)
+    np.testing.assert_array_equal(shifted.observed(coarse=True), y[:, ::3])
+
+
 def test_one_step_euler_exact_for_brownian():
     grid = build_grid(1.0, 4, 4)
     bundle = simulate_paths(BrownianMotion(), grid, 3, master_seed=5)
