@@ -184,7 +184,7 @@ def build_study(cfg: ResolvedConfig, kind: str, seed_override: int | None = None
     estimators = tuple(
         p.strip() for p in cfg.get("study", "estimators",
                                    "riemann,trapezoid").split(",") if p.strip())
-    return StudyConfig(
+    values = dict(
         spec=spec,
         function=function,
         n_list=n_list,
@@ -198,3 +198,7 @@ def build_study(cfg: ResolvedConfig, kind: str, seed_override: int | None = None
         threads=threads,
         u_list=cfg.numbers("study", "u_list", "1,3,10"),
     )
+    try:
+        return StudyConfig(**values)
+    except ConfigError as exc:      # its messages open with the key's name
+        raise ConfigError(f"[study] {exc}") from exc

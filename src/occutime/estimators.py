@@ -111,11 +111,17 @@ def bridge_conditional_estimate(f: TestFunction, coarse_x: np.ndarray,
         return np.zeros(coarse_x.shape[:-2])
     # independent coordinates under the Brownian bridge: the conditional
     # expectation of the product factorizes per coordinate inside the
-    # time quadrature
-    expect = 1.0
-    for i, fun in enumerate(factors):
-        left = coarse_x[..., :k, i, None]
-        right = coarse_x[..., 1:k + 1, i, None]
-        mean = left + tau * (right - left)          # (..., k, q_t)
-        expect = expect * gaussian_mean(fun, mean, var, q_x)
+    # time quadrature; one time node at a time keeps the space quadrature
+    # at (..., k, q_x) points
+    left = coarse_x[..., :k, :]
+    step = coarse_x[..., 1:k + 1, :] - left
+
+    def at_node(q):                                 # (..., k)
+        out = 1.0
+        for i, fun in enumerate(factors):
+            mean = left[..., i] + tau[q] * step[..., i]
+            out = out * gaussian_mean(fun, mean, var[q], q_x)
+        return out
+
+    expect = np.stack([at_node(q) for q in range(q_t)], axis=-1)
     return grid.coarse_step * (expect @ tw).sum(axis=-1)

@@ -3,8 +3,13 @@
 Every study simulates path ensembles in fixed-size chunks whose random
 streams depend only on (master seed, path index), so results are identical
 for any thread count. Within a study all estimators share the same paths
-(common random numbers); across grid resolutions paths are re-simulated
-from the same master seed.
+(common random numbers). Rate and efficiency studies share them across
+resolutions too: one pass on the finest grid (n_max coarse steps of m fine
+steps) serves every n in ``n_list``, whose coarse nodes are every
+(n_max m / n)-th fine node, and the fine sum over all n_max m steps is the
+reference for every n. The errors are then correlated across n, so the
+rate slope is a generalized least-squares fit under the path-level
+covariance of the log-RMS values.
 """
 
 from __future__ import annotations
@@ -55,15 +60,24 @@ class StudyConfig:
             raise ConfigError(f"unknown study kind {self.kind!r}")
         if not self.n_list:
             raise ConfigError("n_list must be non-empty")
+        if self.n_list[0] < 1:
+            raise ConfigError(f"n_list entries must be >= 1, got {self.n_list}")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigError("n_list must be strictly increasing")
+        if self.kind in ("rate", "efficiency"):
+            fine = self.n_list[-1] * self.refine
+            loose = [n for n in self.n_list if fine % n]
+            if loose:
+                raise ConfigError(
+                    f"n_list must nest: every n must divide n_list[-1] * "
+                    f"refine = {fine}, and {loose} do not")
         if self.paths < 100:
-            raise ConfigError(f"need at least 100 paths, got {self.paths}")
+            raise ConfigError(f"paths must be at least 100, got {self.paths}")
         if not self.estimators:
             raise ConfigError("estimators must be non-empty")
         for name in self.estimators:
             if name not in ESTIMATOR_NAMES:
-                raise ConfigError(f"unknown estimator {name!r}; "
+                raise ConfigError(f"estimators: unknown {name!r}; "
                                   f"choose from {ESTIMATOR_NAMES}")
 
     @property
@@ -89,7 +103,7 @@ def _ensemble_map(spec, grid, paths: int, seed: int, worker,
     """
     if chunk_size is None:
         nodes = grid.fine_count + 1
-        chunk_size = int(np.clip(2 ** 21 // nodes, 16, CHUNK_SIZE))
+        chunk_size = int(np.clip(2 ** 20 // nodes, 16, CHUNK_SIZE))
     starts = list(range(0, paths, chunk_size))
 
     def run(start):
@@ -106,24 +120,35 @@ def _ensemble_map(spec, grid, paths: int, seed: int, worker,
 
 
 def _estimator_errors(f: TestFunction, bundle, fine_vals: np.ndarray,
-                      t: float, estimators) -> dict:
-    """Reference minus estimator per path, on shared paths, from the values
-    of f at the fine nodes of the observed paths."""
+                      t: float, estimators, n_list=None) -> dict:
+    """Reference minus estimator per path and resolution, shape
+    (paths, len(n_list)), on shared paths, from the values of f at the fine
+    nodes of the observed paths.
+
+    The coarse grid of n is every (fine_count / n)-th fine node and the
+    fine sum is the reference for every n; ``n_list`` defaults to the
+    bundle's own coarse grid.
+    """
     grid = bundle.grid
+    n_list = (grid.coarse_count,) if n_list is None else n_list
     ref = reference_value(fine_vals, grid, t)
-    coarse_vals = fine_vals[:, ::grid.refine_factor]
-    out = {}
-    for name in estimators:
-        if name == "riemann":
-            est = riemann_estimate(coarse_vals, grid, t)
-        elif name == "trapezoid":
-            est = trapezoid_estimate(coarse_vals, grid, t)
-        else:
-            y = bundle.observed(coarse=True)
-            x_arg = y[:, :, 0] if f.dimension == 1 else y
-            est = bridge_conditional_estimate(f, x_arg, grid, t,
-                                              spec=bundle.spec)
-        out[f"err_{name}"] = ref - est
+    out = {f"err_{name}": np.empty((len(ref), len(n_list)), ref.dtype)
+           for name in estimators}
+    for col, n in enumerate(n_list):
+        stride = grid.fine_count // n
+        coarse = build_grid(grid.horizon, n, stride)
+        coarse_vals = fine_vals[:, ::stride]
+        for name in estimators:
+            if name == "riemann":
+                est = riemann_estimate(coarse_vals, coarse, t)
+            elif name == "trapezoid":
+                est = trapezoid_estimate(coarse_vals, coarse, t)
+            else:
+                y = bundle.observed(stride=stride)
+                x_arg = y[:, :, 0] if f.dimension == 1 else y
+                est = bridge_conditional_estimate(f, x_arg, coarse, t,
+                                                  spec=bundle.spec)
+            out[f"err_{name}"][:, col] = ref - est
     return out
 
 
@@ -137,15 +162,16 @@ def _clt_outputs(f: TestFunction, t: float, bundle) -> dict:
             "bias_realized": 0.5 * (vals[:, j] - vals[:, 0]).real}
 
 
-def _error_outputs(f: TestFunction, t: float, estimators, energy: bool,
-                   bundle) -> dict:
-    """Estimator errors at t per path; with ``energy`` also the gradient
-    energy up to t, from one evaluation of f and grad f."""
+def _error_outputs(f: TestFunction, t: float, n_list, estimators,
+                   energy: bool, bundle) -> dict:
+    """Estimator errors at t per path and n in ``n_list``; with ``energy``
+    also the gradient energy up to t, from one evaluation of f and grad f
+    on the bundle's (finest) grid."""
     if not energy:
         return _estimator_errors(f, bundle, eval_on_path(f, bundle), t,
-                                 estimators)
+                                 estimators, n_list)
     vals, grad = eval_on_path(f, bundle, gradient=True)
-    return {**_estimator_errors(f, bundle, vals, t, estimators),
+    return {**_estimator_errors(f, bundle, vals, t, estimators, n_list),
             "grad_energy": gradient_energy(bundle, grad, t)}
 
 
@@ -161,34 +187,44 @@ def _rms_stats(err: np.ndarray) -> dict:
             "mean_error": float(err.mean()), "mean_se": se_mean}
 
 
-def _wls_line(x: np.ndarray, y: np.ndarray, se: np.ndarray):
-    """Weighted least squares y ~ a + b x. Returns (slope, slope_se, chi2)."""
-    se = np.where(se > 0, se, max(np.max(se), 1e-12) * 1e-3)
-    w = 1.0 / se ** 2
+def _log_rms_cov(err: np.ndarray) -> np.ndarray:
+    """Delta-method covariance of the log-RMS values across resolutions,
+    Cov(e_a^2, e_b^2) / (4 P MSE_a MSE_b), from per-path errors (P, K)."""
+    sq = err ** 2
+    mse = sq.mean(axis=0)
+    cov = np.atleast_2d(np.cov(sq, rowvar=False))
+    return cov / (4.0 * len(sq) * np.outer(mse, mse))
+
+
+def _gls_line(x: np.ndarray, y: np.ndarray, cov: np.ndarray):
+    """Generalized least squares y ~ a + b x under the covariance ``cov``
+    of y; a diagonal ``cov`` gives weighted least squares. Returns
+    (slope, slope_se, chi2)."""
+    var = np.diag(cov)
+    floor = max(np.max(var), 1e-24) * 1e-6
+    prec = np.linalg.inv(cov + np.diag(np.where(var > 0, 0.0, floor)))
     design = np.column_stack([np.ones_like(x), x])
-    gram = design.T @ (w[:, None] * design)
-    rhs = design.T @ (w * y)
-    cov = np.linalg.inv(gram)
-    coef = cov @ rhs
+    coef_cov = np.linalg.inv(design.T @ prec @ design)
+    coef = coef_cov @ (design.T @ prec @ y)
     resid = y - design @ coef
-    chi_sq = float(np.sum(w * resid ** 2))
-    return float(coef[1]), float(np.sqrt(cov[1, 1])), chi_sq
+    return float(coef[1]), float(np.sqrt(coef_cov[1, 1])), \
+        float(resid @ prec @ resid)
 
 
-def _fit_slope(deltas, rms, rms_se):
-    """Log-log slope of RMS vs step, with a lack-of-fit fallback that drops
-    the coarsest resolution (preasymptotic regime)."""
+def _fit_slope(deltas, rms, cov):
+    """Log-log GLS slope of RMS vs step under the covariance ``cov`` of the
+    log-RMS values, with a lack-of-fit fallback that drops the coarsest
+    resolution (preasymptotic regime)."""
     log_x = np.log(np.asarray(deltas))
     log_y = np.log(np.asarray(rms))
-    log_se = np.asarray(rms_se) / np.asarray(rms)
-    slope, slope_se, chi_sq = _wls_line(log_x, log_y, log_se)
+    slope, slope_se, chi_sq = _gls_line(log_x, log_y, cov)
     dropped = False
     dof = len(deltas) - 2
     if dof >= 1 and chi_sq > chi2.ppf(0.99, dof) and len(deltas) >= 4:
         # drop the smallest n (largest step)
         keep = np.argsort(log_x)[:-1]
-        slope, slope_se, chi_sq = _wls_line(log_x[keep], log_y[keep],
-                                            log_se[keep])
+        slope, slope_se, chi_sq = _gls_line(log_x[keep], log_y[keep],
+                                            cov[np.ix_(keep, keep)])
         dropped = True
     return {"slope": slope, "slope_se": slope_se,
             "slope_ci_low": slope - 1.96 * slope_se,
@@ -203,39 +239,33 @@ def _check_refine(cfg: StudyConfig):
 
 
 def rate_study(cfg: StudyConfig) -> StudyReport:
-    """RMS of (reference - estimator) per resolution, with a weighted
-    log-log slope fit per estimator."""
+    """RMS of (reference - estimator) per resolution from one pass on the
+    finest grid, with a GLS log-log slope fit per estimator."""
     _check_refine(cfg)
     started = time.perf_counter()
-    t = cfg.eval_time
-    rows = []
-    per_est = {name: {"delta": [], "rms": [], "rms_se": []}
-               for name in cfg.estimators}
-    for n in cfg.n_list:
-        grid = build_grid(cfg.horizon, n, cfg.refine)
-        stats = _ensemble_map(
-            cfg.spec, grid, cfg.paths, cfg.master_seed,
-            partial(_error_outputs, cfg.function, t, cfg.estimators, False),
-            cfg.threads)
-        for name in cfg.estimators:
-            st = _rms_stats(stats[f"err_{name}"])
-            rows.append({"n": n, "delta": grid.coarse_step,
-                         "estimator": name, **st})
-            per_est[name]["delta"].append(grid.coarse_step)
-            per_est[name]["rms"].append(st["rms"])
-            per_est[name]["rms_se"].append(st["rms_se"])
+    grid = build_grid(cfg.horizon, cfg.n_list[-1], cfg.refine)
+    stats = _ensemble_map(
+        cfg.spec, grid, cfg.paths, cfg.master_seed,
+        partial(_error_outputs, cfg.function, cfg.eval_time, cfg.n_list,
+                cfg.estimators, False),
+        cfg.threads)
+    deltas = [cfg.horizon / n for n in cfg.n_list]
+    rows = [{"n": n, "delta": delta, "estimator": name,
+             **_rms_stats(stats[f"err_{name}"][:, col])}
+            for col, (n, delta) in enumerate(zip(cfg.n_list, deltas))
+            for name in cfg.estimators]
 
     summary = {}
     for name in cfg.estimators:
-        data = per_est[name]
-        if max(data["rms"]) <= DEGENERATE_RMS:
+        rms = [row["rms"] for row in rows if row["estimator"] == name]
+        if max(rms) <= DEGENERATE_RMS:
             summary[name] = {"degenerate": True, "slope": float("nan")}
         elif len(cfg.n_list) < 2:
             summary[name] = {"degenerate": False, "slope": float("nan")}
         else:
+            cov = _log_rms_cov(stats[f"err_{name}"])
             summary[name] = {"degenerate": False,
-                             **_fit_slope(data["delta"], data["rms"],
-                                          data["rms_se"])}
+                             **_fit_slope(deltas, rms, cov)}
     return StudyReport("rate", {"rates": rows}, summary,
                        time.perf_counter() - started)
 
@@ -261,13 +291,14 @@ def clt_check(cfg: StudyConfig) -> StudyReport:
     stats = _ensemble_map(cfg.spec, grid, cfg.paths, cfg.master_seed,
                           partial(_clt_outputs, f, t), cfg.threads)
     condvar = stats["condvar"]
+    err_trap = stats["err_trapezoid"][:, 0]
     keep = condvar > 0
     excluded = int(np.sum(~keep))
-    z = (stats["err_trapezoid"][keep] / (delta * np.sqrt(condvar[keep])))
+    z = (err_trap[keep] / (delta * np.sqrt(condvar[keep])))
     ks_stat, ks_p = kstest(z, "norm")
 
-    scaled_riemann = stats["err_riemann"] / delta
-    scaled_trap = stats["err_trapezoid"] / delta
+    scaled_riemann = stats["err_riemann"][:, 0] / delta
+    scaled_trap = err_trap / delta
     bias = stats["bias_realized"]
     diff = scaled_riemann - bias
     count = len(diff)
@@ -303,17 +334,17 @@ def efficiency_study(cfg: StudyConfig) -> StudyReport:
     t = cfg.eval_time
     top = cfg.n_list[-1]
 
+    grid = build_grid(cfg.horizon, top, cfg.refine)
+    stats = _ensemble_map(cfg.spec, grid, cfg.paths, cfg.master_seed,
+                          partial(_error_outputs, f, t, cfg.n_list,
+                                  cfg.estimators, True),
+                          cfg.threads)
     rows = []
     scaled_at_top = {}
-    for n in cfg.n_list:
-        grid = build_grid(cfg.horizon, n, cfg.refine)
-        delta = grid.coarse_step
-        stats = _ensemble_map(cfg.spec, grid, cfg.paths, cfg.master_seed,
-                              partial(_error_outputs, f, t,
-                                      cfg.estimators, n == top),
-                              cfg.threads)
+    for col, n in enumerate(cfg.n_list):
+        delta = cfg.horizon / n
         for name in cfg.estimators:
-            st = _rms_stats(stats[f"err_{name}"] / delta)
+            st = _rms_stats(stats[f"err_{name}"][:, col] / delta)
             rows.append({"n": n, "delta": delta, "estimator": name,
                          "scaled_rms": st["rms"], "scaled_rms_se": st["rms_se"]})
             if n == top:

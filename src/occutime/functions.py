@@ -1,4 +1,4 @@
-"""Test function families with declared smoothness and Fourier data.
+"""Test function families with their gradients and Fourier data.
 
 All members use the convention Ff(u) = int f(x) exp(i<u, x>) dx. One
 dimensional families take plain arrays; multi-dimensional functions are
@@ -19,13 +19,8 @@ from .errors import CapabilityError, ConfigError
 from .grids import gauss_hermite
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class SmoothnessClass:
-    """Declared regularity: the Sobolev exponent bound."""
-
-    sobolev_s: float                     # strict upper bound, inf for smooth
+BLOCK = 2 ** 14     # points per block of the lacunary kernel
+RESEED = 6          # lacunary levels per direct sin/cos pair
 
 
 @dataclass(frozen=True)
@@ -36,7 +31,6 @@ class TestFunction:
     value: Callable
     gradient: Callable | None = None
     fourier: Callable | None = None
-    smoothness: SmoothnessClass = SmoothnessClass(math.inf)
     support_radius: float | None = None
     osc_scale: float = 1.0               # node density hint for u-quadrature
     dimension: int = 1
@@ -104,7 +98,6 @@ def gaussian_bump() -> TestFunction:
         value=lambda x: np.exp(-0.5 * np.asarray(x, float) ** 2),
         gradient=lambda x: -np.asarray(x, float) * np.exp(-0.5 * np.asarray(x, float) ** 2),
         fourier=lambda u: SQRT_2PI * np.exp(-0.5 * np.asarray(u, float) ** 2),
-        smoothness=SmoothnessClass(math.inf),
         support_radius=8.0,
         osc_scale=1.0,
     )
@@ -127,8 +120,8 @@ def hat() -> TestFunction:
             out = 2.0 * (1.0 - np.cos(u)) / u ** 2
         return np.where(np.abs(u) < 1e-8, 1.0 - u ** 2 / 12.0, out)
 
-    return TestFunction("hat", value, grad, fourier,
-                        SmoothnessClass(1.5), support_radius=1.0, osc_scale=2.0)
+    return TestFunction("hat", value, grad, fourier, support_radius=1.0,
+                        osc_scale=2.0)
 
 
 def indicator(a: float, b: float) -> TestFunction:
@@ -157,7 +150,7 @@ def indicator(a: float, b: float) -> TestFunction:
 
     scale = max(abs(a), abs(b), b - a)
     return TestFunction(f"indicator({a},{b})", value, None, fourier,
-                        SmoothnessClass(0.5), support_radius=max(abs(a), abs(b)),
+                        support_radius=max(abs(a), abs(b)),
                         osc_scale=max(scale, 1.0),
                         gaussian_expectation=gauss_expect)
 
@@ -174,7 +167,6 @@ def power_singularity(alpha: float, cutoff: float = 1.0) -> TestFunction:
         return np.where(x == 0.0, 0.0, out)
 
     return TestFunction(f"power_singularity({alpha})", value, None, None,
-                        SmoothnessClass(0.5 - alpha),
                         support_radius=8.0 * cutoff, osc_scale=1.0)
 
 
@@ -192,31 +184,55 @@ def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
     coeffs = 2.0 ** (-js * s)
     c2 = cutoff ** 2
 
-    def w(x):
-        return np.exp(-0.5 * x ** 2 / c2)
-
-    # term-by-term accumulation keeps memory at O(len(x)) even on large
-    # path ensembles; the reused term buffer spares the allocator one
-    # ensemble-sized array per term and operation
-    def value(x):
+    # Angle doubling: cos and sin of 2^(j+1) x are (cos^2 - sin^2,
+    # 2 cos sin) of 2^j x, so the series needs one sin/cos pair per RESEED
+    # levels (the direct pair is taken again every RESEED levels because each
+    # doubling also doubles the angle's rounding error). The work runs in
+    # blocks of BLOCK points through a few block-sized buffers, so no
+    # ensemble-sized temporary is made; the gradient reuses the sines.
+    def series(x, gradient):
         x = np.asarray(x, float)
-        series = np.zeros_like(x)
-        term = np.empty_like(x)
-        for fj, cj in zip(freqs, coeffs):
-            np.multiply(fj, x, out=term)
-            np.cos(term, out=term)
-            term *= cj
-            series += term
-        return w(x) * series
+        flat = np.ascontiguousarray(x).reshape(-1)
+        out = np.empty_like(flat)
+        buffers = [np.empty(min(BLOCK, flat.size)) for _ in range(5)]
+        for lo in range(0, flat.size, BLOCK):
+            xb = flat[lo:lo + BLOCK]
+            cos, sin, tmp, acc, dacc = (b[:xb.size] for b in buffers)
+            acc.fill(0.0)
+            dacc.fill(0.0)
+            for j, (fj, cj) in enumerate(zip(freqs, coeffs)):
+                if j % RESEED == 0:
+                    np.multiply(xb, fj, out=tmp)
+                    np.cos(tmp, out=cos)
+                    np.sin(tmp, out=sin)
+                else:
+                    np.multiply(cos, sin, out=tmp)
+                    tmp += tmp
+                    cos *= cos
+                    sin *= sin
+                    cos -= sin
+                    sin, tmp = tmp, sin
+                np.multiply(cos, cj, out=tmp)
+                acc += tmp
+                if gradient:
+                    np.multiply(sin, cj * fj, out=tmp)
+                    dacc -= tmp
+            np.multiply(xb, xb, out=tmp)               # localizer w(x)
+            tmp *= -0.5 / c2
+            np.exp(tmp, out=tmp)
+            if gradient:                               # w' = -x / c2 * w
+                np.multiply(xb, acc, out=cos)
+                cos /= c2
+                dacc -= cos
+                acc = dacc
+            np.multiply(tmp, acc, out=out[lo:lo + xb.size])
+        return out.reshape(x.shape)
+
+    def value(x):
+        return series(x, False)
 
     def grad(x):
-        x = np.asarray(x, float)
-        series = np.zeros_like(x)
-        dseries = np.zeros_like(x)
-        for fj, cj in zip(freqs, coeffs):
-            series += cj * np.cos(fj * x)
-            dseries -= cj * fj * np.sin(fj * x)
-        return w(x) * (dseries - x / c2 * series)
+        return series(x, True)
 
     def fourier(u):
         u = np.asarray(u, float)
@@ -225,7 +241,7 @@ def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
         return np.tensordot(shifted, coeffs, axes=(-1, 0))
 
     return TestFunction(f"lacunary(s={s},J={J})", value, grad, fourier,
-                        SmoothnessClass(s), support_radius=8.0 * cutoff,
+                        support_radius=8.0 * cutoff,
                         osc_scale=4.0 * cutoff)
 
 
@@ -242,22 +258,19 @@ def complex_exponential(u: float) -> TestFunction:
 
     return TestFunction(f"complex_exponential({u})", value,
                         gradient=lambda x: 1j * u * np.exp(1j * u * np.asarray(x, float)),
-                        fourier=None, smoothness=SmoothnessClass(math.inf),
-                        integrable=False,
+                        fourier=None, integrable=False,
                         gaussian_expectation=gauss_expect)
 
 
 def identity() -> TestFunction:
     return TestFunction("identity", lambda x: np.asarray(x, float) + 0.0,
                         gradient=lambda x: np.ones_like(np.asarray(x, float)),
-                        smoothness=SmoothnessClass(math.inf),
                         integrable=False)
 
 
 def quadratic() -> TestFunction:
     return TestFunction("quadratic", lambda x: np.asarray(x, float) ** 2,
                         gradient=lambda x: 2.0 * np.asarray(x, float),
-                        smoothness=SmoothnessClass(math.inf),
                         integrable=False)
 
 
@@ -266,7 +279,6 @@ def constant(c: float = 1.0) -> TestFunction:
     return TestFunction(f"constant({c})",
                         lambda x: np.full(np.shape(np.asarray(x)), c),
                         gradient=lambda x: np.zeros_like(np.asarray(x, float)),
-                        smoothness=SmoothnessClass(math.inf),
                         integrable=False)
 
 
@@ -310,13 +322,12 @@ def tensor_product(factors) -> TestFunction:
             out = out * factors[i].fourier(u[..., i])
         return out
 
-    s = min(f.smoothness.sobolev_s for f in factors)
     radii = [f.support_radius for f in factors]
     radius = None if any(r is None for r in radii) else max(radii)
     return TestFunction(
         "tensor(" + ",".join(f.name for f in factors) + ")",
         value, grad if has_grad else None, fourier if has_fourier else None,
-        SmoothnessClass(s), support_radius=radius,
+        support_radius=radius,
         osc_scale=max(f.osc_scale for f in factors), dimension=d,
         integrable=all(f.integrable for f in factors),
         components=factors)

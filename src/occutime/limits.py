@@ -51,9 +51,13 @@ def gradient_energy(bundle: PathBundle, grad: np.ndarray,
     t (exactly that of ``simulate_limit``'s left-point Ito sum) and, averaged
     over paths, the square of the efficiency floor.
     """
-    grid = bundle.grid
+    return _energy_sum(bundle.grid, _sigma_transpose_grad(bundle, grad), t)
+
+
+def _energy_sum(grid, stg: np.ndarray, t: float | None = None) -> np.ndarray:
+    """(Delta / m) / 12 sum_{j < j(t)} |stg_j|^2 per path, from
+    stg = sigma^T grad f(Y) at the fine nodes."""
     j = grid.fine_index(grid.horizon if t is None else t)
-    stg = _sigma_transpose_grad(bundle, grad)
     return grid.fine_step * np.sum(stg[:, :j] ** 2, axis=(1, 2)) / 12.0
 
 
@@ -70,18 +74,18 @@ def simulate_limit(f: TestFunction, bundle: PathBundle,
     """
     dt = bundle.grid.fine_step
     y = bundle.observed()
-    grad = fn_gradient(f, y)
-    stg = _sigma_transpose_grad(bundle, grad)[:, :-1]     # left endpoints
+    stg = _sigma_transpose_grad(bundle, fn_gradient(f, y))
+    left = stg[:, :-1]                                    # left endpoints
     ends = fn_value(f, y[:, [0, -1], :])
     paths = [path_index] if path_index is not None else range(bundle.count)
     mixed = np.empty(len(paths))
     for out_i, i in enumerate(paths):
         seed, index = ((seed_aux, i) if seed_aux is not None
                        else (bundle.master_seed, bundle.first_path_index + i))
-        z = path_rng(seed, index, STREAM_LIMIT).standard_normal(stg[i].shape)
-        mixed[out_i] = INV_SQRT12 * np.sqrt(dt) * np.sum(stg[i] * z)
+        z = path_rng(seed, index, STREAM_LIMIT).standard_normal(left[i].shape)
+        mixed[out_i] = INV_SQRT12 * np.sqrt(dt) * np.sum(left[i] * z)
     bias = 0.5 * (ends[paths, 1] - ends[paths, 0]).real
-    condvar = gradient_energy(bundle, grad)[paths]
+    condvar = _energy_sum(bundle.grid, stg)[paths]
     if path_index is not None:
         return LimitSample(bias[0], mixed[0], condvar[0])
     return LimitSample(bias, mixed, condvar)

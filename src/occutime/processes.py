@@ -231,10 +231,11 @@ class PathBundle:
     def path_indices(self) -> np.ndarray:
         return self.first_path_index + np.arange(self.count)
 
-    def observed(self, coarse: bool = False) -> np.ndarray:
-        """Y = X + xi at the fine (or coarse) nodes, shape (paths, nodes, d);
-        a view of ``x`` when the process has no shift."""
-        x = self.x[:, ::self.grid.refine_factor] if coarse else self.x
+    def observed(self, coarse: bool = False, stride: int = 1) -> np.ndarray:
+        """Y = X + xi at every ``stride``-th fine node (or at the coarse
+        nodes), shape (paths, nodes, d); a view of ``x`` when the process
+        has no shift."""
+        x = self.x[:, ::self.grid.refine_factor if coarse else stride]
         return x if self.spec.shift is None else x + self.shifts[:, None, :]
 
 

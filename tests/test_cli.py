@@ -134,6 +134,7 @@ def test_bad_override_exits_1(tmp_path, capsys):
     for section, key, value in (("study", "nope", "3"),
                                 ("study", "kind", "rate"),
                                 ("study", "paths", "abc"),
+                                ("study", "n_list", "16,24,64"),
                                 ("function", "descriptor", "lacunary(s=abc)")):
         rc = main(["rate-study", "--config", cfg, "--out", str(tmp_path / "x"),
                    "--set", f"{section}.{key}={value}"])

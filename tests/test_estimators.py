@@ -8,6 +8,7 @@ from occutime import (
     ConfigError,
     FixedStart,
     StochVol,
+    TestFunction,
     bridge_conditional_estimate,
     bridge_conditional_mean,
     build_grid,
@@ -24,15 +25,38 @@ from occutime import (
 from occutime.functions import eval_on_path
 
 
-@given(st.integers(2, 40), st.integers(0, 10 ** 6))
+grids = st.tuples(st.floats(0.25, 4.0), st.integers(1, 40),
+                  st.floats(0.0, 1.0))     # horizon, n, t as a share of it
+
+
+@given(grids, st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
-def test_trapezoid_is_riemann_plus_boundary_correction(n, seed):
-    grid = build_grid(1.5, n, 1)
+def test_trapezoid_is_riemann_plus_boundary_correction(shape, seed):
+    horizon, n, share = shape
+    grid = build_grid(horizon, n, 1)
+    t = share * horizon
+    k = grid.coarse_index(t)
     vals = np.random.default_rng(seed).standard_normal((3, n + 1))
-    correction = 0.5 * grid.coarse_step * (vals[:, -1] - vals[:, 0])
-    np.testing.assert_allclose(trapezoid_estimate(vals, grid),
-                               riemann_estimate(vals, grid) + correction,
+    correction = 0.5 * grid.coarse_step * (vals[:, k] - vals[:, 0])
+    np.testing.assert_allclose(trapezoid_estimate(vals, grid, t),
+                               riemann_estimate(vals, grid, t) + correction,
                                rtol=1e-12, atol=1e-14)
+
+
+@given(grids, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_bridge_equals_trapezoid_for_affine_f(shape, a, b, seed):
+    # the bridge mean is linear in time, so E[a + b X] integrates exactly
+    horizon, n, share = shape
+    grid = build_grid(horizon, n, 1)
+    t = share * horizon
+    f = TestFunction("affine", lambda x: a + b * np.asarray(x, float))
+    x = np.cumsum(np.random.default_rng(seed).standard_normal((3, n + 1)),
+                  axis=1)
+    np.testing.assert_allclose(bridge_conditional_estimate(f, x, grid, t),
+                               trapezoid_estimate(f.value(x), grid, t),
+                               rtol=1e-10, atol=1e-10)
 
 
 def test_estimators_at_intermediate_time():

@@ -21,7 +21,8 @@ from occutime import (
     identity,
     rate_study,
 )
-from occutime.experiments import _clt_outputs, _ensemble_map, _error_outputs
+from occutime.experiments import (_clt_outputs, _ensemble_map, _error_outputs,
+                                  _gls_line, _log_rms_cov, _rms_stats)
 
 
 def _cfg(**kw):
@@ -39,6 +40,9 @@ def _cfg(**kw):
     dict(kind="nope"),
     dict(estimators=("simpson",)),
     dict(estimators=()),
+    dict(n_list=(0, 16)),
+    dict(n_list=(16, 24, 64), refine=8),
+    dict(kind="efficiency", n_list=(3, 16)),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -64,6 +68,51 @@ def test_rate_study_constant_degenerate():
     report = rate_study(_cfg(function=constant(1.0)))
     assert report.summary["riemann"]["degenerate"]
     assert np.isnan(report.summary["riemann"]["slope"])
+
+
+def test_non_nesting_n_list_allowed_for_clt_and_diagnostics():
+    for kind in ("clt", "diagnostics"):
+        _cfg(kind=kind, n_list=(16, 24, 64), refine=8)
+
+
+def test_coupled_top_rows_equal_single_resolution_study():
+    spec = BrownianMotion(shift=UniformShift(0.5))
+    estimators = ("riemann", "trapezoid", "bridge")
+    coupled = rate_study(_cfg(spec=spec, estimators=estimators))
+    single = rate_study(_cfg(spec=spec, estimators=estimators, n_list=(64,)))
+    top = [row for row in coupled.tables["rates"] if row["n"] == 64]
+    assert top == single.tables["rates"]
+
+
+def test_gls_line_is_wls_when_diagonal_and_whitened_ols_otherwise():
+    rng = np.random.default_rng(3)
+    x = np.log([1 / 16, 1 / 32, 1 / 64, 1 / 128])
+    y = 0.3 + 1.0 * x + 0.01 * rng.standard_normal(4)
+    se = np.array([0.01, 0.02, 0.015, 0.03])
+    slope, _, chi_sq = _gls_line(x, y, np.diag(se ** 2))
+    b, a = np.polyfit(x, y, 1, w=1 / se)
+    assert slope == pytest.approx(b, rel=1e-10)
+    assert chi_sq == pytest.approx(np.sum(((y - a - b * x) / se) ** 2),
+                                   rel=1e-8)
+    # correlated errors: OLS on the Cholesky-whitened problem
+    root = np.tril(rng.uniform(0.001, 0.01, (4, 4))) + np.diag(se)
+    cov = root @ root.T
+    slope, slope_se, _ = _gls_line(x, y, cov)
+    white = np.linalg.solve(np.linalg.cholesky(cov),
+                            np.column_stack([np.ones(4), x, y]))
+    coef, *_ = np.linalg.lstsq(white[:, :2], white[:, 2], rcond=None)
+    gram_inv = np.linalg.inv(white[:, :2].T @ white[:, :2])
+    assert slope == pytest.approx(coef[1], rel=1e-10)
+    assert slope_se == pytest.approx(np.sqrt(gram_inv[1, 1]), rel=1e-10)
+
+
+def test_log_rms_cov_diagonal_is_the_wls_variance():
+    err = np.random.default_rng(4).standard_normal((300, 3)) * [1.0, 0.5, 0.2]
+    cov = _log_rms_cov(err)
+    for k in range(3):
+        st_k = _rms_stats(err[:, k])
+        assert cov[k, k] == pytest.approx((st_k["rms_se"] / st_k["rms"]) ** 2,
+                                          rel=1e-12)
 
 
 def test_rate_rms_monotone_in_n():
@@ -132,8 +181,10 @@ def test_efficiency_lower_bound_up_to_t_eval():
 
 _CHUNK_WORKERS = {
     "clt": partial(_clt_outputs, gaussian_bump(), 0.75),
-    "efficiency": partial(_error_outputs, gaussian_bump(), 0.75,
+    "efficiency": partial(_error_outputs, gaussian_bump(), 0.75, (8,),
                           ("riemann", "trapezoid", "bridge"), True),
+    "rate": partial(_error_outputs, gaussian_bump(), 0.75, (2, 4, 8),
+                    ("riemann", "trapezoid", "bridge"), False),
 }
 
 

@@ -41,6 +41,25 @@ def test_gaussian_bump_fourier_closed_form(u):
     assert f.fourier(u) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [0.3, 1.2])
+@pytest.mark.parametrize("J", [1, 12])
+def test_lacunary_matches_direct_series(s, J):
+    # angle doubling against the term-by-term series, on a strided view
+    # with more points than one kernel block and off its block boundary
+    x = np.linspace(-12.0, 12.0, 80000).reshape(200, 400)[:, ::2]
+    js = np.arange(1, J + 1)[:, None, None]
+    w = np.exp(-x ** 2 / 18.0)
+    terms = 2.0 ** (-js * s)
+    series = np.sum(terms * np.cos(2.0 ** js * x), axis=0)
+    dseries = -np.sum(terms * 2.0 ** js * np.sin(2.0 ** js * x), axis=0)
+    f = lacunary(s, J=J)
+    for got, want in ((f.value(x), w * series),
+                      (f.gradient(x), w * (dseries - x / 9.0 * series))):
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+
+
 def test_fourier_conventions_numerically():
     # validate the registered transforms against direct quadrature of
     # int f(x) e^{iux} dx on a dense grid

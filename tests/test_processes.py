@@ -135,11 +135,13 @@ def test_observed_paths_apply_the_shift_once():
                            grid, 6, master_seed=4)
     assert np.shares_memory(plain.observed(), plain.x)
     assert np.shares_memory(plain.observed(coarse=True), plain.x)
+    assert np.shares_memory(plain.observed(stride=2), plain.x)
     shifted = simulate_paths(BrownianMotion(shift=UniformShift(0.5)), grid, 6,
                              master_seed=4)
     y = shifted.x + shifted.shifts[:, None, :]
     np.testing.assert_array_equal(shifted.observed(), y)
     np.testing.assert_array_equal(shifted.observed(coarse=True), y[:, ::3])
+    np.testing.assert_array_equal(shifted.observed(stride=2), y[:, ::2])
 
 
 def test_one_step_euler_exact_for_brownian():
