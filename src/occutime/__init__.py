@@ -18,13 +18,9 @@ from .processes import (
     BrownianMotion,
     DeterministicGaussian,
     FixedStart,
-    GaussianStart,
     PathBundle,
     StochVol,
     UniformShift,
-    UniformStart,
-    one_step_euler,
-    regularity_probe,
     simulate_paths,
 )
 from .functions import (
@@ -42,14 +38,12 @@ from .functions import (
     tensor_product,
 )
 from .seminorms import (
-    QuadratureSettings,
     SeminormResult,
     fourier_lebesgue_seminorm,
     sobolev_seminorm,
 )
 from .estimators import (
     bridge_conditional_estimate,
-    bridge_conditional_mean,
     reference_value,
     riemann_estimate,
     trapezoid_estimate,
@@ -73,11 +67,9 @@ __all__ = [
     "ConfigError",
     "DeterministicGaussian",
     "FixedStart",
-    "GaussianStart",
     "LimitSample",
     "OccutimeError",
     "PathBundle",
-    "QuadratureSettings",
     "SeminormResult",
     "SimulationError",
     "StochVol",
@@ -86,9 +78,7 @@ __all__ = [
     "TestFunction",
     "TimeGrid",
     "UniformShift",
-    "UniformStart",
     "bridge_conditional_estimate",
-    "bridge_conditional_mean",
     "build_grid",
     "clt_check",
     "complex_exponential",
@@ -103,13 +93,11 @@ __all__ = [
     "indicator",
     "lacunary",
     "lower_bound_constant",
-    "one_step_euler",
     "parse_function",
     "power_singularity",
     "quadratic",
     "rate_study",
     "reference_value",
-    "regularity_probe",
     "riemann_estimate",
     "simulate_limit",
     "simulate_paths",

@@ -14,6 +14,11 @@ from .functions import TestFunction, gaussian_mean
 from .grids import TimeGrid, gauss_legendre
 from .processes import BrownianMotion
 
+# Gauss-Legendre nodes in time and Gauss-Hermite nodes in space per coarse
+# interval of the bridge estimator
+BRIDGE_TIME_NODES = 8
+BRIDGE_SPACE_NODES = 32
+
 
 def _check_samples(values: np.ndarray, needed: int, what: str) -> None:
     if values.shape[-1] < needed:
@@ -64,25 +69,15 @@ def reference_value(fine_values: np.ndarray, grid: TimeGrid,
     return np.trapezoid(fine_values[..., :j + 1], dx=grid.fine_step, axis=-1)
 
 
-def bridge_conditional_mean(x_prev, x_next, tau: float):
-    """Conditional mean of the bridge at normalized intra-interval time tau."""
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"normalized time must lie in [0, 1], got {tau}")
-    x_prev = np.asarray(x_prev, float)
-    x_next = np.asarray(x_next, float)
-    return x_prev + tau * (x_next - x_prev)
-
-
 def bridge_conditional_estimate(f: TestFunction, coarse_x: np.ndarray,
                                 grid: TimeGrid, t: float | None = None,
-                                q_t: int = 8, q_x: int = 32,
                                 spec=None) -> np.ndarray:
     """Conditional expectation estimator E[Gamma_t(f) | observations] for a
     Brownian X, realized by bridge quadrature.
 
-    Per coarse interval the time integral uses Gauss-Legendre (q_t nodes); the
-    space integral against the bridge marginal N(linear interpolation,
-    tau (1 - tau) step) uses Gauss-Hermite (q_x nodes), or the function's
+    Per coarse interval the time integral uses Gauss-Legendre; the space
+    integral against the bridge marginal N(linear interpolation,
+    tau (1 - tau) step) uses Gauss-Hermite, or the function's
     closed-form Gaussian expectation when it has one (e.g. indicators).
     ``coarse_x`` holds raw observations X_{t_k}, time on the last axis for
     d = 1, or shape (..., n + 1, d) with a tensor-product f for d >= 2.
@@ -94,7 +89,7 @@ def bridge_conditional_estimate(f: TestFunction, coarse_x: np.ndarray,
     t = grid.horizon if t is None else t
     coarse_x = np.asarray(coarse_x, float)
     k = grid.coarse_index(t)
-    tau, tw = gauss_legendre(q_t, unit=True)
+    tau, tw = gauss_legendre(BRIDGE_TIME_NODES, unit=True)
     var = tau * (1.0 - tau) * grid.coarse_step
 
     if f.dimension == 1:
@@ -112,7 +107,7 @@ def bridge_conditional_estimate(f: TestFunction, coarse_x: np.ndarray,
     # independent coordinates under the Brownian bridge: the conditional
     # expectation of the product factorizes per coordinate inside the
     # time quadrature; one time node at a time keeps the space quadrature
-    # at (..., k, q_x) points
+    # at (..., k, BRIDGE_SPACE_NODES) points
     left = coarse_x[..., :k, :]
     step = coarse_x[..., 1:k + 1, :] - left
 
@@ -120,8 +115,8 @@ def bridge_conditional_estimate(f: TestFunction, coarse_x: np.ndarray,
         out = 1.0
         for i, fun in enumerate(factors):
             mean = left[..., i] + tau[q] * step[..., i]
-            out = out * gaussian_mean(fun, mean, var[q], q_x)
+            out = out * gaussian_mean(fun, mean, var[q], BRIDGE_SPACE_NODES)
         return out
 
-    expect = np.stack([at_node(q) for q in range(q_t)], axis=-1)
+    expect = np.stack([at_node(q) for q in range(BRIDGE_TIME_NODES)], axis=-1)
     return grid.coarse_step * (expect @ tw).sum(axis=-1)

@@ -14,13 +14,14 @@ covariance of the log-RMS values.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.stats import chi2, kstest
+from scipy.stats import kstest
 
 from .errors import CapabilityError, ConfigError
 from .estimators import (
@@ -71,8 +72,17 @@ class StudyConfig:
                 raise ConfigError(
                     f"n_list must nest: every n must divide n_list[-1] * "
                     f"refine = {fine}, and {loose} do not")
+        if self.kind != "diagnostics" and self.refine < 8:
+            raise ConfigError(f"refine must be at least 8 for the fine "
+                              f"reference, got {self.refine}")
         if self.paths < 100:
             raise ConfigError(f"paths must be at least 100, got {self.paths}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ConfigError(f"horizon must be finite and > 0, "
+                              f"got {self.horizon}")
+        if self.t_eval is not None and not 0 <= self.t_eval <= self.horizon:
+            raise ConfigError(f"t_eval must lie in [0, horizon] = "
+                              f"[0, {self.horizon}], got {self.t_eval}")
         if not self.estimators:
             raise ConfigError("estimators must be non-empty")
         for name in self.estimators:
@@ -212,36 +222,21 @@ def _gls_line(x: np.ndarray, y: np.ndarray, cov: np.ndarray):
 
 
 def _fit_slope(deltas, rms, cov):
-    """Log-log GLS slope of RMS vs step under the covariance ``cov`` of the
-    log-RMS values, with a lack-of-fit fallback that drops the coarsest
-    resolution (preasymptotic regime)."""
-    log_x = np.log(np.asarray(deltas))
-    log_y = np.log(np.asarray(rms))
-    slope, slope_se, chi_sq = _gls_line(log_x, log_y, cov)
-    dropped = False
-    dof = len(deltas) - 2
-    if dof >= 1 and chi_sq > chi2.ppf(0.99, dof) and len(deltas) >= 4:
-        # drop the smallest n (largest step)
-        keep = np.argsort(log_x)[:-1]
-        slope, slope_se, chi_sq = _gls_line(log_x[keep], log_y[keep],
-                                            cov[np.ix_(keep, keep)])
-        dropped = True
+    """Log-log GLS slope of RMS vs step over all resolutions, under the
+    covariance ``cov`` of the log-RMS values. The generalized residual sum
+    ``lack_of_fit_chi2`` is reported, not acted on: with a plug-in
+    covariance it is not calibrated to chi^2(K - 2)."""
+    slope, slope_se, chi_sq = _gls_line(np.log(np.asarray(deltas)),
+                                        np.log(np.asarray(rms)), cov)
     return {"slope": slope, "slope_se": slope_se,
             "slope_ci_low": slope - 1.96 * slope_se,
             "slope_ci_high": slope + 1.96 * slope_se,
-            "lack_of_fit_chi2": chi_sq, "dropped_smallest_n": dropped}
-
-
-def _check_refine(cfg: StudyConfig):
-    if cfg.refine < 8:
-        raise ConfigError(
-            f"reference refinement m={cfg.refine} too coarse; need m >= 8")
+            "lack_of_fit_chi2": chi_sq}
 
 
 def rate_study(cfg: StudyConfig) -> StudyReport:
     """RMS of (reference - estimator) per resolution from one pass on the
     finest grid, with a GLS log-log slope fit per estimator."""
-    _check_refine(cfg)
     started = time.perf_counter()
     grid = build_grid(cfg.horizon, cfg.n_list[-1], cfg.refine)
     stats = _ensemble_map(
@@ -277,7 +272,6 @@ def clt_check(cfg: StudyConfig) -> StudyReport:
     and compared with the standard normal (Kolmogorov-Smirnov); scaled
     Riemann errors are compared with the realized endpoint bias.
     """
-    _check_refine(cfg)
     if cfg.function.gradient is None:
         raise CapabilityError(
             f"clt check needs a gradient; {cfg.function.name} has none")
@@ -323,7 +317,6 @@ def clt_check(cfg: StudyConfig) -> StudyReport:
 
 def efficiency_study(cfg: StudyConfig) -> StudyReport:
     """Scaled RMS per estimator against the minimal asymptotic constant."""
-    _check_refine(cfg)
     if not isinstance(cfg.spec, BrownianMotion):
         raise ConfigError("efficiency study requires a Brownian specification")
     if cfg.function.gradient is None:
@@ -373,7 +366,7 @@ def diagnostics_study(cfg: StudyConfig) -> StudyReport:
     exponential probe ensemble."""
     started = time.perf_counter()
     probe = g_decay_probe(cfg.u_list, cfg.n_list, cfg.spec,
-                          min(cfg.paths, 2000), cfg.master_seed)
+                          min(cfg.paths, 2000), cfg.master_seed, cfg.horizon)
     g_rows = [{"u": r.u, "n": r.n, "g_hat": r.g_hat, "stderr": r.stderr}
               for r in probe.rows]
     trend_rows = [{"u": u, "kendall_tau": tau, "p_value": p}

@@ -31,7 +31,8 @@ from .processes import (
     simulate_paths,
 )
 
-GL_ORDER = 16
+GL_ORDER = 16          # Gauss-Legendre nodes per coarse interval
+G_DECAY_ORDER = 1.0    # Sobolev order s of the weight (1 + |u|^2)^-s
 
 
 def _require_gaussian(spec, what: str):
@@ -71,22 +72,22 @@ class _IntervalNodes:
     weight: np.ndarray
 
 
-def _interval_nodes(spec, grid: TimeGrid, K: int, q_time: int) -> _IntervalNodes:
-    tau, tw = gauss_legendre(q_time, unit=True)
+def _interval_nodes(spec, grid: TimeGrid, K: int) -> _IntervalNodes:
+    tau, tw = gauss_legendre(GL_ORDER, unit=True)
     delta = grid.coarse_step
     if isinstance(spec, BrownianMotion):
-        mean = np.zeros((K, q_time + 1))
-        var = np.broadcast_to(np.append(tau, 1.0) * delta, (K, q_time + 1))
-        drift = np.zeros((K, q_time))
-        sig2 = np.ones((K, q_time))
+        mean = np.zeros((K, GL_ORDER + 1))
+        var = np.broadcast_to(np.append(tau, 1.0) * delta, (K, GL_ORDER + 1))
+        drift = np.zeros((K, GL_ORDER))
+        sig2 = np.ones((K, GL_ORDER))
     else:
         t0 = grid.coarse_times[:K]
         r = t0[:, None] + tau * delta
         ends = np.column_stack([r, grid.coarse_times[1:K + 1]])
         pairs = [spec.transition_moments(a, b)
                  for a, row in zip(t0, ends) for b in row]
-        mean = np.array([mu[0] for mu, _ in pairs]).reshape(K, q_time + 1)
-        var = np.array([cov[0, 0] for _, cov in pairs]).reshape(K, q_time + 1)
+        mean = np.array([mu[0] for mu, _ in pairs]).reshape(K, GL_ORDER + 1)
+        var = np.array([cov[0, 0] for _, cov in pairs]).reshape(K, GL_ORDER + 1)
         drift = np.array([spec.drift_at(s)[0] for s in r.ravel()]).reshape(r.shape)
         sig2 = np.array([np.sum(spec.diffusion_at(s)[0] ** 2)
                          for s in r.ravel()]).reshape(r.shape)
@@ -94,7 +95,7 @@ def _interval_nodes(spec, grid: TimeGrid, K: int, q_time: int) -> _IntervalNodes
                           drift, sig2, tw, (0.5 - tau) * delta * delta * tw)
 
 
-def _setup(bundle: PathBundle, t: float | None, what: str, q_time: int):
+def _setup(bundle: PathBundle, t: float | None, what: str):
     """Checks shared by the readers; the node table of the K intervals up to
     t and the coarse observations Y_{t_0}, ..., Y_{t_K} (shift included)."""
     _require_gaussian(bundle.spec, what)
@@ -103,7 +104,7 @@ def _setup(bundle: PathBundle, t: float | None, what: str, q_time: int):
     grid = bundle.grid
     K = grid.coarse_index(grid.horizon if t is None else t)
     y = bundle.observed(coarse=True)[:, :K + 1, 0]
-    return _interval_nodes(bundle.spec, grid, K, q_time), y
+    return _interval_nodes(bundle.spec, grid, K), y
 
 
 def _cond_expectation(f: TestFunction, mean, var) -> np.ndarray:
@@ -136,12 +137,12 @@ class DecompositionTrace:
         return self.martingale + self.drift
 
 
-def decompose(f: TestFunction, bundle: PathBundle, t: float | None = None,
-              q_time: int = GL_ORDER) -> DecompositionTrace:
+def decompose(f: TestFunction, bundle: PathBundle,
+              t: float | None = None) -> DecompositionTrace:
     """Split the realized error Gamma_t - Gamma_hat into the martingale part
     M (integrand centered at its conditional expectation) and the drift part
     D (conditional expectation of the increment of f along the path)."""
-    nodes, y = _setup(bundle, t, "decompose", q_time)
+    nodes, y = _setup(bundle, t, "decompose")
     grid = bundle.grid
     K = nodes.mean.shape[0]
     m = grid.refine_factor
@@ -161,7 +162,7 @@ def decompose(f: TestFunction, bundle: PathBundle, t: float | None = None,
 
 def compute_E(f: TestFunction, bundle: PathBundle, t: float | None = None) -> np.ndarray:
     """(step / 2) sum_k E[f(Y_{t_k}) - f(Y_{t_{k-1}}) | F_{t_{k-1}}]."""
-    nodes, y = _setup(bundle, t, "compute_E", GL_ORDER)
+    nodes, y = _setup(bundle, t, "compute_E")
     left = y[:, :-1]
     ce = _cond_expectation(f, left + nodes.mean_end, nodes.var_end)
     return 0.5 * bundle.grid.coarse_step * (ce - f.value(left)).sum(axis=1)
@@ -183,10 +184,10 @@ def _f_terms(u: float, nodes: _IntervalNodes,
     return left * c1, left * c2
 
 
-def compute_F(u: float, bundle: PathBundle, t: float | None = None,
-              q_time: int = GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+def compute_F(u: float, bundle: PathBundle,
+              t: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(F1, F2) per path at time t, from one node table."""
-    nodes, y = _setup(bundle, t, "compute_F", q_time)
+    nodes, y = _setup(bundle, t, "compute_F")
     f1, f2 = _f_terms(float(u), nodes, y[:, :-1])
     return f1.sum(axis=1), f2.sum(axis=1)
 
@@ -205,32 +206,25 @@ class GDecayProbe:
     trend: dict            # u -> (kendall_tau, p_value)
     sup_over_grid: float
 
-    def g_hat(self, u: float, n: int) -> float:
-        for row in self.rows:
-            if row.u == u and row.n == n:
-                return row.g_hat
-        raise KeyError((u, n))
-
 
 def g_decay_probe(u_list, n_list, spec, count: int, seed: int,
-                  s: float = 1.0, horizon: float = 1.0,
-                  q_time: int = GL_ORDER) -> GDecayProbe:
+                  horizon: float = 1.0) -> GDecayProbe:
     """Empirical normalized bound sup_t (|F1|^2 + |F2|^2), scaled by
-    step^-2 (1 + |u|^2)^-s, tabulated over a (u, n) probe grid with a
-    Kendall monotonicity statistic per frequency."""
+    step^-2 (1 + |u|^2)^-G_DECAY_ORDER, tabulated over a (u, n) probe grid
+    on [0, horizon] with a Kendall monotonicity statistic per frequency."""
     _require_gaussian(spec, "g_decay_probe")
     rows = []
     table = {u: [] for u in u_list}
     for n in n_list:
         grid = build_grid(horizon, int(n), 1)
         bundle = simulate_paths(spec, grid, count, seed)
-        nodes = _interval_nodes(spec, grid, grid.coarse_count, q_time)
+        nodes = _interval_nodes(spec, grid, grid.coarse_count)
         y_left = bundle.observed(coarse=True)[:, :-1, 0]
         for u in u_list:
             f1, f2 = _f_terms(float(u), nodes, y_left)
             sup = np.max(np.abs(np.cumsum(f1, axis=1)) ** 2
                          + np.abs(np.cumsum(f2, axis=1)) ** 2, axis=1)
-            scale = grid.coarse_step ** -2 / (1.0 + u * u) ** s
+            scale = grid.coarse_step ** -2 / (1.0 + u * u) ** G_DECAY_ORDER
             vals = scale * sup
             g_hat = float(vals.mean())
             stderr = float(vals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0

@@ -386,4 +386,6 @@ def _number(text: str):
         v = float(text)
     except ValueError:
         raise ConfigError(f"{text.strip()!r} is not a number") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"{text.strip()!r} is not a finite number")
     return int(v) if v == int(v) and "." not in text and "e" not in text.lower() else v

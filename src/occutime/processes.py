@@ -4,12 +4,11 @@ Three coefficient families are supported: standard Brownian motion,
 Gaussian processes with deterministic time-dependent drift/diffusion
 (sampled from the exact transition law), and a stochastic volatility
 example driven by an auxiliary Brownian motion (Euler-Maruyama on the
-fine grid). All three run one simulation loop: each path draws its start
-point, shift and standard normals from a counter-based stream derived from
-``(master_seed, path_index)``, and only the rule that turns the normals
-into increments depends on the family. Ensembles are therefore
-reproducible bit for bit regardless of chunking or thread count, and the
-driving increments can be regenerated from the stream instead of stored.
+fine grid). All three run one simulation loop: each path starts at a
+fixed point and draws its shift and standard normals from a counter-based
+stream derived from ``(master_seed, path_index)``, and only the rule that
+turns the normals into increments depends on the family. Ensembles are
+therefore reproducible bit for bit regardless of chunking or thread count.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ import numpy as np
 from .errors import ConfigError, SimulationError
 from .grids import TimeGrid, gauss_legendre
 
-# Stream tags for the splittable per-path RNG. MAIN drives the initial value,
-# the shift and the increments of W; VOL drives the auxiliary Brownian motion
-# of the stochastic volatility; LIMIT is reserved for the limit-law module.
+# Stream tags for the splittable per-path RNG. MAIN drives the shift and the
+# increments of W; VOL drives the auxiliary Brownian motion of the stochastic
+# volatility; LIMIT drives the limit-law module.
 STREAM_MAIN = 0
 STREAM_VOL = 1
 STREAM_LIMIT = 2
@@ -38,34 +37,12 @@ def path_rng(master_seed: int, path_index: int, stream: int = STREAM_MAIN) -> np
 
 
 # ---------------------------------------------------------------------------
-# initial laws and shifts
+# start point and shift
 
 
 @dataclass(frozen=True)
 class FixedStart:
     point: tuple[float, ...]
-
-    def sample(self, rng: np.random.Generator, d: int) -> np.ndarray:
-        return np.asarray(self.point, dtype=float).reshape(d)
-
-
-@dataclass(frozen=True)
-class UniformStart:
-    low: tuple[float, ...]
-    high: tuple[float, ...]
-
-    def sample(self, rng: np.random.Generator, d: int) -> np.ndarray:
-        return rng.uniform(np.asarray(self.low, float), np.asarray(self.high, float), size=d)
-
-
-@dataclass(frozen=True)
-class GaussianStart:
-    mean: tuple[float, ...]
-    std: tuple[float, ...]
-
-    def sample(self, rng: np.random.Generator, d: int) -> np.ndarray:
-        return (np.asarray(self.mean, float)
-                + np.asarray(self.std, float) * rng.standard_normal(d))
 
 
 @dataclass(frozen=True)
@@ -87,8 +64,7 @@ class BrownianMotion:
     """X = X_0 + W: zero drift, identity diffusion."""
 
     dimension: int = 1
-    initial: FixedStart | UniformStart | GaussianStart = field(
-        default_factory=lambda: FixedStart((0.0,)))
+    initial: FixedStart = field(default_factory=lambda: FixedStart((0.0,)))
     shift: UniformShift | None = None
 
     def __post_init__(self):
@@ -110,8 +86,7 @@ class DeterministicGaussian:
     dimension: int
     drift: Callable[[float], np.ndarray]
     diffusion: Callable[[float], np.ndarray]
-    initial: FixedStart | UniformStart | GaussianStart = field(
-        default_factory=lambda: FixedStart((0.0,)))
+    initial: FixedStart = field(default_factory=lambda: FixedStart((0.0,)))
     shift: UniformShift | None = None
     drift_integral: Callable[[float, float], np.ndarray] | None = None
     covariance_integral: Callable[[float, float], np.ndarray] | None = None
@@ -147,20 +122,16 @@ class DeterministicGaussian:
 @dataclass(frozen=True)
 class StochVol:
     """d = 1 stochastic volatility: sigma_t = sigma0 * (1 + eta * sin(W'_t))
-    with an independent auxiliary Brownian motion W'. The volatility is an
-    Ito semimartingale, so the declared modulus exponents are 1/2.
-    ``sigma0 > 0`` and ``|eta| < 1`` keep sigma bounded away from zero.
+    with an independent auxiliary Brownian motion W', so sigma is an Ito
+    semimartingale. ``sigma0 > 0`` and ``|eta| < 1`` keep sigma bounded away from zero.
     """
 
     sigma0: float = 1.0
     eta: float = 0.5
     drift: Callable[[float, np.ndarray], np.ndarray] | None = None
     dimension: int = 1
-    initial: FixedStart | UniformStart | GaussianStart = field(
-        default_factory=lambda: FixedStart((0.0,)))
+    initial: FixedStart = field(default_factory=lambda: FixedStart((0.0,)))
     shift: UniformShift | None = None
-    alpha: float = 0.5
-    beta: float = 0.5
 
     def __post_init__(self):
         if self.dimension != 1:
@@ -171,8 +142,6 @@ class StochVol:
             raise ConfigError(
                 f"StochVol needs |eta| < 1 so that sigma stays positive, "
                 f"got eta={self.eta}")
-        if not (0 < self.alpha <= 1 and 0 < self.beta <= 1):
-            raise ConfigError("regularity exponents must lie in (0, 1]")
 
 
 ProcessSpec = BrownianMotion | DeterministicGaussian | StochVol
@@ -208,8 +177,8 @@ class PathBundle:
     ``sigma`` is the diffusion coefficient at the fine nodes: None for
     Brownian motion (the identity), (fine_count + 1, d, d) shared across
     paths for deterministic coefficients, or (paths, fine_count + 1) for the
-    scalar stochastic volatility. The driving normals are not stored:
-    ``one_step_euler`` regenerates them from the path's stream.
+    scalar stochastic volatility. The driving normals are not stored; they
+    are a pure function of (master_seed, path index).
     """
 
     grid: TimeGrid
@@ -237,16 +206,6 @@ class PathBundle:
         has no shift."""
         x = self.x[:, ::self.grid.refine_factor if coarse else stride]
         return x if self.spec.shift is None else x + self.shifts[:, None, :]
-
-
-def _draw_path(spec, grid, master_seed, index):
-    """Start point, shift and the (fine_count, d) standard normals of one
-    path, all from its main stream."""
-    d = spec.dimension
-    rng = path_rng(master_seed, index)
-    x0 = spec.initial.sample(rng, d)
-    shift = spec.shift.sample(rng, d) if spec.shift is not None else np.zeros(d)
-    return x0, shift, rng.standard_normal((grid.fine_count, d))
 
 
 def _diffusion_nodes(spec: DeterministicGaussian, grid: TimeGrid) -> np.ndarray:
@@ -314,11 +273,15 @@ def simulate_paths(spec: ProcessSpec, grid: TimeGrid, count: int,
         raise ConfigError(f"unknown process spec {type(spec).__name__}")
 
     d = spec.dimension
+    x0 = np.asarray(spec.initial.point, dtype=float).reshape(d)
     x = np.empty((count, grid.fine_count + 1, d))
-    shifts = np.empty((count, d))
+    shifts = np.zeros((count, d))
     for i in range(count):
-        x0, shifts[i], z = _draw_path(spec, grid, master_seed, first_path_index + i)
-        dx = increments(i, z)
+        # the shift, then the (fine_count, d) normals, from the main stream
+        rng = path_rng(master_seed, first_path_index + i)
+        if spec.shift is not None:
+            shifts[i] = spec.shift.sample(rng, d)
+        dx = increments(i, rng.standard_normal((grid.fine_count, d)))
         x[i, 0] = x0
         if drift is None:
             np.cumsum(dx, axis=0, out=x[i, 1:])
@@ -328,81 +291,6 @@ def simulate_paths(spec: ProcessSpec, grid: TimeGrid, count: int,
             b = np.asarray(drift(t, x[i, j].copy()), float).reshape(d)
             x[i, j + 1] = x[i, j] + b * grid.fine_step + dx[j]
     return PathBundle(grid, spec, master_seed, first_path_index, x, sigma, shifts)
-
-
-# ---------------------------------------------------------------------------
-# one-step Euler approximation and regularity probe
-
-
-def one_step_euler(bundle: PathBundle, path_index: int, s: float, t: float) -> np.ndarray:
-    """X_s + b_s (t - s) + sigma_s (W_t - W_s), the frozen-coefficient
-    approximation of X_t started at the fine node s. The coefficients are
-    taken at that node; W_t - W_s is rebuilt from the path's normals."""
-    if not (0 <= s <= t <= bundle.grid.horizon * (1 + 2 ** -40)):
-        raise ConfigError(f"need 0 <= s <= t <= T, got s={s}, t={t}")
-    grid, spec = bundle.grid, bundle.spec
-    js = grid.fine_index(s)
-    jt = grid.fine_index(t)
-    x_s = bundle.x[path_index, js]
-    *_, z = _draw_path(spec, grid, bundle.master_seed,
-                       bundle.first_path_index + path_index)
-    dw = (z[js:jt] * np.sqrt(grid.fine_step)).sum(axis=0)
-    t_s = grid.fine_times[js]
-    if isinstance(spec, DeterministicGaussian):
-        return x_s + spec.drift_at(t_s) * (t - s) + bundle.sigma[js] @ dw
-    if isinstance(spec, StochVol):
-        b = 0.0 if spec.drift is None else np.asarray(spec.drift(t_s, x_s), float)
-        return x_s + b * (t - s) + bundle.sigma[path_index, js] * dw
-    return x_s + dw
-
-
-@dataclass(frozen=True)
-class RegularityProbe:
-    """Empirical modulus of continuity of the diffusion coefficient."""
-
-    lags: np.ndarray         # time lags s
-    moduli: np.ndarray       # E[sup_{r <= s} |sigma_{t+r} - sigma_t|^2]
-    slope: float             # log-log fit; estimates twice the exponent
-    all_zero: bool
-
-
-def regularity_probe(spec: ProcessSpec, grid: TimeGrid, count: int,
-                     seed: int) -> RegularityProbe:
-    """Estimate the modulus exponent of sigma from simulated (or
-    deterministic) coefficient paths."""
-    if isinstance(spec, BrownianMotion):
-        raise ConfigError("regularity probe needs time-varying coefficients")
-    n_fine = grid.fine_count
-    if isinstance(spec, DeterministicGaussian):
-        # deterministic coefficients: no ensemble needed
-        sig = np.array([spec.diffusion_at(t).ravel()
-                        for t in grid.fine_times])[None, :, :]
-    else:
-        bundle = simulate_paths(spec, grid, count, seed)
-        sig = bundle.sigma[:, :, None]
-
-    max_lag = max(1, n_fine // 4)
-    lags = []
-    lag = 1
-    while lag <= max_lag:
-        lags.append(lag)
-        lag *= 2
-    moduli = np.empty(len(lags))
-    for idx, L in enumerate(lags):
-        width = n_fine + 1 - L
-        sup = np.zeros((sig.shape[0], width))
-        base = sig[:, :width]
-        for r in range(1, L + 1):
-            dist = np.linalg.norm(sig[:, r:r + width] - base, axis=-1)
-            np.maximum(sup, dist, out=sup)
-        moduli[idx] = np.mean(sup ** 2)
-
-    lag_times = np.asarray(lags) * grid.fine_step
-    positive = moduli > 0
-    if not positive.any():
-        return RegularityProbe(lag_times, moduli, float("nan"), True)
-    slope = np.polyfit(np.log(lag_times[positive]), np.log(moduli[positive]), 1)[0]
-    return RegularityProbe(lag_times, moduli, float(slope), False)
 
 
 def dump_paths_csv(bundle: PathBundle, stream) -> None:

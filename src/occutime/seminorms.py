@@ -18,18 +18,19 @@ from .errors import CapabilityError, ConfigError
 from .functions import TestFunction
 from .grids import gauss_legendre
 
+# Frequency quadrature: a head panel [0, PANEL_START], then octave panels up
+# to U_MAX with at least MIN_NODES nodes (more for oscillating transforms),
+# each split into Gauss-Legendre subpanels of SUBPANEL_ORDER nodes. The tail
+# exponent is fitted over the last TAIL_FIT_PANELS panels above NEGLIGIBLE
+# times the largest; a fitted decay slower than u^-(1 + DIVERGENCE_EPS) is
+# flagged divergent.
+U_MAX = 1e4
+PANEL_START = 1.0
+MIN_NODES = 64
+SUBPANEL_ORDER = 256
+TAIL_FIT_PANELS = 5
+NEGLIGIBLE = 1e-13
 DIVERGENCE_EPS = 0.05
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    u_max: float = 1e4
-    panel_start: float = 1.0
-    min_nodes: int = 64
-    subpanel_order: int = 256
-    eps_div: float = DIVERGENCE_EPS
-    tail_fit_panels: int = 5
-    negligible: float = 1e-13   # relative floor when picking panels to fit
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,6 @@ class SeminormResult:
     value: float                 # +inf when divergent
     divergent: bool
     tail_exponent: float         # fitted decay exponent p of the integrand
-    body: float                  # integral up to u_max (of the squared form
-                                 # for the Sobolev case)
 
     def __float__(self):
         return self.value
@@ -56,20 +55,13 @@ def _panel_sum(integrand, a: float, b: float, nodes: int, order: int) -> float:
     return float(np.sum(half[:, None] * w[None, :] * vals))
 
 
-def _fourier_magnitude(f: TestFunction):
+def _transform(f: TestFunction):
     if f.fourier is not None:
-        transform = f.fourier
-    elif f.integrable:
-        transform = _numeric_fourier(f)
-    else:
-        raise CapabilityError(
-            f"{f.name}: no Fourier data and the function is not integrable")
-
-    def magnitude(u):
-        # include both half-lines; no symmetry of Ff is assumed
-        return np.abs(transform(u)) ** 2 + np.abs(transform(-u)) ** 2
-
-    return magnitude
+        return f.fourier
+    if f.integrable:
+        return _numeric_fourier(f)
+    raise CapabilityError(
+        f"{f.name}: no Fourier data and the function is not integrable")
 
 
 def _numeric_fourier(f: TestFunction, u_cap: float = 1.05e4):
@@ -98,32 +90,28 @@ def _numeric_fourier(f: TestFunction, u_cap: float = 1.05e4):
     return transform
 
 
-def _weighted_integral(f: TestFunction, s: float, quad: QuadratureSettings,
-                       squared: bool):
-    """Shared engine: integrand |Ff|^2 |u|^{2s} (squared) or |Ff| |u|^s."""
-    if s < 0:
-        raise ConfigError(f"smoothness order must be >= 0, got s={s}")
-    magnitude_sq = _fourier_magnitude(f)
+def _weighted_integral(f: TestFunction, s: float, squared: bool):
+    """Shared engine: integrand |Ff|^2 |u|^{2s} (squared) or |Ff| |u|^s,
+    over both half-lines, as no symmetry of Ff is assumed. Returns (body,
+    tail, divergent, fitted tail exponent)."""
+    transform = _transform(f)
     if squared:
-        integrand = lambda u: magnitude_sq(u) * u ** (2.0 * s)
+        integrand = lambda u: ((np.abs(transform(u)) ** 2
+                                + np.abs(transform(-u)) ** 2) * u ** (2.0 * s))
     else:
-        # |Ff(u)| + |Ff(-u)| is bounded by sqrt(2 * magnitude_sq); use the
-        # exact two-sided sum instead for the L^1-type form
-        transform = f.fourier if f.fourier is not None else _numeric_fourier(f)
         integrand = lambda u: (np.abs(transform(u)) + np.abs(transform(-u))) * u ** s
 
     density = max(1.0, f.osc_scale)
-    order = quad.subpanel_order
 
-    # head panel [0, panel_start]
-    head = _panel_sum(integrand, 0.0, quad.panel_start, quad.min_nodes, order)
+    # head panel [0, PANEL_START]
+    head = _panel_sum(integrand, 0.0, PANEL_START, MIN_NODES, SUBPANEL_ORDER)
 
     panels = []
-    lo = quad.panel_start
-    while lo < quad.u_max:
-        hi = min(2.0 * lo, quad.u_max)
-        nodes = max(quad.min_nodes, int((hi - lo) * density))
-        panels.append(_panel_sum(integrand, lo, hi, nodes, order))
+    lo = PANEL_START
+    while lo < U_MAX:
+        hi = min(2.0 * lo, U_MAX)
+        nodes = max(MIN_NODES, int((hi - lo) * density))
+        panels.append(_panel_sum(integrand, lo, hi, nodes, SUBPANEL_ORDER))
         lo = hi
     panels = np.asarray(panels)
 
@@ -132,9 +120,9 @@ def _weighted_integral(f: TestFunction, s: float, quad: QuadratureSettings,
     if peak <= 0.0:
         return body, 0.0, False, math.inf
 
-    active = np.nonzero(panels > quad.negligible * peak)[0]
+    active = np.nonzero(panels > NEGLIGIBLE * peak)[0]
     last = active[-1]
-    first = max(0, last - quad.tail_fit_panels + 1)
+    first = max(0, last - TAIL_FIT_PANELS + 1)
     window = panels[first:last + 1]
     if window.size < 2:
         return body, 0.0, False, math.inf
@@ -143,32 +131,28 @@ def _weighted_integral(f: TestFunction, s: float, quad: QuadratureSettings,
     rho = float(np.median(ratios))
     # panel sums of an integrand ~ u^-p over octaves scale by 2^(1-p)
     p_hat = 1.0 - math.log2(rho) if rho > 0 else math.inf
-    divergent = p_hat < 1.0 + quad.eps_div
+    divergent = p_hat < 1.0 + DIVERGENCE_EPS
     tail = 0.0
     if not divergent and last == len(panels) - 1 and rho < 1.0:
         tail = float(window[-1]) * rho / (1.0 - rho)
     return body, tail, divergent, p_hat
 
 
-def _tensor_seminorm(f: TestFunction, s: float, quad: QuadratureSettings,
-                     squared: bool) -> SeminormResult:
+def _tensor_seminorm(f: TestFunction, s: float, squared: bool) -> SeminormResult:
     """Seminorm of a tensor product g_1 x ... x g_d. Its weight |u|^{2s}
     (Sobolev) or |u|^s (Fourier-Lebesgue) is (sum_i u_i^2)^k, k = s or s/2;
     for an integer k it expands as sum_{|a| = k} k!/a! prod_i u_i^{2 a_i},
     a sum of products of one-dimensional weighted integrals of the g_i."""
-    if s < 0:
-        raise ConfigError(f"smoothness order must be >= 0, got s={s}")
     k = s if squared else s / 2
     if not float(k).is_integer():
         form = "H^s needs an integer s" if squared else "FL^s needs an even s"
         raise CapabilityError(f"{f.name}: the tensor-product {form}, got s={s}")
     k = int(k)
-    one_dim = sobolev_seminorm if squared else fourier_lebesgue_seminorm
-    parts = [[one_dim(g, a if squared else 2 * a, quad) for a in range(k + 1)]
-             for g in f.components]
+    parts = [[_seminorm(g, a if squared else 2 * a, squared)
+              for a in range(k + 1)] for g in f.components]
     p_min = min(p.tail_exponent for row in parts for p in row)
     if any(p.divergent for row in parts for p in row):
-        return SeminormResult(math.inf, True, p_min, math.inf)
+        return SeminormResult(math.inf, True, p_min)
     total = sum(
         math.factorial(k) / math.prod(map(math.factorial, a))
         * math.prod(row[a_i].value ** (2 if squared else 1)
@@ -176,47 +160,26 @@ def _tensor_seminorm(f: TestFunction, s: float, quad: QuadratureSettings,
         for a in itertools.product(range(k + 1), repeat=len(parts))
         if sum(a) == k)
     return SeminormResult(math.sqrt(total) if squared else total, False,
-                          p_min, total)
+                          p_min)
 
 
-def sobolev_seminorm(f: TestFunction, s: float,
-                     quad: QuadratureSettings | None = None) -> SeminormResult:
+def _seminorm(f: TestFunction, s: float, squared: bool) -> SeminormResult:
+    if s < 0:
+        raise ConfigError(f"smoothness order must be >= 0, got s={s}")
+    if f.components is not None:
+        return _tensor_seminorm(f, s, squared)
+    body, tail, divergent, p_hat = _weighted_integral(f, s, squared)
+    if divergent:
+        return SeminormResult(math.inf, True, p_hat)
+    total = body + tail
+    return SeminormResult(math.sqrt(total) if squared else total, False, p_hat)
+
+
+def sobolev_seminorm(f: TestFunction, s: float) -> SeminormResult:
     """(int |Ff(u)|^2 |u|^{2s} du)^{1/2}, with divergence detection."""
-    quad = quad or QuadratureSettings()
-    if f.components is not None:
-        return _tensor_seminorm(f, s, quad, squared=True)
-    body, tail, divergent, p_hat = _weighted_integral(f, s, quad, squared=True)
-    if divergent:
-        return SeminormResult(math.inf, True, p_hat, body)
-    return SeminormResult(math.sqrt(body + tail), False, p_hat, body)
+    return _seminorm(f, s, squared=True)
 
 
-def fourier_lebesgue_seminorm(f: TestFunction, s: float,
-                              quad: QuadratureSettings | None = None) -> SeminormResult:
+def fourier_lebesgue_seminorm(f: TestFunction, s: float) -> SeminormResult:
     """int |Ff(u)| |u|^s du, with divergence detection."""
-    quad = quad or QuadratureSettings()
-    if f.components is not None:
-        return _tensor_seminorm(f, s, quad, squared=False)
-    body, tail, divergent, p_hat = _weighted_integral(f, s, quad, squared=False)
-    if divergent:
-        return SeminormResult(math.inf, True, p_hat, body)
-    return SeminormResult(body + tail, False, p_hat, body)
-
-
-def inverse_fourier_value(f: TestFunction, x: float, u_max: float = 2e3) -> float:
-    """Reconstruct f(x) from its transform by oscillation-aware quadrature.
-
-    Used to validate registered closed forms; assumes f real-valued.
-    """
-    from scipy.integrate import quad as _quad
-    if f.fourier is None:
-        raise CapabilityError(f"{f.name} has no closed-form Fourier transform")
-    re = lambda u: float(np.real(f.fourier(np.asarray(u))))
-    im = lambda u: float(np.imag(f.fourier(np.asarray(u))))
-    limit = 400
-    if x == 0.0:
-        val, _ = _quad(re, 0.0, u_max, limit=limit)
-        return val / math.pi
-    cos_part, _ = _quad(re, 0.0, u_max, weight="cos", wvar=x, limit=limit)
-    sin_part, _ = _quad(im, 0.0, u_max, weight="sin", wvar=x, limit=limit)
-    return (cos_part + sin_part) / math.pi
+    return _seminorm(f, s, squared=False)

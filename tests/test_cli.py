@@ -135,7 +135,13 @@ def test_bad_override_exits_1(tmp_path, capsys):
                                 ("study", "kind", "rate"),
                                 ("study", "paths", "abc"),
                                 ("study", "n_list", "16,24,64"),
-                                ("function", "descriptor", "lacunary(s=abc)")):
+                                ("study", "refine", "4"),
+                                ("study", "t_eval", "2"),
+                                ("study", "t_eval", "nan"),
+                                ("function", "descriptor", "lacunary(s=abc)"),
+                                ("function", "descriptor", "lacunary(s=nan)"),
+                                ("function", "descriptor",
+                                 "indicator(a=0,b=inf)")):
         rc = main(["rate-study", "--config", cfg, "--out", str(tmp_path / "x"),
                    "--set", f"{section}.{key}={value}"])
         assert rc == 1

@@ -10,7 +10,6 @@ from occutime import (
     StochVol,
     TestFunction,
     bridge_conditional_estimate,
-    bridge_conditional_mean,
     build_grid,
     gaussian_bump,
     identity,
@@ -75,12 +74,6 @@ def test_reference_value_is_fine_trapezoid():
         np.trapezoid(vals, dx=grid.fine_step))
     with pytest.raises(ConfigError):
         reference_value(vals, build_grid(1.0, 2, 1))
-
-
-def test_bridge_mean_interpolates():
-    assert bridge_conditional_mean(1.0, 3.0, 0.25) == pytest.approx(1.5)
-    with pytest.raises(ConfigError):
-        bridge_conditional_mean(0.0, 1.0, 1.5)
 
 
 def test_bridge_equals_trapezoid_for_identity():

@@ -22,7 +22,9 @@ from occutime import (
     rate_study,
 )
 from occutime.experiments import (_clt_outputs, _ensemble_map, _error_outputs,
-                                  _gls_line, _log_rms_cov, _rms_stats)
+                                  _fit_slope, _gls_line, _log_rms_cov,
+                                  _rms_stats)
+from occutime.fourier import g_decay_probe
 
 
 def _cfg(**kw):
@@ -43,6 +45,8 @@ def _cfg(**kw):
     dict(n_list=(0, 16)),
     dict(n_list=(16, 24, 64), refine=8),
     dict(kind="efficiency", n_list=(3, 16)),
+    dict(horizon=float("inf")),
+    dict(t_eval=-0.1),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -104,6 +108,21 @@ def test_gls_line_is_wls_when_diagonal_and_whitened_ols_otherwise():
     gram_inv = np.linalg.inv(white[:, :2].T @ white[:, :2])
     assert slope == pytest.approx(coef[1], rel=1e-10)
     assert slope_se == pytest.approx(np.sqrt(gram_inv[1, 1]), rel=1e-10)
+
+
+def test_fit_slope_uses_every_resolution():
+    # a bent coarsest point gives a large lack-of-fit chi^2; the slope is
+    # still the GLS line through all points
+    deltas = [1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256]
+    rms = np.array(deltas) * [3.0, 1.0, 1.0, 1.0, 1.0]
+    cov = np.diag(np.full(5, 1e-4))
+    fit = _fit_slope(deltas, rms, cov)
+    slope, slope_se, chi_sq = _gls_line(np.log(deltas), np.log(rms), cov)
+    assert chi_sq > 1e3
+    assert fit == {"slope": slope, "slope_se": slope_se,
+                   "slope_ci_low": slope - 1.96 * slope_se,
+                   "slope_ci_high": slope + 1.96 * slope_se,
+                   "lack_of_fit_chi2": chi_sq}
 
 
 def test_log_rms_cov_diagonal_is_the_wls_variance():
@@ -214,6 +233,16 @@ def test_diagnostics_study_tables():
     assert report.summary["max_decomposition_residual"] < 1e-10
     assert report.summary["max_drift_identity_residual"] < 1e-10
     assert np.isfinite(report.summary["sup_g_hat"])
+
+
+def test_diagnostics_g_decay_honours_horizon():
+    cfg = _cfg(kind="diagnostics", n_list=(8, 16), refine=8, paths=100,
+               u_list=(1.0, 3.0), horizon=2.0)
+    rows = diagnostics_study(cfg).tables["g_decay"]
+    probe = g_decay_probe((1.0, 3.0), (8, 16), BrownianMotion(), 100, 7,
+                          horizon=2.0)
+    assert rows == [{"u": r.u, "n": r.n, "g_hat": r.g_hat,
+                     "stderr": r.stderr} for r in probe.rows]
 
 
 def test_thread_count_does_not_change_results():

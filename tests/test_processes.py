@@ -12,8 +12,6 @@ from occutime import (
     StochVol,
     UniformShift,
     build_grid,
-    one_step_euler,
-    regularity_probe,
     simulate_paths,
 )
 from occutime.processes import dump_paths_csv, path_rng
@@ -142,57 +140,6 @@ def test_observed_paths_apply_the_shift_once():
     np.testing.assert_array_equal(shifted.observed(), y)
     np.testing.assert_array_equal(shifted.observed(coarse=True), y[:, ::3])
     np.testing.assert_array_equal(shifted.observed(stride=2), y[:, ::2])
-
-
-def test_one_step_euler_exact_for_brownian():
-    grid = build_grid(1.0, 4, 4)
-    bundle = simulate_paths(BrownianMotion(), grid, 3, master_seed=5)
-    approx = one_step_euler(bundle, 1, s=0.25, t=0.75)
-    np.testing.assert_allclose(approx, bundle.x[1, grid.fine_index(0.75)])
-
-
-def test_one_step_euler_freezes_coefficients():
-    spec = DeterministicGaussian(
-        dimension=1, drift=lambda t: np.array([t]),
-        diffusion=lambda t: np.array([[1.0]]))
-    grid = build_grid(1.0, 4, 4)
-    bundle = simulate_paths(spec, grid, 2, master_seed=5)
-    s, t = 0.5, 1.0
-    js, jt = grid.fine_index(s), grid.fine_index(t)
-    # X = W + t^2 / 2, so W_t - W_s = X_t - X_s - (t^2 - s^2) / 2
-    dw = bundle.x[0, jt, 0] - bundle.x[0, js, 0] - 0.5 * (t * t - s * s)
-    expected = bundle.x[0, js, 0] + s * (t - s) + dw
-    assert one_step_euler(bundle, 0, s, t)[0] == pytest.approx(expected)
-
-
-def test_one_step_euler_exact_for_constant_stochvol():
-    # eta = 0 freezes sigma at sigma0, so the Euler step is exact
-    grid = build_grid(1.0, 4, 4)
-    bundle = simulate_paths(StochVol(sigma0=1.5, eta=0.0), grid, 3, master_seed=5)
-    approx = one_step_euler(bundle, 2, s=0.25, t=0.75)
-    np.testing.assert_allclose(approx, bundle.x[2, grid.fine_index(0.75)])
-
-
-def test_one_step_euler_on_a_later_chunk():
-    spec = StochVol(drift=lambda t, x: -x)
-    grid = build_grid(1.0, 4, 4)
-    whole = simulate_paths(spec, grid, 6, master_seed=9)
-    tail = simulate_paths(spec, grid, 4, master_seed=9, first_path_index=2)
-    np.testing.assert_array_equal(one_step_euler(tail, 1, 0.25, 0.75),
-                                  one_step_euler(whole, 3, 0.25, 0.75))
-
-
-def test_regularity_probe_stochvol_exponent():
-    # sigma is an Ito semimartingale of W', so E[sup |dsigma|^2] ~ lag,
-    # i.e. log-log slope near 1 (= 2 * alpha with alpha = 1/2)
-    probe = regularity_probe(StochVol(), build_grid(1.0, 16, 64), 200, seed=4)
-    assert not probe.all_zero
-    assert 0.7 < probe.slope < 1.3
-
-
-def test_regularity_probe_rejects_brownian():
-    with pytest.raises(ConfigError):
-        regularity_probe(BrownianMotion(), build_grid(1.0, 4, 4), 10, seed=0)
 
 
 def test_dump_paths_csv_layout():
