@@ -141,8 +141,7 @@ def _run_simulate(cfg: ResolvedConfig, seed_override, threads, out_dir) -> dict:
         dump_paths_csv(bundle, fh)
     summary = {"paths": paths, "n": n, "refine": refine, "horizon": horizon,
                "dimension": bundle.dimension}
-    return {"seed": seed, "tables": {}, "summary": summary, "runtime": 0.0,
-            "extra_files": ["paths.csv"]}
+    return {"seed": seed, "tables": {}, "summary": summary, "runtime": 0.0}
 
 
 def _run_norms(cfg: ResolvedConfig, seed_override, threads, out_dir) -> dict:
@@ -150,21 +149,21 @@ def _run_norms(cfg: ResolvedConfig, seed_override, threads, out_dir) -> dict:
     s = cfg.number("norms", "s", "1.0")
     which = cfg.get("norms", "norm", "both").strip().lower()
     if which not in ("sobolev", "fourier_lebesgue", "both"):
-        raise ConfigError(f"unknown norm kind {which!r}")
+        raise ConfigError(f"[norms] norm: unknown norm kind {which!r}")
     rows = []
     summary = {"function": f.name, "s": s}
-    if which in ("sobolev", "both"):
-        r = sobolev_seminorm(f, s)
-        rows.append({"form": "sobolev", "s": s, "value": r.value,
+    for form, seminorm in (("sobolev", sobolev_seminorm),
+                           ("fourier_lebesgue", fourier_lebesgue_seminorm)):
+        if which not in (form, "both"):
+            continue
+        try:
+            r = seminorm(f, s)
+        except ConfigError as exc:      # the smoothness order is out of range
+            raise ConfigError(f"[norms] s: {exc}") from exc
+        rows.append({"form": form, "s": s, "value": r.value,
                      "divergent": r.divergent, "tail_exponent": r.tail_exponent})
-        summary["sobolev_value"] = r.value
-        summary["sobolev_divergent"] = r.divergent
-    if which in ("fourier_lebesgue", "both"):
-        r = fourier_lebesgue_seminorm(f, s)
-        rows.append({"form": "fourier_lebesgue", "s": s, "value": r.value,
-                     "divergent": r.divergent, "tail_exponent": r.tail_exponent})
-        summary["fourier_lebesgue_value"] = r.value
-        summary["fourier_lebesgue_divergent"] = r.divergent
+        summary[f"{form}_value"] = r.value
+        summary[f"{form}_divergent"] = r.divergent
     seed = seed_override if seed_override is not None else 0
     return {"seed": seed, "tables": {"norms": rows}, "summary": summary,
             "runtime": 0.0}

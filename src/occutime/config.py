@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ConfigError
 from .experiments import StudyConfig
@@ -69,12 +71,13 @@ def _number(text: str, kind, section: str, key: str):
     try:
         value = float(text)
         if kind is float:
-            return value
-        if value.is_integer():      # exact for long digit strings
+            if math.isfinite(value):
+                return value
+        elif value.is_integer():    # exact for long digit strings
             return int(text) if text.strip().isdigit() else int(value)
     except ValueError:
         pass
-    what = "a number" if kind is float else "an integer"
+    what = "a finite number" if kind is float else "an integer"
     raise ConfigError(f"[{section}] {key} must be {what}, got {text.strip()!r}")
 
 
@@ -132,37 +135,45 @@ def build_process(cfg: ResolvedConfig) -> ProcessSpec:
     d = cfg.number("process", "dimension", "1", int)
     x0 = cfg.numbers("process", "x0", ",".join(["0.0"] * d))
     if len(x0) != d:
-        raise ConfigError(f"x0 has {len(x0)} coordinates for dimension {d}")
-    initial = FixedStart(x0)
+        raise ConfigError(
+            f"[process] x0 has {len(x0)} coordinates for dimension {d}")
     shift = None
     if cfg.get("process", "shift_half_width") is not None:
-        shift = UniformShift(cfg.number("process", "shift_half_width"))
+        width = cfg.number("process", "shift_half_width")
+        try:
+            shift = UniformShift(width)
+        except ConfigError as exc:
+            raise ConfigError(f"[process] shift_half_width: {exc}") from exc
+    common = dict(dimension=d, initial=FixedStart(x0), shift=shift)
 
     if kind == "brownian":
-        return BrownianMotion(dimension=d, initial=initial, shift=shift)
-    if kind == "stochvol":
-        return StochVol(sigma0=cfg.number("process", "sigma0", "1.0"),
-                        eta=cfg.number("process", "eta", "0.5"),
-                        initial=initial, shift=shift)
-    if kind == "deterministic_gaussian":
+        make = partial(BrownianMotion, **common)
+    elif kind == "stochvol":
+        make = partial(StochVol, sigma0=cfg.number("process", "sigma0", "1.0"),
+                       eta=cfg.number("process", "eta", "0.5"), **common)
+    elif kind == "deterministic_gaussian":
         import numpy as np
         b = cfg.numbers("process", "drift_const", ",".join(["0.0"] * d))
         s = cfg.numbers("process", "diffusion_const", ",".join(["1.0"] * d))
         if len(b) != d or len(s) != d:
-            raise ConfigError("drift_const / diffusion_const must have one "
-                              "entry per dimension")
+            raise ConfigError("[process] drift_const / diffusion_const must "
+                              "have one entry per dimension")
         bv = np.asarray(b)
         sm = np.diag(s)
-        return DeterministicGaussian(
-            dimension=d,
+        make = partial(
+            DeterministicGaussian,
             drift=lambda t: bv,
             diffusion=lambda t: sm,
-            initial=initial, shift=shift,
             drift_integral=lambda t0, t1: bv * (t1 - t0),
             covariance_integral=lambda t0, t1: sm @ sm.T * (t1 - t0),
-            nondegenerate=all(v != 0 for v in s))
-    raise ConfigError(f"unknown process kind {kind!r}; "
-                      "choose brownian, deterministic_gaussian or stochvol")
+            nondegenerate=all(v != 0 for v in s), **common)
+    else:
+        raise ConfigError(f"[process] kind: unknown process kind {kind!r}; "
+                          "choose brownian, deterministic_gaussian or stochvol")
+    try:
+        return make()
+    except ConfigError as exc:      # its messages open with the key's name
+        raise ConfigError(f"[process] {exc}") from exc
 
 
 def build_function(cfg: ResolvedConfig) -> TestFunction:
@@ -177,6 +188,10 @@ def build_study(cfg: ResolvedConfig, kind: str, seed_override: int | None = None
                 threads: int = 1) -> StudyConfig:
     spec = build_process(cfg)
     function = build_function(cfg)
+    if kind != "diagnostics" and function.dimension != spec.dimension:
+        raise ConfigError(
+            f"[process] dimension is {spec.dimension}, but {function.name} "
+            f"takes points of dimension {function.dimension}")
     n_list = cfg.numbers("study", "n_list", kind=int)
     seed = seed_override if seed_override is not None \
         else cfg.number("study", "seed", kind=int)

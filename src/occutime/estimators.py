@@ -27,31 +27,35 @@ def _check_samples(values: np.ndarray, needed: int, what: str) -> None:
             f"got {values.shape[-1]}")
 
 
+def _time_sum(values, k: int, step: float, trapezoid: bool,
+              what: str) -> np.ndarray:
+    """Left-point or trapezoidal sum of the first ``k`` steps of size
+    ``step`` along the last axis."""
+    values = np.asarray(values)
+    _check_samples(values, k + 1, what)
+    if k == 0:
+        return np.zeros(values.shape[:-1])
+    if not trapezoid:
+        return step * values[..., :k].sum(axis=-1)
+    ends = 0.5 * (values[..., 0] + values[..., k])
+    return step * (values[..., 1:k].sum(axis=-1) + ends)
+
+
 def riemann_estimate(coarse_values: np.ndarray, grid: TimeGrid,
                      t: float | None = None) -> np.ndarray:
     """Left-endpoint sum: step * sum of f(X_{t_{k-1}}) for k = 1..floor(t/step)."""
-    t = grid.horizon if t is None else t
-    coarse_values = np.asarray(coarse_values)
-    k = grid.coarse_index(t)
-    _check_samples(coarse_values, k + 1, "riemann_estimate")
-    if k == 0:
-        return np.zeros(coarse_values.shape[:-1])
-    return grid.coarse_step * coarse_values[..., :k].sum(axis=-1)
+    k = grid.coarse_index(grid.horizon if t is None else t)
+    return _time_sum(coarse_values, k, grid.coarse_step, False,
+                     "riemann_estimate")
 
 
 def trapezoid_estimate(coarse_values: np.ndarray, grid: TimeGrid,
                        t: float | None = None) -> np.ndarray:
     """Average-of-endpoints sum; equals the Riemann sum plus the half-step
     boundary correction."""
-    t = grid.horizon if t is None else t
-    coarse_values = np.asarray(coarse_values)
-    k = grid.coarse_index(t)
-    _check_samples(coarse_values, k + 1, "trapezoid_estimate")
-    if k == 0:
-        return np.zeros(coarse_values.shape[:-1])
-    inner = coarse_values[..., 1:k].sum(axis=-1)
-    ends = 0.5 * (coarse_values[..., 0] + coarse_values[..., k])
-    return grid.coarse_step * (inner + ends)
+    k = grid.coarse_index(grid.horizon if t is None else t)
+    return _time_sum(coarse_values, k, grid.coarse_step, True,
+                     "trapezoid_estimate")
 
 
 def reference_value(fine_values: np.ndarray, grid: TimeGrid,
@@ -60,13 +64,8 @@ def reference_value(fine_values: np.ndarray, grid: TimeGrid,
     continuous-time integral."""
     if grid.refine_factor < 2:
         raise ConfigError("reference value needs fine refinement m >= 2")
-    t = grid.horizon if t is None else t
-    fine_values = np.asarray(fine_values)
-    j = grid.fine_index(t)
-    _check_samples(fine_values, j + 1, "reference_value")
-    if j == 0:
-        return np.zeros(fine_values.shape[:-1])
-    return np.trapezoid(fine_values[..., :j + 1], dx=grid.fine_step, axis=-1)
+    j = grid.fine_index(grid.horizon if t is None else t)
+    return _time_sum(fine_values, j, grid.fine_step, True, "reference_value")
 
 
 def bridge_conditional_estimate(f: TestFunction, coarse_x: np.ndarray,

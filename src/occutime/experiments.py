@@ -33,7 +33,7 @@ from .estimators import (
 from .functions import TestFunction, eval_on_path
 from .fourier import compute_E, compute_F, decompose, g_decay_probe
 from .grids import build_grid
-from .limits import LowerBound, gradient_energy
+from .limits import LowerBound, gradient_energy, mean_se, root_mean_se
 from .processes import BrownianMotion, ProcessSpec, simulate_paths
 
 ESTIMATOR_NAMES = ("riemann", "trapezoid", "bridge")
@@ -186,15 +186,9 @@ def _error_outputs(f: TestFunction, t: float, n_list, estimators,
 
 
 def _rms_stats(err: np.ndarray) -> dict:
-    sq = err ** 2
-    count = len(err)
-    mse = float(sq.mean())
-    rms = float(np.sqrt(mse))
-    se_mse = float(sq.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
-    se_rms = se_mse / (2.0 * rms) if rms > 0 else 0.0
-    se_mean = float(err.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
-    return {"rms": rms, "rms_se": se_rms,
-            "mean_error": float(err.mean()), "mean_se": se_mean}
+    rms, rms_se = root_mean_se(err ** 2)
+    mean, se = mean_se(err)
+    return {"rms": rms, "rms_se": rms_se, "mean_error": mean, "mean_se": se}
 
 
 def _log_rms_cov(err: np.ndarray) -> np.ndarray:
@@ -291,23 +285,23 @@ def clt_check(cfg: StudyConfig) -> StudyReport:
     z = (err_trap[keep] / (delta * np.sqrt(condvar[keep])))
     ks_stat, ks_p = kstest(z, "norm")
 
-    scaled_riemann = stats["err_riemann"][:, 0] / delta
-    scaled_trap = err_trap / delta
     bias = stats["bias_realized"]
-    diff = scaled_riemann - bias
-    count = len(diff)
+    scaled_riemann = stats["err_riemann"][:, 0] / delta
+    trap_mean, trap_se = mean_se(err_trap / delta)
+    riemann_mean, riemann_se = mean_se(scaled_riemann)
+    gap_mean, gap_se = mean_se(scaled_riemann - bias)
 
     summary = {
         "n": n, "delta": delta,
         "ks_stat": float(ks_stat), "ks_pvalue": float(ks_p),
         "excluded_zero_variance": excluded,
-        "scaled_trapezoid_mean": float(scaled_trap.mean()),
-        "scaled_trapezoid_mean_se": float(scaled_trap.std(ddof=1) / np.sqrt(count)),
-        "scaled_riemann_mean": float(scaled_riemann.mean()),
-        "scaled_riemann_mean_se": float(scaled_riemann.std(ddof=1) / np.sqrt(count)),
+        "scaled_trapezoid_mean": trap_mean,
+        "scaled_trapezoid_mean_se": trap_se,
+        "scaled_riemann_mean": riemann_mean,
+        "scaled_riemann_mean_se": riemann_se,
         "bias_target_mean": float(bias.mean()),
-        "bias_minus_riemann_mean": float(diff.mean()),
-        "bias_minus_riemann_se": float(diff.std(ddof=1) / np.sqrt(count)),
+        "bias_minus_riemann_mean": gap_mean,
+        "bias_minus_riemann_se": gap_se,
     }
     table = [{"path_id": int(i), "z": float(v)}
              for i, v in zip(np.nonzero(keep)[0], z)]

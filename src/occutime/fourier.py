@@ -22,8 +22,10 @@ import numpy as np
 from scipy.stats import kendalltau
 
 from .errors import CapabilityError, ConfigError
+from .estimators import reference_value, riemann_estimate
 from .functions import TestFunction, gaussian_mean
 from .grids import TimeGrid, build_grid, gauss_legendre
+from .limits import mean_se
 from .processes import (
     BrownianMotion,
     DeterministicGaussian,
@@ -118,19 +120,15 @@ def _cond_expectation(f: TestFunction, mean, var) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecompositionTrace:
-    """Per-interval martingale/drift split of the realized error at time t."""
+    """Martingale/drift split of the realized Riemann error at time t, one
+    total per path: the fine-grid reference at t minus the conditional
+    expectations of the integral over the K = floor(t / step) coarse
+    intervals, and those minus the Riemann sum at t. For t off the coarse
+    grid the martingale part also holds the integral over [t_K, t]."""
 
     t: float
-    m_terms: np.ndarray          # (paths, K)
-    d_terms: np.ndarray          # (paths, K)
-
-    @property
-    def martingale(self) -> np.ndarray:
-        return self.m_terms.sum(axis=1)
-
-    @property
-    def drift(self) -> np.ndarray:
-        return self.d_terms.sum(axis=1)
+    martingale: np.ndarray       # (paths,)
+    drift: np.ndarray            # (paths,)
 
     @property
     def total(self) -> np.ndarray:
@@ -144,20 +142,13 @@ def decompose(f: TestFunction, bundle: PathBundle,
     D (conditional expectation of the increment of f along the path)."""
     nodes, y = _setup(bundle, t, "decompose")
     grid = bundle.grid
-    K = nodes.mean.shape[0]
-    m = grid.refine_factor
-    delta = grid.coarse_step
-
-    # per-interval fine-grid trapezoid of f(Y_r)
-    fy = f.value(bundle.observed()[:, :K * m + 1, 0])
-    seg = 0.5 * grid.fine_step * (fy[:, :-1] + fy[:, 1:])
-    fine_int = seg.reshape(bundle.count, K, m).sum(axis=2)
-
-    cond = _cond_expectation(f, y[:, :K, None] + nodes.mean, nodes.var)
-    cond_int = delta * (cond @ nodes.tw)
-    return DecompositionTrace(t if t is not None else grid.horizon,
-                              fine_int - cond_int,
-                              cond_int - delta * fy[:, :K * m:m])
+    fy = f.value(bundle.observed()[:, :, 0])
+    cond = _cond_expectation(f, y[:, :-1, None] + nodes.mean, nodes.var)
+    cond_int = grid.coarse_step * (cond @ nodes.tw).sum(axis=1)
+    return DecompositionTrace(
+        grid.horizon if t is None else t,
+        reference_value(fy, grid, t) - cond_int,
+        cond_int - riemann_estimate(fy[:, ::grid.refine_factor], grid, t))
 
 
 def compute_E(f: TestFunction, bundle: PathBundle, t: float | None = None) -> np.ndarray:
@@ -226,8 +217,7 @@ def g_decay_probe(u_list, n_list, spec, count: int, seed: int,
                          + np.abs(np.cumsum(f2, axis=1)) ** 2, axis=1)
             scale = grid.coarse_step ** -2 / (1.0 + u * u) ** G_DECAY_ORDER
             vals = scale * sup
-            g_hat = float(vals.mean())
-            stderr = float(vals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
+            g_hat, stderr = mean_se(vals)
             rows.append(GDecayRow(float(u), int(n), g_hat, stderr))
             table[u].append(g_hat)
     trend = {}

@@ -48,16 +48,15 @@ class TimeGrid:
 
     def coarse_index(self, t: float) -> int:
         """Largest k with k * coarse_step <= t, guarded so t = T gives n."""
-        if t < 0 or t > self.horizon * (1 + FLOOR_GUARD):
-            raise ConfigError(f"time {t} outside [0, {self.horizon}]")
-        return min(int(np.floor(t / self.coarse_step + FLOOR_GUARD)),
-                   self.coarse_count)
+        return self._index(t, self.coarse_step, self.coarse_count)
 
     def fine_index(self, t: float) -> int:
+        return self._index(t, self.fine_step, self.fine_count)
+
+    def _index(self, t: float, step: float, count: int) -> int:
         if t < 0 or t > self.horizon * (1 + FLOOR_GUARD):
             raise ConfigError(f"time {t} outside [0, {self.horizon}]")
-        return min(int(np.floor(t / self.fine_step + FLOOR_GUARD)),
-                   self.fine_count)
+        return min(int(np.floor(t / step + FLOOR_GUARD)), count)
 
 
 def build_grid(horizon: float, n: int, m: int = 1) -> TimeGrid:

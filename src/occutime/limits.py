@@ -7,7 +7,8 @@ time integral of |sigma^T grad f(Y)|^2 over [0, t], Y = X + xi the observed
 path. The same integral averaged over paths is the square of the minimal
 asymptotic root-mean-square constant. ``gradient_energy`` is the one
 implementation of that integral: the limit realizations, the clt
-standardization and the efficiency floor all read it.
+standardization and the efficiency floor all read it. Every study reports
+its Monte Carlo means with ``mean_se`` or ``root_mean_se``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import _time_sum
 from .functions import TestFunction, fn_gradient, fn_value
 from .processes import PathBundle, STREAM_LIMIT, path_rng
 
@@ -55,40 +57,46 @@ def gradient_energy(bundle: PathBundle, grad: np.ndarray,
 
 
 def _energy_sum(grid, stg: np.ndarray, t: float | None = None) -> np.ndarray:
-    """(Delta / m) / 12 sum_{j < j(t)} |stg_j|^2 per path, from
-    stg = sigma^T grad f(Y) at the fine nodes."""
+    """(1/12) times the left-point fine sum of |stg|^2 up to t per path,
+    from stg = sigma^T grad f(Y) at the fine nodes."""
     j = grid.fine_index(grid.horizon if t is None else t)
-    return grid.fine_step * np.sum(stg[:, :j] ** 2, axis=(1, 2)) / 12.0
+    return _time_sum(np.sum(stg ** 2, axis=2), j, grid.fine_step, False,
+                     "gradient_energy") / 12.0
 
 
-def simulate_limit(f: TestFunction, bundle: PathBundle,
-                   path_index: int | None = None,
-                   seed_aux: int | None = None) -> LimitSample:
-    """Realize the limit variable along bundle paths.
+def simulate_limit(f: TestFunction, bundle: PathBundle) -> LimitSample:
+    """Realize the limit variable along every path of the bundle.
 
     The stochastic integral is discretized with left-point Ito sums at the
-    fine grid, against a fresh auxiliary Brownian motion whose stream is
-    derived from (master_seed, path index, limit tag) unless ``seed_aux``
-    overrides it. With ``path_index`` given, a single path is used and
-    scalars are returned; otherwise the whole ensemble is processed.
+    fine grid, against a fresh auxiliary Brownian motion per path whose
+    stream is derived from (master_seed, path index, limit tag).
     """
     dt = bundle.grid.fine_step
     y = bundle.observed()
     stg = _sigma_transpose_grad(bundle, fn_gradient(f, y))
     left = stg[:, :-1]                                    # left endpoints
     ends = fn_value(f, y[:, [0, -1], :])
-    paths = [path_index] if path_index is not None else range(bundle.count)
-    mixed = np.empty(len(paths))
-    for out_i, i in enumerate(paths):
-        seed, index = ((seed_aux, i) if seed_aux is not None
-                       else (bundle.master_seed, bundle.first_path_index + i))
-        z = path_rng(seed, index, STREAM_LIMIT).standard_normal(left[i].shape)
-        mixed[out_i] = INV_SQRT12 * np.sqrt(dt) * np.sum(left[i] * z)
-    bias = 0.5 * (ends[paths, 1] - ends[paths, 0]).real
-    condvar = _energy_sum(bundle.grid, stg)[paths]
-    if path_index is not None:
-        return LimitSample(bias[0], mixed[0], condvar[0])
-    return LimitSample(bias, mixed, condvar)
+    ito = np.array([
+        np.sum(row * path_rng(bundle.master_seed, index, STREAM_LIMIT)
+               .standard_normal(row.shape))
+        for row, index in zip(left, bundle.path_indices())])
+    return LimitSample(0.5 * (ends[:, 1] - ends[:, 0]).real,
+                       INV_SQRT12 * np.sqrt(dt) * ito,
+                       _energy_sum(bundle.grid, stg))
+
+
+def mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean of ``x`` and its standard error (0 for one sample)."""
+    count = len(x)
+    se = float(x.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
+    return float(x.mean()), se
+
+
+def root_mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Square root of the mean of ``x`` >= 0 and its delta-method s.e."""
+    mean, se = mean_se(x)
+    root = float(np.sqrt(mean))
+    return root, (se / (2.0 * root) if root > 0 else se)
 
 
 @dataclass(frozen=True)
@@ -100,12 +108,7 @@ class LowerBound:
     def from_integrals(cls, integrals: np.ndarray) -> LowerBound:
         """Square root of the mean of per-path gradient energies, with its
         delta-method standard error."""
-        mean = float(integrals.mean())
-        count = len(integrals)
-        se_mean = float(integrals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
-        value = float(np.sqrt(mean))
-        stderr = se_mean / (2.0 * value) if value > 0 else se_mean
-        return cls(value, stderr)
+        return cls(*root_mean_se(integrals))
 
 
 def lower_bound_constant(f: TestFunction, bundle: PathBundle) -> LowerBound:

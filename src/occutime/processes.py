@@ -51,6 +51,11 @@ class UniformShift:
 
     half_width: float = 0.5
 
+    def __post_init__(self):
+        if not (np.isfinite(self.half_width) and self.half_width > 0):
+            raise ConfigError(f"half_width must be finite and > 0, "
+                              f"got {self.half_width}")
+
     def sample(self, rng: np.random.Generator, d: int) -> np.ndarray:
         return rng.uniform(-self.half_width, self.half_width, size=d)
 
@@ -135,13 +140,15 @@ class StochVol:
 
     def __post_init__(self):
         if self.dimension != 1:
-            raise ConfigError("StochVol is implemented for dimension 1 only")
-        if not self.sigma0 > 0:
-            raise ConfigError(f"StochVol needs sigma0 > 0, got {self.sigma0}")
+            raise ConfigError(f"dimension must be 1 for StochVol, "
+                              f"got {self.dimension}")
+        if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
+            raise ConfigError(f"sigma0 must be finite and > 0 for StochVol, "
+                              f"got {self.sigma0}")
         if not abs(self.eta) < 1:
             raise ConfigError(
-                f"StochVol needs |eta| < 1 so that sigma stays positive, "
-                f"got eta={self.eta}")
+                f"eta must satisfy |eta| < 1 so that sigma stays positive, "
+                f"got {self.eta}")
 
 
 ProcessSpec = BrownianMotion | DeterministicGaussian | StochVol

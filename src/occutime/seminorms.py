@@ -164,8 +164,9 @@ def _tensor_seminorm(f: TestFunction, s: float, squared: bool) -> SeminormResult
 
 
 def _seminorm(f: TestFunction, s: float, squared: bool) -> SeminormResult:
-    if s < 0:
-        raise ConfigError(f"smoothness order must be >= 0, got s={s}")
+    if not (math.isfinite(s) and s >= 0):
+        raise ConfigError(f"smoothness order must be finite and >= 0, "
+                          f"got s={s}")
     if f.components is not None:
         return _tensor_seminorm(f, s, squared)
     body, tail, divergent, p_hat = _weighted_integral(f, s, squared)

@@ -131,19 +131,39 @@ def test_env_threads_fallback(tmp_path, monkeypatch):
 
 def test_bad_override_exits_1(tmp_path, capsys):
     cfg = _write(tmp_path, STUDY_CFG)
-    for section, key, value in (("study", "nope", "3"),
-                                ("study", "kind", "rate"),
-                                ("study", "paths", "abc"),
-                                ("study", "n_list", "16,24,64"),
-                                ("study", "refine", "4"),
-                                ("study", "t_eval", "2"),
-                                ("study", "t_eval", "nan"),
-                                ("function", "descriptor", "lacunary(s=abc)"),
-                                ("function", "descriptor", "lacunary(s=nan)"),
-                                ("function", "descriptor",
-                                 "indicator(a=0,b=inf)")):
-        rc = main(["rate-study", "--config", cfg, "--out", str(tmp_path / "x"),
-                   "--set", f"{section}.{key}={value}"])
-        assert rc == 1
-        assert f"[{section}] {key}" in capsys.readouterr().err
-
+    mismatch = ("process.dimension=2", "process.x0=0,0")
+    for command, overrides, key in (
+            ("rate-study", ("study.nope=3",), "[study] nope"),
+            ("rate-study", ("study.kind=rate",), "[study] kind"),
+            ("rate-study", ("study.paths=abc",), "[study] paths"),
+            ("rate-study", ("study.n_list=16,24,64",), "[study] n_list"),
+            ("rate-study", ("study.refine=4",), "[study] refine"),
+            ("rate-study", ("study.t_eval=2",), "[study] t_eval"),
+            ("rate-study", ("study.t_eval=nan",), "[study] t_eval"),
+            ("rate-study", ("function.descriptor=lacunary(s=abc)",),
+             "[function] descriptor"),
+            ("rate-study", ("function.descriptor=lacunary(s=nan)",),
+             "[function] descriptor"),
+            ("rate-study", ("function.descriptor=indicator(a=0,b=inf)",),
+             "[function] descriptor"),
+            ("norms", ("norms.s=nan",), "[norms] s"),
+            ("norms", ("norms.s=-0.5",), "[norms] s"),
+            ("diagnostics", ("study.u_list=1,nan",), "[study] u_list"),
+            ("diagnostics", ("process.x0=nan",), "[process] x0"),
+            ("rate-study", ("process.x0=inf",), "[process] x0"),
+            ("diagnostics", ("process.shift_half_width=nan",),
+             "[process] shift_half_width"),
+            ("diagnostics", ("process.shift_half_width=-1",),
+             "[process] shift_half_width"),
+            ("diagnostics", ("process.kind=stochvol", "process.sigma0=-1"),
+             "[process] sigma0"),
+            ("diagnostics", ("process.kind=stochvol", "process.eta=2"),
+             "[process] eta"),
+            ("rate-study", mismatch, "[process] dimension"),
+            ("efficiency", mismatch, "[process] dimension"),
+            ("clt-check", mismatch, "[process] dimension")):
+        args = [command, "--config", cfg, "--out", str(tmp_path / "x")]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == 1, (command, overrides)
+        assert key in capsys.readouterr().err, (command, overrides)

@@ -110,6 +110,12 @@ def test_stochvol_rejects_vanishing_volatility(kwargs):
         StochVol(**kwargs)
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf")])
+def test_uniform_shift_rejects_bad_width(width):
+    with pytest.raises(ConfigError):
+        UniformShift(width)
+
+
 def test_stochvol_drift_path():
     spec = StochVol(drift=lambda t, x: -x)
     grid = build_grid(1.0, 4, 4)

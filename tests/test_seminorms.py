@@ -84,6 +84,12 @@ def test_negative_order_rejected():
         sobolev_seminorm(gaussian_bump(), -0.5)
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf")])
+def test_nonfinite_order_rejected(s):
+    with pytest.raises(ConfigError):
+        fourier_lebesgue_seminorm(gaussian_bump(), s)
+
+
 def test_tensor_product_seminorm_closed_form():
     # |u|^2 = u_1^2 + u_2^2 does not factor: H^1(bump x bump) = 2 pi^(3/2),
     # not the product pi^(3/2) of the factor seminorms
