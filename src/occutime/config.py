@@ -133,6 +133,8 @@ def load_config(text: str, overrides=()) -> ResolvedConfig:
 def build_process(cfg: ResolvedConfig) -> ProcessSpec:
     kind = cfg.get("process", "kind", "brownian").strip().lower()
     d = cfg.number("process", "dimension", "1", int)
+    if d < 1:
+        raise ConfigError(f"[process] dimension must be >= 1, got {d}")
     x0 = cfg.numbers("process", "x0", ",".join(["0.0"] * d))
     if len(x0) != d:
         raise ConfigError(

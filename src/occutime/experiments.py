@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.stats import kstest
 
 from .errors import CapabilityError, ConfigError
 from .estimators import (
@@ -283,6 +282,7 @@ def clt_check(cfg: StudyConfig) -> StudyReport:
     keep = condvar > 0
     excluded = int(np.sum(~keep))
     z = (err_trap[keep] / (delta * np.sqrt(condvar[keep])))
+    from scipy.stats import kstest     # slow to import; only used here
     ks_stat, ks_p = kstest(z, "norm")
 
     bias = stats["bias_realized"]

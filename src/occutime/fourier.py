@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .errors import CapabilityError, ConfigError
 from .estimators import reference_value, riemann_estimate
@@ -220,6 +219,7 @@ def g_decay_probe(u_list, n_list, spec, count: int, seed: int,
             g_hat, stderr = mean_se(vals)
             rows.append(GDecayRow(float(u), int(n), g_hat, stderr))
             table[u].append(g_hat)
+    from scipy.stats import kendalltau    # slow to import; only used here
     trend = {}
     for u in u_list:
         if len(n_list) > 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import gamma, hyp1f1, ndtr
 
 from .errors import CapabilityError, ConfigError
 from .grids import gauss_hermite
@@ -31,10 +31,8 @@ class TestFunction:
     value: Callable
     gradient: Callable | None = None
     fourier: Callable | None = None
-    support_radius: float | None = None
     osc_scale: float = 1.0               # node density hint for u-quadrature
     dimension: int = 1
-    integrable: bool = True              # admits a (numerical) Fourier transform
     gaussian_expectation: Callable | None = None  # (mu, var) -> E[f(N(mu, var))]
     components: tuple | None = None      # tensor product factors
 
@@ -98,7 +96,6 @@ def gaussian_bump() -> TestFunction:
         value=lambda x: np.exp(-0.5 * np.asarray(x, float) ** 2),
         gradient=lambda x: -np.asarray(x, float) * np.exp(-0.5 * np.asarray(x, float) ** 2),
         fourier=lambda u: SQRT_2PI * np.exp(-0.5 * np.asarray(u, float) ** 2),
-        support_radius=8.0,
         osc_scale=1.0,
     )
 
@@ -120,8 +117,7 @@ def hat() -> TestFunction:
             out = 2.0 * (1.0 - np.cos(u)) / u ** 2
         return np.where(np.abs(u) < 1e-8, 1.0 - u ** 2 / 12.0, out)
 
-    return TestFunction("hat", value, grad, fourier, support_radius=1.0,
-                        osc_scale=2.0)
+    return TestFunction("hat", value, grad, fourier, osc_scale=2.0)
 
 
 def indicator(a: float, b: float) -> TestFunction:
@@ -150,7 +146,6 @@ def indicator(a: float, b: float) -> TestFunction:
 
     scale = max(abs(a), abs(b), b - a)
     return TestFunction(f"indicator({a},{b})", value, None, fourier,
-                        support_radius=max(abs(a), abs(b)),
                         osc_scale=max(scale, 1.0),
                         gaussian_expectation=gauss_expect)
 
@@ -166,8 +161,17 @@ def power_singularity(alpha: float, cutoff: float = 1.0) -> TestFunction:
             out = np.abs(x) ** (-alpha) * np.exp(-0.5 * (x / cutoff) ** 2)
         return np.where(x == 0.0, 0.0, out)
 
-    return TestFunction(f"power_singularity({alpha})", value, None, None,
-                        support_radius=8.0 * cutoff, osc_scale=1.0)
+    # Ff(u) = 2 int_0^inf x^-alpha exp(-x^2 / (2 c^2)) cos(u x) dx
+    #       = (2 c^2)^a Gamma(a) 1F1(a; 1/2; -c^2 u^2 / 2), a = (1 - alpha) / 2
+    a = 0.5 * (1.0 - alpha)
+    scale = (2.0 * cutoff ** 2) ** a * gamma(a)
+
+    def fourier(u):
+        u = np.asarray(u, float)
+        return scale * hyp1f1(a, 0.5, -0.5 * (cutoff * u) ** 2)
+
+    return TestFunction(f"power_singularity({alpha})", value, None, fourier,
+                        osc_scale=1.0)
 
 
 def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
@@ -241,7 +245,6 @@ def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
         return np.tensordot(shifted, coeffs, axes=(-1, 0))
 
     return TestFunction(f"lacunary(s={s},J={J})", value, grad, fourier,
-                        support_radius=8.0 * cutoff,
                         osc_scale=4.0 * cutoff)
 
 
@@ -258,28 +261,24 @@ def complex_exponential(u: float) -> TestFunction:
 
     return TestFunction(f"complex_exponential({u})", value,
                         gradient=lambda x: 1j * u * np.exp(1j * u * np.asarray(x, float)),
-                        fourier=None, integrable=False,
                         gaussian_expectation=gauss_expect)
 
 
 def identity() -> TestFunction:
     return TestFunction("identity", lambda x: np.asarray(x, float) + 0.0,
-                        gradient=lambda x: np.ones_like(np.asarray(x, float)),
-                        integrable=False)
+                        gradient=lambda x: np.ones_like(np.asarray(x, float)))
 
 
 def quadratic() -> TestFunction:
     return TestFunction("quadratic", lambda x: np.asarray(x, float) ** 2,
-                        gradient=lambda x: 2.0 * np.asarray(x, float),
-                        integrable=False)
+                        gradient=lambda x: 2.0 * np.asarray(x, float))
 
 
 def constant(c: float = 1.0) -> TestFunction:
     c = float(c)
     return TestFunction(f"constant({c})",
                         lambda x: np.full(np.shape(np.asarray(x)), c),
-                        gradient=lambda x: np.zeros_like(np.asarray(x, float)),
-                        integrable=False)
+                        gradient=lambda x: np.zeros_like(np.asarray(x, float)))
 
 
 def tensor_product(factors) -> TestFunction:
@@ -322,14 +321,10 @@ def tensor_product(factors) -> TestFunction:
             out = out * factors[i].fourier(u[..., i])
         return out
 
-    radii = [f.support_radius for f in factors]
-    radius = None if any(r is None for r in radii) else max(radii)
     return TestFunction(
         "tensor(" + ",".join(f.name for f in factors) + ")",
         value, grad if has_grad else None, fourier if has_fourier else None,
-        support_radius=radius,
         osc_scale=max(f.osc_scale for f in factors), dimension=d,
-        integrable=all(f.integrable for f in factors),
         components=factors)
 
 

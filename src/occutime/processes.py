@@ -133,7 +133,6 @@ class StochVol:
 
     sigma0: float = 1.0
     eta: float = 0.5
-    drift: Callable[[float, np.ndarray], np.ndarray] | None = None
     dimension: int = 1
     initial: FixedStart = field(default_factory=lambda: FixedStart((0.0,)))
     shift: UniformShift | None = None
@@ -252,14 +251,12 @@ def simulate_paths(spec: ProcessSpec, grid: TimeGrid, count: int,
     increments: z sqrt(dt) for Brownian motion, the exact Gaussian
     transition mu + factor z for deterministic coefficients, and
     Euler-Maruyama sigma z sqrt(dt) with the volatility frozen between fine
-    nodes for stochastic volatility, whose drift, when given, is added by
-    the sequential Euler update.
+    nodes for stochastic volatility; the path is their cumulative sum.
     """
     if count < 1:
         raise ConfigError(f"path count must be >= 1, got {count}")
     sqrt_dt = np.sqrt(grid.fine_step)
     sigma = None
-    drift = None
     if isinstance(spec, BrownianMotion):
         def increments(i, z):
             return z * sqrt_dt
@@ -271,7 +268,6 @@ def simulate_paths(spec: ProcessSpec, grid: TimeGrid, count: int,
             return mu + np.einsum("jab,jb->ja", factor, z)
     elif isinstance(spec, StochVol):
         sigma = np.empty((count, grid.fine_count + 1))
-        drift = spec.drift
 
         def increments(i, z):
             sigma[i] = _volatility(spec, grid, master_seed, first_path_index + i)
@@ -290,13 +286,8 @@ def simulate_paths(spec: ProcessSpec, grid: TimeGrid, count: int,
             shifts[i] = spec.shift.sample(rng, d)
         dx = increments(i, rng.standard_normal((grid.fine_count, d)))
         x[i, 0] = x0
-        if drift is None:
-            np.cumsum(dx, axis=0, out=x[i, 1:])
-            x[i, 1:] += x0
-            continue
-        for j, t in enumerate(grid.fine_times[:-1]):
-            b = np.asarray(drift(t, x[i, j].copy()), float).reshape(d)
-            x[i, j + 1] = x[i, j] + b * grid.fine_step + dx[j]
+        np.cumsum(dx, axis=0, out=x[i, 1:])
+        x[i, 1:] += x0
     return PathBundle(grid, spec, master_seed, first_path_index, x, sigma, shifts)
 
 

@@ -1,9 +1,10 @@
 """Numerical Sobolev and Fourier-Lebesgue seminorms.
 
-The weighted frequency integrals are computed over geometric panels up to a
-frequency cap, with the per-panel node count scaled to the oscillation of the
-transform. The tail behaviour is estimated from the panel sums: slow decay
-raises a divergence flag, fast decay is extrapolated geometrically.
+The weighted frequency integrals of a function's closed-form transform are
+computed over geometric panels up to a frequency cap, with the per-panel node
+count scaled to the oscillation of the transform. The tail behaviour is
+estimated from the panel sums: slow decay raises a divergence flag, fast decay
+is extrapolated geometrically.
 """
 
 from __future__ import annotations
@@ -23,8 +24,12 @@ from .grids import gauss_legendre
 # each split into Gauss-Legendre subpanels of SUBPANEL_ORDER nodes. The tail
 # exponent is fitted over the last TAIL_FIT_PANELS panels above NEGLIGIBLE
 # times the largest; a fitted decay slower than u^-(1 + DIVERGENCE_EPS) is
-# flagged divergent.
-U_MAX = 1e4
+# flagged divergent. U_MAX / PANEL_START is a power of two: the geometric
+# tail beyond U_MAX assumes that every panel, the last included, is a full
+# octave, and it is added only while the integrand just below U_MAX is not
+# negligible: a transform that dies out inside the last octave (the top term
+# of a lacunary series) has none.
+U_MAX = 2.0 ** 13
 PANEL_START = 1.0
 MIN_NODES = 64
 SUBPANEL_ORDER = 256
@@ -55,46 +60,13 @@ def _panel_sum(integrand, a: float, b: float, nodes: int, order: int) -> float:
     return float(np.sum(half[:, None] * w[None, :] * vals))
 
 
-def _transform(f: TestFunction):
-    if f.fourier is not None:
-        return f.fourier
-    if f.integrable:
-        return _numeric_fourier(f)
-    raise CapabilityError(
-        f"{f.name}: no Fourier data and the function is not integrable")
-
-
-def _numeric_fourier(f: TestFunction, u_cap: float = 1.05e4):
-    """Discrete transform of an integrable function sampled on a wide grid."""
-    radius = f.support_radius if f.support_radius is not None else 16.0
-    # the wide margin doubles as zero padding, refining the frequency grid
-    # the transform is interpolated on
-    half = 8.0 * max(2.0 * radius, 16.0)
-    dx = math.pi / u_cap
-    n = 1 << math.ceil(math.log2(2.0 * half / dx))
-    x = (np.arange(n) - n // 2) * dx
-    samples = f.value(x).astype(complex)
-    # Ff(u_m) = dx * e^{i u_m x_0} * sum_k f(x_k) e^{2 pi i m k / N}
-    freqs = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-    spectrum = dx * np.exp(1j * freqs * x[0]) * np.conj(np.fft.fft(np.conj(samples)))
-    order = np.argsort(freqs)
-    grid_u = freqs[order]
-    grid_v = spectrum[order]
-
-    def transform(u):
-        u = np.asarray(u, float)
-        re = np.interp(u, grid_u, grid_v.real, left=0.0, right=0.0)
-        im = np.interp(u, grid_u, grid_v.imag, left=0.0, right=0.0)
-        return re + 1j * im
-
-    return transform
-
-
 def _weighted_integral(f: TestFunction, s: float, squared: bool):
     """Shared engine: integrand |Ff|^2 |u|^{2s} (squared) or |Ff| |u|^s,
     over both half-lines, as no symmetry of Ff is assumed. Returns (body,
     tail, divergent, fitted tail exponent)."""
-    transform = _transform(f)
+    transform = f.fourier
+    if transform is None:
+        raise CapabilityError(f"{f.name}: no closed-form Fourier transform")
     if squared:
         integrand = lambda u: ((np.abs(transform(u)) ** 2
                                 + np.abs(transform(-u)) ** 2) * u ** (2.0 * s))
@@ -109,7 +81,7 @@ def _weighted_integral(f: TestFunction, s: float, squared: bool):
     panels = []
     lo = PANEL_START
     while lo < U_MAX:
-        hi = min(2.0 * lo, U_MAX)
+        hi = 2.0 * lo
         nodes = max(MIN_NODES, int((hi - lo) * density))
         panels.append(_panel_sum(integrand, lo, hi, nodes, SUBPANEL_ORDER))
         lo = hi
@@ -134,7 +106,9 @@ def _weighted_integral(f: TestFunction, s: float, squared: bool):
     divergent = p_hat < 1.0 + DIVERGENCE_EPS
     tail = 0.0
     if not divergent and last == len(panels) - 1 and rho < 1.0:
-        tail = float(window[-1]) * rho / (1.0 - rho)
+        edge = float(np.max(integrand(U_MAX - np.arange(MIN_NODES) / density)))
+        if U_MAX * edge > NEGLIGIBLE * peak:
+            tail = float(window[-1]) * rho / (1.0 - rho)
     return body, tail, divergent, p_hat
 
 

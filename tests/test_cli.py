@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import occutime
 from occutime.cli import main
 
 STUDY_CFG = """\
@@ -159,6 +163,8 @@ def test_bad_override_exits_1(tmp_path, capsys):
              "[process] sigma0"),
             ("diagnostics", ("process.kind=stochvol", "process.eta=2"),
              "[process] eta"),
+            ("rate-study", ("process.dimension=-1",), "[process] dimension"),
+            ("rate-study", ("process.dimension=0",), "[process] dimension"),
             ("rate-study", mismatch, "[process] dimension"),
             ("efficiency", mismatch, "[process] dimension"),
             ("clt-check", mismatch, "[process] dimension")):
@@ -167,3 +173,14 @@ def test_bad_override_exits_1(tmp_path, capsys):
             args += ["--set", item]
         assert main(args) == 1, (command, overrides)
         assert key in capsys.readouterr().err, (command, overrides)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats dominates start-up time; only clt-check and the
+    # diagnostics trend statistic import it, when they run
+    src = str(Path(occutime.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, occutime.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from occutime import (
     ConfigError,
@@ -97,6 +98,22 @@ def test_power_singularity_blows_up_near_zero():
     assert f.value(np.array([0.0])) == 0.0
     with pytest.raises(ConfigError):
         power_singularity(1.5)
+
+
+@pytest.mark.parametrize("alpha, cutoff", [(0.3, 1.0), (0.1, 2.0)])
+@pytest.mark.parametrize("u", [0.0, 0.7, 5.0])
+def test_power_singularity_transform_against_quadrature(alpha, cutoff, u):
+    # Ff(u) = 2 int_0^inf x^-alpha exp(-x^2 / (2 c^2)) cos(u x) dx, with the
+    # x^-alpha singularity as an algebraic weight on [0, 1] and cos(u x) as
+    # an oscillatory weight beyond (the integrand is below 1e-80 past 20 c)
+    g = lambda x: math.exp(-0.5 * (x / cutoff) ** 2)
+    tol = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    near, _ = quad(lambda x: g(x) * math.cos(u * x), 0.0, 1.0,
+                   weight="alg", wvar=(-alpha, 0.0), **tol)
+    far, _ = quad(lambda x: x ** -alpha * g(x), 1.0, 20.0 * cutoff,
+                  weight="cos", wvar=u, **tol)
+    f = power_singularity(alpha, cutoff)
+    assert float(f.fourier(u)) == pytest.approx(2.0 * (near + far), rel=1e-10)
 
 
 def test_complex_exponential_is_unimodular():

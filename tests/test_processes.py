@@ -23,8 +23,7 @@ from occutime.processes import dump_paths_csv, path_rng
     DeterministicGaussian(dimension=1, drift=lambda t: np.array([t]),
                           diffusion=lambda t: np.array([[1.0 + t]])),
     StochVol(),
-    StochVol(drift=lambda t, x: -x),
-], ids=["brownian-2d-shift", "deterministic", "stochvol", "stochvol-drift"])
+], ids=["brownian-2d-shift", "deterministic", "stochvol"])
 def test_streams_independent_of_chunking(spec):
     grid = build_grid(1.0, 4, 8)
     whole = simulate_paths(spec, grid, 6, master_seed=99)
@@ -114,13 +113,6 @@ def test_stochvol_rejects_vanishing_volatility(kwargs):
 def test_uniform_shift_rejects_bad_width(width):
     with pytest.raises(ConfigError):
         UniformShift(width)
-
-
-def test_stochvol_drift_path():
-    spec = StochVol(drift=lambda t, x: -x)
-    grid = build_grid(1.0, 4, 4)
-    bundle = simulate_paths(spec, grid, 5, master_seed=11)
-    assert np.isfinite(bundle.x).all()
 
 
 def test_uniform_shift_sampled_once_per_path():

@@ -14,6 +14,7 @@ from occutime import (
     indicator,
     lacunary,
     identity,
+    power_singularity,
     sobolev_seminorm,
     tensor_product,
 )
@@ -41,11 +42,52 @@ def test_indicator_divergence_boundary():
     assert divergent.value == math.inf
 
 
+def test_indicator_fractional_closed_form():
+    # |F 1_[0,1](u)|^2 = 4 sin^2(u/2) / u^2, so its H^s seminorm squared is
+    # 4 Gamma(2s) sin(pi s) / (1 - 2s) for 0 < s < 1/2 (2 pi at s = 0)
+    s = 0.3
+    exact = math.sqrt(4.0 * math.gamma(2.0 * s) * math.sin(math.pi * s)
+                      / (1.0 - 2.0 * s))
+    r = sobolev_seminorm(indicator(0.0, 1.0), s)
+    assert r.value == pytest.approx(exact, rel=1e-5)
+
+
+@pytest.mark.parametrize("alpha, cutoff", [(0.3, 1.0), (0.1, 2.0)])
+def test_power_singularity_h0_plancherel(alpha, cutoff):
+    # by Plancherel, int |Ff|^2 du = 2 pi int |x|^(-2 alpha) exp(-x^2 / c^2) dx
+    r = sobolev_seminorm(power_singularity(alpha, cutoff), 0.0)
+    assert not r.divergent
+    assert r.value == pytest.approx(math.sqrt(
+        2.0 * math.pi * cutoff ** (1.0 - 2.0 * alpha)
+        * math.gamma(0.5 - alpha)), rel=1e-6)
+
+
+def test_power_singularity_fl0_divergent():
+    # |Ff(u)| ~ u^(alpha - 1) is not integrable
+    r = fourier_lebesgue_seminorm(power_singularity(0.3), 0.0)
+    assert r.divergent and r.value == math.inf
+
+
 def test_lacunary_divergence_boundary():
     # coefficients 2^(-j s_t) put the H^s membership boundary at s = s_t
     f = lacunary(1.0, J=10)
     assert not sobolev_seminorm(f, 0.7).divergent
     assert sobolev_seminorm(f, 1.3).divergent
+
+
+@pytest.mark.parametrize("s", [1.0, 1.1])
+def test_lacunary_finite_series_has_no_tail(s):
+    # the default series (J = 12) is a finite sum of Gaussian bumps at 2^j
+    # whose top term dies out inside the last octave below the frequency
+    # cap; the seminorm is the integral of its transform with no tail added
+    f = lacunary(1.2)
+    g = lambda u: abs(f.fourier(u)) ** 2 * u ** (2.0 * s)
+    edges = [0.0] + [2.0 ** j for j in range(1, 13)] + [2.0 ** 12 + 20.0]
+    half = sum(quad(g, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+    r = sobolev_seminorm(f, s)
+    assert not r.divergent
+    assert r.value == pytest.approx(math.sqrt(2.0 * half), rel=1e-10)
 
 
 def test_scale_equivariance():
@@ -64,14 +106,6 @@ def test_hat_h1_matches_derivative_energy():
     # the 1/(2 pi) normalization)
     r = sobolev_seminorm(hat(), 1.0)
     assert r.value == pytest.approx(math.sqrt(4.0 * math.pi), rel=1e-4)
-
-
-def test_numeric_transform_fallback():
-    # same function as gaussian_bump but with the closed form withheld
-    f = TestFunction("bump_numeric", lambda x: np.exp(-0.5 * np.asarray(x) ** 2),
-                     support_radius=8.0)
-    r = sobolev_seminorm(f, 1.0)
-    assert r.value == pytest.approx(math.pi ** 0.75, rel=1e-4)
 
 
 def test_non_integrable_without_transform_rejected():
