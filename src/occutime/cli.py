@@ -90,6 +90,37 @@ def _finite_or_null(v):
     return v
 
 
+def _documented_nonfinite(key: str, record: dict, tables: dict) -> bool:
+    """Whether a nan or inf is one of the documented values: the slope of a
+    fit that was not run (degenerate or single resolution), the value of a
+    seminorm flagged divergent, and the Kendall trend of a frequency whose
+    ``g_hat`` does not vary over n (a single n, or u = 0)."""
+    if key == "slope":
+        return "slope_se" not in record
+    if key.endswith("value") and record.get(key[:-5] + "divergent") is True:
+        return True
+    if key in ("kendall_tau", "p_value") and "u" in record:
+        column = {r["g_hat"] for r in tables.get("g_decay", ())
+                  if r["u"] == record["u"]}
+        return len(column) <= 1
+    return False
+
+
+def _first_nonfinite(tables: dict, summary: dict) -> str | None:
+    """Where the first nan or inf of a result sits, unless documented."""
+    records = [(f"{name}.csv row {i + 1}", row)
+               for name, rows in tables.items() for i, row in enumerate(rows)]
+    records.append(("summary", summary))
+    records += [(f"summary.{k}", v) for k, v in summary.items()
+                if isinstance(v, dict)]
+    for where, record in records:
+        for key, value in record.items():
+            if (isinstance(value, float) and not math.isfinite(value)
+                    and not _documented_nonfinite(key, record, tables)):
+                return f"{where}, key {key!r} is {value}"
+    return None
+
+
 def _write_artifacts(out_dir: Path, command: str, cfg: ResolvedConfig,
                      seed: int, tables: dict, summary: dict,
                      runtime: float) -> None:
@@ -200,6 +231,11 @@ def main(argv=None) -> int:
     except (SimulationError, CapabilityError, FloatingPointError,
             ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    bad = _first_nonfinite(result["tables"], result["summary"])
+    if bad is not None:
+        print(f"numerical failure: non-finite result in {bad}",
+              file=sys.stderr)
         return 2
     _write_artifacts(out_dir, args.subcommand, cfg, result["seed"],
                      result["tables"], result["summary"], result["runtime"])

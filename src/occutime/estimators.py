@@ -3,6 +3,12 @@
 All estimators consume only coarse-grid data; the fine-grid reference value
 is the ground-truth surrogate. Time is the last sample axis, so every
 function works on single paths and on ensembles alike.
+
+The bridge (conditional-expectation) estimator needs a Brownian X. Its
+space integral is the function family's closed-form Gaussian expectation
+where one exists (``gaussian_bump``, ``hat``, ``lacunary``, ``indicator``,
+``complex_exponential``) and 32-node Gauss-Hermite otherwise, which is
+exact for ``identity``, ``quadratic`` and ``constant``.
 """
 
 from __future__ import annotations
@@ -76,8 +82,8 @@ def bridge_conditional_estimate(f: TestFunction, coarse_x: np.ndarray,
 
     Per coarse interval the time integral uses Gauss-Legendre; the space
     integral against the bridge marginal N(linear interpolation,
-    tau (1 - tau) step) uses Gauss-Hermite, or the function's
-    closed-form Gaussian expectation when it has one (e.g. indicators).
+    tau (1 - tau) step) uses the function's closed-form Gaussian
+    expectation when it has one, Gauss-Hermite otherwise.
     ``coarse_x`` holds raw observations X_{t_k}, time on the last axis for
     d = 1, or shape (..., n + 1, d) with a tensor-product f for d >= 2.
     """
@@ -105,8 +111,8 @@ def bridge_conditional_estimate(f: TestFunction, coarse_x: np.ndarray,
         return np.zeros(coarse_x.shape[:-2])
     # independent coordinates under the Brownian bridge: the conditional
     # expectation of the product factorizes per coordinate inside the
-    # time quadrature; one time node at a time keeps the space quadrature
-    # at (..., k, BRIDGE_SPACE_NODES) points
+    # time quadrature; one time node at a time keeps the Gauss-Hermite
+    # fallback at (..., k, BRIDGE_SPACE_NODES) points
     left = coarse_x[..., :k, :]
     step = coarse_x[..., 1:k + 1, :] - left
 

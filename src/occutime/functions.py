@@ -85,6 +85,15 @@ def gaussian_mean(f: TestFunction, mean, var, order: int) -> np.ndarray:
     return f.value(points) @ weights / np.sqrt(np.pi)
 
 
+def _ramp_mean(d, sd):
+    """E max(d + sd Z, 0) for a standard normal Z, elementwise; max(d, 0)
+    where sd = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = d / sd
+        out = d * ndtr(z) + sd * np.exp(-0.5 * z * z) / SQRT_2PI
+    return np.where(sd > 0, out, np.maximum(d, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # registered one-dimensional families
 
@@ -97,6 +106,9 @@ def gaussian_bump() -> TestFunction:
         gradient=lambda x: -np.asarray(x, float) * np.exp(-0.5 * np.asarray(x, float) ** 2),
         fourier=lambda u: SQRT_2PI * np.exp(-0.5 * np.asarray(u, float) ** 2),
         osc_scale=1.0,
+        # E exp(-N(mu, v)^2 / 2) = exp(-mu^2 / (2 (1 + v))) / sqrt(1 + v)
+        gaussian_expectation=lambda mu, var: (
+            np.exp(-0.5 * mu * mu / (1.0 + var)) / np.sqrt(1.0 + var)),
     )
 
 
@@ -117,7 +129,14 @@ def hat() -> TestFunction:
             out = 2.0 * (1.0 - np.cos(u)) / u ** 2
         return np.where(np.abs(u) < 1e-8, 1.0 - u ** 2 / 12.0, out)
 
-    return TestFunction("hat", value, grad, fourier, osc_scale=2.0)
+    def gauss_expect(mu, var):
+        # hat = r(x + 1) - 2 r(x) + r(x - 1) with the ramp r(y) = max(y, 0)
+        sd = np.sqrt(np.maximum(var, 0.0))
+        return (_ramp_mean(mu + 1.0, sd) - 2.0 * _ramp_mean(mu, sd)
+                + _ramp_mean(mu - 1.0, sd))
+
+    return TestFunction("hat", value, grad, fourier, osc_scale=2.0,
+                        gaussian_expectation=gauss_expect)
 
 
 def indicator(a: float, b: float) -> TestFunction:
@@ -154,6 +173,8 @@ def power_singularity(alpha: float, cutoff: float = 1.0) -> TestFunction:
     """|x|^(-alpha) localized by a smooth bump of width ``cutoff``."""
     if not 0 < alpha < 1:
         raise ConfigError("power singularity needs 0 < alpha < 1 in d = 1")
+    if not cutoff > 0:
+        raise ConfigError(f"power singularity needs cutoff > 0, got {cutoff}")
 
     def value(x):
         x = np.asarray(x, float)
@@ -244,8 +265,22 @@ def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
         shifted = 0.5 * (fw(np.subtract.outer(u, freqs)) + fw(np.add.outer(u, freqs)))
         return np.tensordot(shifted, coeffs, axes=(-1, 0))
 
+    # E[w(X) cos(f X)] for X ~ N(mu, v) is, with shrink = c2 / (c2 + v),
+    # sqrt(shrink) exp(-mu^2 / (2 (c2 + v))) exp(-f^2 v shrink / 2)
+    # cos(f mu shrink); the levels accumulate one at a time, as in the
+    # value kernel
+    def gauss_expect(mu, var):
+        shrink = c2 / (c2 + var)
+        damp = -0.5 * var * shrink
+        phase = mu * shrink
+        acc = np.zeros(np.shape(phase))
+        for fj, cj in zip(freqs, coeffs):
+            acc += cj * np.exp(damp * (fj * fj)) * np.cos(phase * fj)
+        return np.sqrt(shrink) * np.exp(-0.5 * mu * mu / (c2 + var)) * acc
+
     return TestFunction(f"lacunary(s={s},J={J})", value, grad, fourier,
-                        osc_scale=4.0 * cutoff)
+                        osc_scale=4.0 * cutoff,
+                        gaussian_expectation=gauss_expect)
 
 
 def complex_exponential(u: float) -> TestFunction:

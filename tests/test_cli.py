@@ -152,6 +152,8 @@ def test_bad_override_exits_1(tmp_path, capsys):
              "[function] descriptor"),
             ("norms", ("norms.s=nan",), "[norms] s"),
             ("norms", ("norms.s=-0.5",), "[norms] s"),
+            ("norms", ("function.descriptor=power_singularity(alpha=0.3,"
+                       "cutoff=0)",), "[function] descriptor"),
             ("diagnostics", ("study.u_list=1,nan",), "[study] u_list"),
             ("diagnostics", ("process.x0=nan",), "[process] x0"),
             ("rate-study", ("process.x0=inf",), "[process] x0"),
@@ -173,6 +175,33 @@ def test_bad_override_exits_1(tmp_path, capsys):
             args += ["--set", item]
         assert main(args) == 1, (command, overrides)
         assert key in capsys.readouterr().err, (command, overrides)
+
+
+def test_non_finite_result_exits_2(tmp_path, capsys):
+    # 2^(100 j) coefficients overflow the series; no table may carry the nan
+    cfg = _write(tmp_path, STUDY_CFG)
+    rc = main(["rate-study", "--config", cfg, "--out", str(tmp_path / "nan"),
+               "--set", "function.descriptor=lacunary(s=-100,J=12)",
+               "--set", "study.n_list=8,16"])
+    assert rc == 2
+    assert "rates.csv" in capsys.readouterr().err
+
+
+def test_documented_non_finite_values_exit_0(tmp_path):
+    # the Kendall trend is nan for a single n and for u = 0, where g_hat is
+    # 0 at every n; the hat's Fourier-Lebesgue H^1 seminorm diverges
+    cfg = _write(tmp_path, STUDY_CFG)
+    for n_list, nans in (("8", 4), ("8,16", 2)):
+        out = tmp_path / f"d{nans}"
+        assert main(["diagnostics", "--config", cfg, "--out", str(out),
+                     "--set", f"study.n_list={n_list}",
+                     "--set", "study.u_list=0,1", "--set", "study.paths=100",
+                     "--set", "study.refine=4"]) == 0
+        assert (out / "g_trend.csv").read_text().count("nan") == nans
+    norms = _write(tmp_path, NORMS_CFG, "norms.cfg")
+    assert main(["norms", "--config", norms, "--out", str(tmp_path / "n"),
+                 "--set", "function.descriptor=hat"]) == 0
+    assert "inf,true" in (tmp_path / "n" / "norms.csv").read_text()
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

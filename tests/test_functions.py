@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from occutime.functions import gaussian_mean
 from occutime import (
     ConfigError,
     complex_exponential,
@@ -86,6 +87,52 @@ def test_indicator_gaussian_expectation_oracle():
     assert float(f.gaussian_expectation(np.array(2.0), np.array(0.0))) == 0.0
 
 
+# (mu, v) points where 32-node Gauss-Hermite misses the kinks of the hat
+# and the high frequencies of the lacunary series; v = 0 is a point value
+KINK_POINTS = [(0.03, 1 / 2048), (-0.99, 1 / 128), (1.2, 0.05), (0.4, 0.0)]
+
+
+def _normal_density(mu, v):
+    norm = math.sqrt(2 * math.pi * v)
+    return lambda x: math.exp(-0.5 * (x - mu) ** 2 / v) / norm
+
+
+@pytest.mark.parametrize("mu, v", KINK_POINTS)
+@pytest.mark.parametrize("factory, formula", [
+    (gaussian_bump, lambda x: math.exp(-0.5 * x * x)),
+    (hat, lambda x: max(0.0, 1.0 - abs(x)))], ids=["bump", "hat"])
+def test_gaussian_expectation_against_quadrature(factory, formula, mu, v):
+    got = float(gaussian_mean(factory(), np.array(mu), v, 32))
+    if v == 0:
+        assert got == pytest.approx(formula(mu), abs=1e-12)
+        return
+    rho, sd = _normal_density(mu, v), math.sqrt(v)
+    lo, hi = mu - 40 * sd, mu + 40 * sd
+    kinks = [p for p in (-1.0, 0.0, 1.0) if lo < p < hi]    # the hat's
+    want, _ = quad(lambda x: formula(x) * rho(x), lo, hi, points=kinks,
+                   epsabs=1e-14, epsrel=1e-12, limit=200)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu, v", KINK_POINTS)
+def test_lacunary_gaussian_expectation_against_quadrature(mu, v):
+    # term by term, each cos(2^j x) as the oscillatory weight of quad
+    s, J, cutoff = 1.2, 12, 3.0
+    f = lacunary(s, J=J, cutoff=cutoff)
+    got = float(gaussian_mean(f, np.array(mu), v, 32))
+    w = lambda x: math.exp(-0.5 * (x / cutoff) ** 2)
+    if v == 0:
+        want = w(mu) * sum(2.0 ** (-j * s) * math.cos(2.0 ** j * mu)
+                           for j in range(1, J + 1))
+    else:
+        rho, sd = _normal_density(mu, v), math.sqrt(v)
+        want = sum(2.0 ** (-j * s) * quad(
+            lambda x: w(x) * rho(x), mu - 40 * sd, mu + 40 * sd,
+            weight="cos", wvar=2.0 ** j, epsabs=1e-14, epsrel=1e-12,
+            limit=400)[0] for j in range(1, J + 1))
+    assert got == pytest.approx(want, abs=1e-12)
+
+
 def test_indicator_requires_ordered_endpoints():
     with pytest.raises(ConfigError):
         indicator(1.0, 1.0)
@@ -98,6 +145,8 @@ def test_power_singularity_blows_up_near_zero():
     assert f.value(np.array([0.0])) == 0.0
     with pytest.raises(ConfigError):
         power_singularity(1.5)
+    with pytest.raises(ConfigError, match="cutoff"):
+        power_singularity(0.3, cutoff=0.0)
 
 
 @pytest.mark.parametrize("alpha, cutoff", [(0.3, 1.0), (0.1, 2.0)])
