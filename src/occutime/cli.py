@@ -177,6 +177,9 @@ def _run_simulate(cfg: ResolvedConfig, seed_override, threads, out_dir) -> dict:
 
 def _run_norms(cfg: ResolvedConfig, seed_override, threads, out_dir) -> dict:
     f = build_function(cfg)
+    if f.fourier is None:
+        raise ConfigError(f"[function] descriptor: norms needs a closed-form "
+                          f"Fourier transform; {f.name} has none")
     s = cfg.number("norms", "s", "1.0")
     which = cfg.get("norms", "norm", "both").strip().lower()
     if which not in ("sobolev", "fourier_lebesgue", "both"):

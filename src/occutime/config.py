@@ -217,5 +217,7 @@ def build_study(cfg: ResolvedConfig, kind: str, seed_override: int | None = None
     )
     try:
         return StudyConfig(**values)
-    except ConfigError as exc:      # its messages open with the key's name
-        raise ConfigError(f"[study] {exc}") from exc
+    except ConfigError as exc:      # its messages open with the key's name,
+        text = str(exc)             # in [study] unless a section is named
+        raise ConfigError(text if text.startswith("[")
+                          else f"[study] {text}") from exc

@@ -5,10 +5,8 @@ is the ground-truth surrogate. Time is the last sample axis, so every
 function works on single paths and on ensembles alike.
 
 The bridge (conditional-expectation) estimator needs a Brownian X. Its
-space integral is the function family's closed-form Gaussian expectation
-where one exists (``gaussian_bump``, ``hat``, ``lacunary``, ``indicator``,
-``complex_exponential``) and 32-node Gauss-Hermite otherwise, which is
-exact for ``identity``, ``quadratic`` and ``constant``.
+space integral is the function family's closed-form Gaussian expectation,
+which every registered family and every tensor product of them carries.
 """
 
 from __future__ import annotations
@@ -20,10 +18,8 @@ from .functions import TestFunction, gaussian_mean
 from .grids import TimeGrid, gauss_legendre
 from .processes import BrownianMotion
 
-# Gauss-Legendre nodes in time and Gauss-Hermite nodes in space per coarse
-# interval of the bridge estimator
+# Gauss-Legendre nodes in time per coarse interval of the bridge estimator
 BRIDGE_TIME_NODES = 8
-BRIDGE_SPACE_NODES = 32
 
 
 def _check_samples(values: np.ndarray, needed: int, what: str) -> None:
@@ -82,10 +78,9 @@ def bridge_conditional_estimate(f: TestFunction, coarse_x: np.ndarray,
 
     Per coarse interval the time integral uses Gauss-Legendre; the space
     integral against the bridge marginal N(linear interpolation,
-    tau (1 - tau) step) uses the function's closed-form Gaussian
-    expectation when it has one, Gauss-Hermite otherwise.
-    ``coarse_x`` holds raw observations X_{t_k}, time on the last axis for
-    d = 1, or shape (..., n + 1, d) with a tensor-product f for d >= 2.
+    tau (1 - tau) step I) is the function's closed-form Gaussian
+    expectation. ``coarse_x`` holds raw observations X_{t_k}, time on the
+    last axis for d = 1, or shape (..., n + 1, d) for d >= 2.
     """
     if spec is not None and not isinstance(spec, BrownianMotion):
         raise CapabilityError(
@@ -94,34 +89,17 @@ def bridge_conditional_estimate(f: TestFunction, coarse_x: np.ndarray,
     t = grid.horizon if t is None else t
     coarse_x = np.asarray(coarse_x, float)
     k = grid.coarse_index(t)
-    tau, tw = gauss_legendre(BRIDGE_TIME_NODES, unit=True)
-    var = tau * (1.0 - tau) * grid.coarse_step
-
     if f.dimension == 1:
-        coarse_x, factors = coarse_x[..., None], (f,)
-    elif f.components is None:
-        raise CapabilityError(
-            "bridge estimator in d >= 2 needs a tensor-product function")
+        coarse_x = coarse_x[..., None]
     elif coarse_x.ndim < 2 or coarse_x.shape[-1] != f.dimension:
         raise ConfigError("coarse_x must have shape (..., n + 1, d)")
-    else:
-        factors = f.components
     _check_samples(coarse_x[..., 0], k + 1, "bridge_conditional_estimate")
     if k == 0:
         return np.zeros(coarse_x.shape[:-2])
-    # independent coordinates under the Brownian bridge: the conditional
-    # expectation of the product factorizes per coordinate inside the
-    # time quadrature; one time node at a time keeps the Gauss-Hermite
-    # fallback at (..., k, BRIDGE_SPACE_NODES) points
-    left = coarse_x[..., :k, :]
-    step = coarse_x[..., 1:k + 1, :] - left
-
-    def at_node(q):                                 # (..., k)
-        out = 1.0
-        for i, fun in enumerate(factors):
-            mean = left[..., i] + tau[q] * step[..., i]
-            out = out * gaussian_mean(fun, mean, var[q], BRIDGE_SPACE_NODES)
-        return out
-
-    expect = np.stack([at_node(q) for q in range(BRIDGE_TIME_NODES)], axis=-1)
+    tau, tw = gauss_legendre(BRIDGE_TIME_NODES, unit=True)
+    left = coarse_x[..., :k, None, :]
+    step = coarse_x[..., 1:k + 1, None, :] - left
+    mean = left + tau[:, None] * step               # (..., k, nodes, d)
+    expect = gaussian_mean(f, mean[..., 0] if f.dimension == 1 else mean,
+                           tau * (1.0 - tau) * grid.coarse_step)
     return grid.coarse_step * (expect @ tw).sum(axis=-1)

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError
+from .errors import ConfigError
 from .estimators import (
     bridge_conditional_estimate,
     reference_value,
@@ -32,8 +32,9 @@ from .estimators import (
 from .functions import TestFunction, eval_on_path
 from .fourier import compute_E, compute_F, decompose, g_decay_probe
 from .grids import build_grid
-from .limits import LowerBound, gradient_energy, mean_se, root_mean_se
-from .processes import BrownianMotion, ProcessSpec, simulate_paths
+from .limits import gradient_energy, mean_se, root_mean_se
+from .processes import (BrownianMotion, DeterministicGaussian, ProcessSpec,
+                        simulate_paths)
 
 ESTIMATOR_NAMES = ("riemann", "trapezoid", "bridge")
 DEGENERATE_RMS = 1e-12
@@ -88,6 +89,24 @@ class StudyConfig:
             if name not in ESTIMATOR_NAMES:
                 raise ConfigError(f"estimators: unknown {name!r}; "
                                   f"choose from {ESTIMATOR_NAMES}")
+        # studies the process or the function cannot support; these
+        # messages name a key outside [study], except for the bridge
+        process = type(self.spec).__name__
+        brownian = isinstance(self.spec, BrownianMotion)
+        if self.kind in ("clt", "efficiency") and not self.function.gradient:
+            raise ConfigError(f"[function] descriptor: the {self.kind} study "
+                              f"needs a gradient; {self.function.name} has none")
+        if self.kind == "efficiency" and not brownian:
+            raise ConfigError(f"[process] kind: the efficiency study needs "
+                              f"Brownian motion, got {process}")
+        if self.kind == "diagnostics" and not (
+                brownian or isinstance(self.spec, DeterministicGaussian)):
+            raise ConfigError(f"[process] kind: diagnostics needs a Gaussian "
+                              f"process, got {process}")
+        if self.kind == "rate" and "bridge" in self.estimators and (
+                not brownian):
+            raise ConfigError(f"estimators: the bridge estimator needs "
+                              f"Brownian motion, got {process}")
 
     @property
     def eval_time(self) -> float:
@@ -265,9 +284,6 @@ def clt_check(cfg: StudyConfig) -> StudyReport:
     and compared with the standard normal (Kolmogorov-Smirnov); scaled
     Riemann errors are compared with the realized endpoint bias.
     """
-    if cfg.function.gradient is None:
-        raise CapabilityError(
-            f"clt check needs a gradient; {cfg.function.name} has none")
     started = time.perf_counter()
     f = cfg.function
     t = cfg.eval_time
@@ -311,11 +327,6 @@ def clt_check(cfg: StudyConfig) -> StudyReport:
 
 def efficiency_study(cfg: StudyConfig) -> StudyReport:
     """Scaled RMS per estimator against the minimal asymptotic constant."""
-    if not isinstance(cfg.spec, BrownianMotion):
-        raise ConfigError("efficiency study requires a Brownian specification")
-    if cfg.function.gradient is None:
-        raise CapabilityError(
-            f"efficiency study needs a gradient; {cfg.function.name} has none")
     started = time.perf_counter()
     f = cfg.function
     t = cfg.eval_time
@@ -336,8 +347,7 @@ def efficiency_study(cfg: StudyConfig) -> StudyReport:
                          "scaled_rms": st["rms"], "scaled_rms_se": st["rms_se"]})
             if n == top:
                 scaled_at_top[name] = (st["rms"], st["rms_se"])
-    bound = LowerBound.from_integrals(stats["grad_energy"])
-    lower, lower_se = bound.value, bound.stderr
+    lower, lower_se = root_mean_se(stats["grad_energy"])
 
     summary = {"lower_bound": lower, "lower_bound_se": lower_se}
     if "trapezoid" in scaled_at_top and lower > 0:

@@ -1,10 +1,12 @@
 """Frequency-domain decomposition of the quadrature error.
 
-For Gaussian process specifications the conditional expectations entering the
-martingale/drift split of the error are available in closed form through the
-conditional characteristic function. This module assembles the split, the
-endpoint sum E, the weighted drift/diffusion integrals F1/F2, and an
-empirical probe of the decay of their normalized second moments.
+For Gaussian process specifications the conditional law of X_r given
+F_{t_k} is normal, so the conditional expectations entering the
+martingale/drift split of the error are the function's closed-form Gaussian
+expectations (``gaussian_mean``), and F1/F2 follow from the conditional
+characteristic function. This module assembles the split, the endpoint sum
+E, the weighted drift/diffusion integrals F1/F2, and an empirical probe of
+the decay of their normalized second moments.
 
 All of these read one deterministic node table (``_interval_nodes``): the
 mean and variance of X_r - X_{t_k} at the Gauss-Legendre times r of every
@@ -108,15 +110,6 @@ def _setup(bundle: PathBundle, t: float | None, what: str):
     return _interval_nodes(bundle.spec, grid, K), y
 
 
-def _cond_expectation(f: TestFunction, mean, var) -> np.ndarray:
-    """E[f(N(mean, var))], elementwise; mean holds Y_{t0} plus the drift."""
-    if f.gaussian_expectation is None and f.gradient is None:
-        raise CapabilityError(
-            f"conditional expectations need a closed-form Gaussian expectation "
-            f"or a gradient; {f.name} has neither")
-    return gaussian_mean(f, mean, var, 64)
-
-
 @dataclass(frozen=True)
 class DecompositionTrace:
     """Martingale/drift split of the realized Riemann error at time t, one
@@ -142,7 +135,7 @@ def decompose(f: TestFunction, bundle: PathBundle,
     nodes, y = _setup(bundle, t, "decompose")
     grid = bundle.grid
     fy = f.value(bundle.observed()[:, :, 0])
-    cond = _cond_expectation(f, y[:, :-1, None] + nodes.mean, nodes.var)
+    cond = gaussian_mean(f, y[:, :-1, None] + nodes.mean, nodes.var)
     cond_int = grid.coarse_step * (cond @ nodes.tw).sum(axis=1)
     return DecompositionTrace(
         grid.horizon if t is None else t,
@@ -154,7 +147,7 @@ def compute_E(f: TestFunction, bundle: PathBundle, t: float | None = None) -> np
     """(step / 2) sum_k E[f(Y_{t_k}) - f(Y_{t_{k-1}}) | F_{t_{k-1}}]."""
     nodes, y = _setup(bundle, t, "compute_E")
     left = y[:, :-1]
-    ce = _cond_expectation(f, left + nodes.mean_end, nodes.var_end)
+    ce = gaussian_mean(f, left + nodes.mean_end, nodes.var_end)
     return 0.5 * bundle.grid.coarse_step * (ce - f.value(left)).sum(axis=1)
 
 

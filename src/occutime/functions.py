@@ -1,8 +1,11 @@
-"""Test function families with their gradients and Fourier data.
+"""Test function families with their gradients, Fourier data and Gaussian
+expectations.
 
 All members use the convention Ff(u) = int f(x) exp(i<u, x>) dx. One
 dimensional families take plain arrays; multi-dimensional functions are
-tensor products and take arrays with a trailing coordinate axis.
+tensor products and take arrays with a trailing coordinate axis. Every
+registered family carries E[f(N(mu, v))] in closed form, which is the only
+way ``gaussian_mean`` computes it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 from scipy.special import gamma, hyp1f1, ndtr
 
 from .errors import CapabilityError, ConfigError
-from .grids import gauss_hermite
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 BLOCK = 2 ** 14     # points per block of the lacunary kernel
@@ -33,7 +35,7 @@ class TestFunction:
     fourier: Callable | None = None
     osc_scale: float = 1.0               # node density hint for u-quadrature
     dimension: int = 1
-    gaussian_expectation: Callable | None = None  # (mu, var) -> E[f(N(mu, var))]
+    gaussian_expectation: Callable | None = None  # (mu, var) -> E[f(N(mu, var I))]
     components: tuple | None = None      # tensor product factors
 
     def __repr__(self):  # avoid dumping callables
@@ -72,17 +74,16 @@ def eval_on_path(f: TestFunction, bundle, gradient: bool = False):
     return vals, fn_gradient(f, y)
 
 
-def gaussian_mean(f: TestFunction, mean, var, order: int) -> np.ndarray:
-    """E[f(N(mean, var))] elementwise for one-dimensional f, with var
-    broadcast against mean: f's closed form when it has one, Gauss-Hermite
-    with ``order`` nodes otherwise."""
+def gaussian_mean(f: TestFunction, mean, var) -> np.ndarray:
+    """E[f(N(mean, var I))] elementwise from f's closed form, with var
+    broadcast against mean (against mean without its trailing coordinate
+    axis for d >= 2)."""
+    if f.gaussian_expectation is None:
+        raise CapabilityError(
+            f"{f.name} has no closed-form Gaussian expectation")
     mean = np.asarray(mean)
-    if f.gaussian_expectation is not None:
-        return f.gaussian_expectation(mean, np.broadcast_to(var, mean.shape))
-    nodes, weights = gauss_hermite(order)
-    scale = np.sqrt(np.maximum(2.0 * np.asarray(var), 0.0))
-    points = mean[..., None] + scale[..., None] * nodes
-    return f.value(points) @ weights / np.sqrt(np.pi)
+    shape = mean.shape if f.dimension == 1 else mean.shape[:-1]
+    return f.gaussian_expectation(mean, np.broadcast_to(var, shape))
 
 
 def _ramp_mean(d, sd):
@@ -191,8 +192,22 @@ def power_singularity(alpha: float, cutoff: float = 1.0) -> TestFunction:
         u = np.asarray(u, float)
         return scale * hyp1f1(a, 0.5, -0.5 * (cutoff * u) ** 2)
 
+    # The localizer times the N(mu, v) density is sqrt(k) exp(-mu^2 /
+    # (2 (c^2 + v))) times the N(k mu, k v) density, k = c^2 / (c^2 + v);
+    # E|N(m, s2)|^-alpha = (2 s2)^(-alpha/2) Gamma(a) / sqrt(pi)
+    # 1F1(alpha/2; 1/2; -m^2 / (2 s2)) (Winkelbauer 2012, arXiv:1209.4340)
+    moment = gamma(a) / math.sqrt(math.pi)
+
+    def gauss_expect(mu, var):
+        k = cutoff ** 2 / (cutoff ** 2 + var)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (np.sqrt(k) * np.exp(-0.5 * mu * mu / (cutoff ** 2 + var))
+                   * (2.0 * k * var) ** (-0.5 * alpha) * moment
+                   * hyp1f1(0.5 * alpha, 0.5, -0.5 * k * mu * mu / var))
+        return np.where(var > 0, out, value(mu))
+
     return TestFunction(f"power_singularity({alpha})", value, None, fourier,
-                        osc_scale=1.0)
+                        osc_scale=1.0, gaussian_expectation=gauss_expect)
 
 
 def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
@@ -301,19 +316,23 @@ def complex_exponential(u: float) -> TestFunction:
 
 def identity() -> TestFunction:
     return TestFunction("identity", lambda x: np.asarray(x, float) + 0.0,
-                        gradient=lambda x: np.ones_like(np.asarray(x, float)))
+                        gradient=lambda x: np.ones_like(np.asarray(x, float)),
+                        gaussian_expectation=lambda mu, var: mu + 0.0 * var)
 
 
 def quadratic() -> TestFunction:
     return TestFunction("quadratic", lambda x: np.asarray(x, float) ** 2,
-                        gradient=lambda x: 2.0 * np.asarray(x, float))
+                        gradient=lambda x: 2.0 * np.asarray(x, float),
+                        gaussian_expectation=lambda mu, var: mu * mu + var)
 
 
 def constant(c: float = 1.0) -> TestFunction:
     c = float(c)
     return TestFunction(f"constant({c})",
                         lambda x: np.full(np.shape(np.asarray(x)), c),
-                        gradient=lambda x: np.zeros_like(np.asarray(x, float)))
+                        gradient=lambda x: np.zeros_like(np.asarray(x, float)),
+                        gaussian_expectation=lambda mu, var: np.full(
+                            np.broadcast(mu, var).shape, c))
 
 
 def tensor_product(factors) -> TestFunction:
@@ -325,14 +344,20 @@ def tensor_product(factors) -> TestFunction:
         raise ConfigError("tensor factors must be one-dimensional")
     d = len(factors)
 
-    def value(x):
-        x = np.asarray(x)
-        out = factors[0].value(x[..., 0])
-        for i in range(1, d):
-            out = out * factors[i].value(x[..., i])
-        return out
+    def product(attr):
+        """Product over the coordinates of the factors' ``attr``, or None
+        when a factor lacks it; value, transform and the expectation under
+        N(mu, var I) all separate so."""
+        if any(getattr(f, attr) is None for f in factors):
+            return None
 
-    has_grad = all(f.gradient is not None for f in factors)
+        def call(x, *args):
+            x = np.asarray(x)
+            out = getattr(factors[0], attr)(x[..., 0], *args)
+            for i in range(1, d):
+                out = out * getattr(factors[i], attr)(x[..., i], *args)
+            return out
+        return call
 
     def grad(x):
         x = np.asarray(x, float)
@@ -347,19 +372,11 @@ def tensor_product(factors) -> TestFunction:
             out[..., i] = g * others
         return out
 
-    has_fourier = all(f.fourier is not None for f in factors)
-
-    def fourier(u):
-        u = np.asarray(u, float)
-        out = factors[0].fourier(u[..., 0])
-        for i in range(1, d):
-            out = out * factors[i].fourier(u[..., i])
-        return out
-
     return TestFunction(
         "tensor(" + ",".join(f.name for f in factors) + ")",
-        value, grad if has_grad else None, fourier if has_fourier else None,
-        osc_scale=max(f.osc_scale for f in factors), dimension=d,
+        product("value"), grad if all(f.gradient for f in factors) else None,
+        product("fourier"), osc_scale=max(f.osc_scale for f in factors),
+        dimension=d, gaussian_expectation=product("gaussian_expectation"),
         components=factors)
 
 

@@ -1,4 +1,5 @@
-"""Observation and simulation time grids, and the shared quadrature nodes."""
+"""Observation and simulation time grids, and the shared Gauss-Legendre
+nodes."""
 
 from __future__ import annotations
 
@@ -83,10 +84,3 @@ def gauss_legendre(order: int, unit: bool = False) -> tuple[np.ndarray, np.ndarr
     ``unit``. Cached and shared, hence read-only."""
     y, w = np.polynomial.legendre.leggauss(order)
     return _read_only((0.5 * (y + 1.0), 0.5 * w) if unit else (y, w))
-
-
-@lru_cache(maxsize=16)
-def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights for the weight exp(-x^2). Cached and
-    shared, hence read-only."""
-    return _read_only(np.polynomial.hermite.hermgauss(order))

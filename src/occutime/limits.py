@@ -104,15 +104,10 @@ class LowerBound:
     value: float
     stderr: float
 
-    @classmethod
-    def from_integrals(cls, integrals: np.ndarray) -> LowerBound:
-        """Square root of the mean of per-path gradient energies, with its
-        delta-method standard error."""
-        return cls(*root_mean_se(integrals))
-
 
 def lower_bound_constant(f: TestFunction, bundle: PathBundle) -> LowerBound:
     """Monte Carlo estimate of E[(1/12) int_0^T |sigma^T grad f(Y_t)|^2 dt]^(1/2),
-    the minimal asymptotic L^2 constant over coarse-grid estimators."""
-    return LowerBound.from_integrals(
-        gradient_energy(bundle, fn_gradient(f, bundle.observed())))
+    the minimal asymptotic L^2 constant over coarse-grid estimators, with
+    its delta-method standard error."""
+    return LowerBound(*root_mean_se(
+        gradient_energy(bundle, fn_gradient(f, bundle.observed()))))

@@ -21,14 +21,17 @@ from .grids import gauss_legendre
 
 # Frequency quadrature: a head panel [0, PANEL_START], then octave panels up
 # to U_MAX with at least MIN_NODES nodes (more for oscillating transforms),
-# each split into Gauss-Legendre subpanels of SUBPANEL_ORDER nodes. The tail
-# exponent is fitted over the last TAIL_FIT_PANELS panels above NEGLIGIBLE
-# times the largest; a fitted decay slower than u^-(1 + DIVERGENCE_EPS) is
-# flagged divergent. U_MAX / PANEL_START is a power of two: the geometric
-# tail beyond U_MAX assumes that every panel, the last included, is a full
-# octave, and it is added only while the integrand just below U_MAX is not
-# negligible: a transform that dies out inside the last octave (the top term
-# of a lacunary series) has none.
+# each split into Gauss-Legendre subpanels of SUBPANEL_ORDER nodes. A panel
+# is active when its sum exceeds NEGLIGIBLE times the largest. The tail
+# exponent is fitted over the TAIL_FIT_PANELS panels that end at the last
+# active one; a fitted decay slower than u^-(1 + DIVERGENCE_EPS) is flagged
+# divergent only when all of them are active, as a transform that lives on a
+# few panels (a smooth bump at high s, a short lacunary series) has no tail.
+# U_MAX / PANEL_START is a power of two: the geometric tail beyond U_MAX
+# assumes that every panel, the last included, is a full octave, and it is
+# added only while the integrand just below U_MAX is not negligible: a
+# transform that dies out inside the last octave (the top term of a
+# lacunary series) has none.
 U_MAX = 2.0 ** 13
 PANEL_START = 1.0
 MIN_NODES = 64
@@ -92,8 +95,8 @@ def _weighted_integral(f: TestFunction, s: float, squared: bool):
     if peak <= 0.0:
         return body, 0.0, False, math.inf
 
-    active = np.nonzero(panels > NEGLIGIBLE * peak)[0]
-    last = active[-1]
+    active = panels > NEGLIGIBLE * peak
+    last = np.nonzero(active)[0][-1]
     first = max(0, last - TAIL_FIT_PANELS + 1)
     window = panels[first:last + 1]
     if window.size < 2:
@@ -103,7 +106,9 @@ def _weighted_integral(f: TestFunction, s: float, squared: bool):
     rho = float(np.median(ratios))
     # panel sums of an integrand ~ u^-p over octaves scale by 2^(1-p)
     p_hat = 1.0 - math.log2(rho) if rho > 0 else math.inf
-    divergent = p_hat < 1.0 + DIVERGENCE_EPS
+    divergent = (p_hat < 1.0 + DIVERGENCE_EPS
+                 and window.size == TAIL_FIT_PANELS
+                 and bool(active[first:last + 1].all()))
     tail = 0.0
     if not divergent and last == len(panels) - 1 and rho < 1.0:
         edge = float(np.max(integrand(U_MAX - np.arange(MIN_NODES) / density)))

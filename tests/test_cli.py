@@ -169,7 +169,16 @@ def test_bad_override_exits_1(tmp_path, capsys):
             ("rate-study", ("process.dimension=0",), "[process] dimension"),
             ("rate-study", mismatch, "[process] dimension"),
             ("efficiency", mismatch, "[process] dimension"),
-            ("clt-check", mismatch, "[process] dimension")):
+            ("clt-check", mismatch, "[process] dimension"),
+            ("rate-study", ("process.kind=stochvol",
+                            "study.estimators=trapezoid,bridge"),
+             "[study] estimators"),
+            ("clt-check", ("function.descriptor=indicator(a=0,b=1)",),
+             "[function] descriptor"),
+            ("diagnostics", ("process.kind=stochvol",), "[process] kind"),
+            ("norms", ("function.descriptor=constant",),
+             "[function] descriptor"),
+            ("efficiency", ("process.kind=stochvol",), "[process] kind")):
         args = [command, "--config", cfg, "--out", str(tmp_path / "x")]
         for item in overrides:
             args += ["--set", item]

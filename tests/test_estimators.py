@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import trapezoid
+from scipy.integrate import quad, trapezoid
 
 from occutime import (
     BrownianMotion,
@@ -15,6 +17,7 @@ from occutime import (
     gaussian_bump,
     identity,
     indicator,
+    power_singularity,
     quadratic,
     reference_value,
     riemann_estimate,
@@ -51,7 +54,8 @@ def test_bridge_equals_trapezoid_for_affine_f(shape, a, b, seed):
     horizon, n, share = shape
     grid = build_grid(horizon, n, 1)
     t = share * horizon
-    f = TestFunction("affine", lambda x: a + b * np.asarray(x, float))
+    f = TestFunction("affine", lambda x: a + b * np.asarray(x, float),
+                     gaussian_expectation=lambda mu, var: a + b * mu)
     x = np.cumsum(np.random.default_rng(seed).standard_normal((3, n + 1)),
                   axis=1)
     np.testing.assert_allclose(bridge_conditional_estimate(f, x, grid, t),
@@ -113,6 +117,43 @@ def test_bridge_indicator_against_monte_carlo():
         pts = mean + sd * rng.standard_normal((reps, m_sub))
         total += grid.coarse_step * f.value(pts).mean()
     assert estimate == pytest.approx(total, abs=0.003)
+
+
+def _singular_mean(f, m, v):
+    """E f(N(m, v)) by quad, with the singularity at 0 as a breakpoint."""
+    sd = math.sqrt(v)
+    lo, hi = m - 40 * sd, m + 40 * sd
+    integrand = lambda x: (float(f.value(np.array(x)))
+                           * math.exp(-0.5 * (x - m) ** 2 / v))
+    return quad(integrand, lo, hi, points=[0.0] if lo < 0 < hi else None,
+                epsabs=0.0, epsrel=1e-13, limit=400)[0] / math.sqrt(
+                    2 * math.pi * v)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (0.03, -0.01)])
+def test_power_singularity_bridge_nodes_against_quadrature(a, b):
+    # the space integrals at the estimator's own time nodes of an interval
+    # of a grid with n = 512, on and beside the singularity
+    f = power_singularity(0.3)
+    grid = build_grid(1 / 512, 1, 1)
+    tau, tw = np.polynomial.legendre.leggauss(8)
+    tau, tw = 0.5 * (tau + 1.0), 0.5 * tw
+    want = grid.coarse_step * sum(
+        w * _singular_mean(f, a + t * (b - a), t * (1 - t) * grid.coarse_step)
+        for t, w in zip(tau, tw))
+    got = bridge_conditional_estimate(f, np.array([[a, b]]), grid)[0]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_power_singularity_bridge_against_nested_quadrature():
+    # E[int_0^h f(X_r) dr | X_0 = X_h = 1/4], nested quad over tau and x,
+    # on an interval where the 8 time nodes resolve the time integral
+    f = power_singularity(0.3)
+    a, h = 0.25, 1 / 128
+    want = h * quad(lambda t: _singular_mean(f, a, t * (1 - t) * h), 0.0, 1.0,
+                    epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    got = bridge_conditional_estimate(f, np.array([[a, a]]), build_grid(h, 1, 1))
+    assert got[0] == pytest.approx(want, rel=1e-10)
 
 
 def test_bridge_rejects_non_brownian_spec():

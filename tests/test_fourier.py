@@ -14,7 +14,6 @@ from occutime import (
     constant,
     gaussian_bump,
     identity,
-    power_singularity,
     reference_value,
     riemann_estimate,
     simulate_paths,
@@ -137,17 +136,6 @@ def test_martingale_term_centered():
         assert abs(part.mean()) < 3 * se
 
 
-def test_decompose_with_smooth_function_via_hermite(bundle):
-    # the bump without its closed form takes the Gauss-Hermite fallback
-    f = replace(gaussian_bump(), gaussian_expectation=None)
-    grid = bundle.grid
-    fine_vals = eval_on_path(f, bundle)
-    realized = (reference_value(fine_vals, grid)
-                - riemann_estimate(fine_vals[:, ::grid.refine_factor], grid))
-    trace = decompose(f, bundle)
-    assert np.max(np.abs(trace.total - realized)) < 1e-6
-
-
 def test_decompose_rejects_stochvol():
     grid = build_grid(1.0, 4, 8)
     b = simulate_paths(StochVol(), grid, 3, master_seed=2)
@@ -156,8 +144,9 @@ def test_decompose_rejects_stochvol():
 
 
 def test_decompose_needs_closed_form_or_gradient(bundle):
+    # a gradient is not enough: the conditional expectations are closed forms
     with pytest.raises(CapabilityError):
-        decompose(power_singularity(0.3), bundle)
+        decompose(replace(gaussian_bump(), gaussian_expectation=None), bundle)
 
 
 def test_g_probe_zero_frequency_row():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from occutime.functions import gaussian_mean
+from occutime.functions import _FAMILY_BUILDERS, gaussian_mean
 from occutime import (
     ConfigError,
     complex_exponential,
@@ -87,9 +87,29 @@ def test_indicator_gaussian_expectation_oracle():
     assert float(f.gaussian_expectation(np.array(2.0), np.array(0.0))) == 0.0
 
 
-# (mu, v) points where 32-node Gauss-Hermite misses the kinks of the hat
-# and the high frequencies of the lacunary series; v = 0 is a point value
+# (mu, v) points at the kinks of the hat and the high frequencies of the
+# lacunary series; v = 0 is a point value
 KINK_POINTS = [(0.03, 1 / 2048), (-0.99, 1 / 128), (1.2, 0.05), (0.4, 0.0)]
+# a bridge node at n = 512 on the singularity and beside it, a wide law,
+# and point values (f(0) = 0 by convention)
+SINGULAR_POINTS = [(0.0, 1 / 2048), (0.03, 1 / 2048), (0.1, 0.25),
+                   (0.4, 0.0), (0.0, 0.0)]
+
+# one member of every registered family: (test id, instance, (mu, v) points,
+# breakpoints of f for quad); a family registered without an entry fails
+FAMILY_CASES = {
+    "gaussian_bump": ("bump", gaussian_bump(), KINK_POINTS, ()),
+    "hat": ("hat", hat(), KINK_POINTS, (-1.0, 0.0, 1.0)),
+    "indicator": ("indicator", indicator(0.0, 0.5), KINK_POINTS, (0.0, 0.5)),
+    "power_singularity": ("power_singularity", power_singularity(0.3),
+                          SINGULAR_POINTS, (0.0,)),
+    "lacunary": ("lacunary", lacunary(1.2, J=3), KINK_POINTS, ()),
+    "complex_exponential": ("complex_exponential", complex_exponential(2.0),
+                            KINK_POINTS, ()),
+    "identity": ("identity", identity(), KINK_POINTS, ()),
+    "quadratic": ("quadratic", quadratic(), KINK_POINTS, ()),
+    "constant": ("constant", constant(2.5), KINK_POINTS, ()),
+}
 
 
 def _normal_density(mu, v):
@@ -97,21 +117,32 @@ def _normal_density(mu, v):
     return lambda x: math.exp(-0.5 * (x - mu) ** 2 / v) / norm
 
 
-@pytest.mark.parametrize("mu, v", KINK_POINTS)
-@pytest.mark.parametrize("factory, formula", [
-    (gaussian_bump, lambda x: math.exp(-0.5 * x * x)),
-    (hat, lambda x: max(0.0, 1.0 - abs(x)))], ids=["bump", "hat"])
-def test_gaussian_expectation_against_quadrature(factory, formula, mu, v):
-    got = float(gaussian_mean(factory(), np.array(mu), v, 32))
+def _family_params():
+    for name in sorted(_FAMILY_BUILDERS):
+        label, _, points, _ = FAMILY_CASES.get(name, (name, None, [(0.0, 1.0)],
+                                                      ()))
+        for mu, v in points:
+            yield pytest.param(name, mu, v, id=f"{label}-{mu}-{v}")
+
+
+@pytest.mark.parametrize("family, mu, v", _family_params())
+def test_gaussian_expectation_against_quadrature(family, mu, v):
+    assert family in FAMILY_CASES, f"no Gaussian expectation case for {family}"
+    _, f, _, breaks = FAMILY_CASES[family]
+    assert f.gaussian_expectation is not None, f"{family} has no closed form"
+    got = complex(gaussian_mean(f, np.array(mu), v))
+    point = lambda x: complex(f.value(np.array(x)))
     if v == 0:
-        assert got == pytest.approx(formula(mu), abs=1e-12)
+        assert got == pytest.approx(point(mu), abs=1e-12)
         return
     rho, sd = _normal_density(mu, v), math.sqrt(v)
     lo, hi = mu - 40 * sd, mu + 40 * sd
-    kinks = [p for p in (-1.0, 0.0, 1.0) if lo < p < hi]    # the hat's
-    want, _ = quad(lambda x: formula(x) * rho(x), lo, hi, points=kinks,
-                   epsabs=1e-14, epsrel=1e-12, limit=200)
-    assert got == pytest.approx(want, abs=1e-12)
+    kinks = [p for p in breaks if lo < p < hi]
+    want = complex(*(quad(lambda x: part(point(x)) * rho(x), lo, hi,
+                          points=kinks or None, epsabs=1e-14, epsrel=1e-13,
+                          limit=400)[0]
+                     for part in (lambda z: z.real, lambda z: z.imag)))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("mu, v", KINK_POINTS)
@@ -119,7 +150,7 @@ def test_lacunary_gaussian_expectation_against_quadrature(mu, v):
     # term by term, each cos(2^j x) as the oscillatory weight of quad
     s, J, cutoff = 1.2, 12, 3.0
     f = lacunary(s, J=J, cutoff=cutoff)
-    got = float(gaussian_mean(f, np.array(mu), v, 32))
+    got = float(gaussian_mean(f, np.array(mu), v))
     w = lambda x: math.exp(-0.5 * (x / cutoff) ** 2)
     if v == 0:
         want = w(mu) * sum(2.0 ** (-j * s) * math.cos(2.0 ** j * mu)
@@ -182,6 +213,12 @@ def test_tensor_product_value_and_gradient():
         g[:, 0], -pts[:, 0] * np.exp(-0.5 * pts[:, 0] ** 2) * pts[:, 1])
     np.testing.assert_allclose(g[:, 1], np.exp(-0.5 * pts[:, 0] ** 2))
     assert f.dimension == 2
+    # E f(N(mu, v I)) is the product of the factors' expectations
+    v = 0.3
+    np.testing.assert_allclose(
+        gaussian_mean(f, pts, v),
+        np.exp(-0.5 * pts[:, 0] ** 2 / (1 + v)) / np.sqrt(1 + v) * pts[:, 1],
+        rtol=1e-15)
 
 
 def test_parse_function_round_trips():

@@ -90,6 +90,31 @@ def test_lacunary_finite_series_has_no_tail(s):
     assert r.value == pytest.approx(math.sqrt(2.0 * half), rel=1e-10)
 
 
+@pytest.mark.parametrize("s", [5.0, 6.0, 8.0])
+def test_gaussian_bump_high_order_is_finite(s):
+    # int |Ff|^2 |u|^(2s) du = 2 pi Gamma(s + 1/2); the integrand lives on a
+    # few panels, which must not be read as a slowly decaying tail
+    r = sobolev_seminorm(gaussian_bump(), s)
+    assert not r.divergent
+    assert r.value == pytest.approx(
+        math.sqrt(2.0 * math.pi * math.gamma(s + 0.5)), rel=1e-13)
+
+
+@pytest.mark.parametrize("s, J, cutoff, order", [
+    (1.2, 1, 3.0, 0.0), (1.2, 1, 3.0, 1.0), (0.5, 2, 20.0, 0.3)])
+def test_short_lacunary_series_is_finite(s, J, cutoff, order):
+    # a finite series of Gaussian bumps at 2^j lies in every H^s, however
+    # its few active panels compare
+    f = lacunary(s, J=J, cutoff=cutoff)
+    g = lambda u: abs(f.fourier(u)) ** 2 * u ** (2.0 * order)
+    edges = [0.0] + [2.0 ** j for j in range(1, J + 1)] + [2.0 ** J + 20.0]
+    half = sum(quad(g, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+    r = sobolev_seminorm(f, order)
+    assert not r.divergent
+    assert r.value == pytest.approx(math.sqrt(2.0 * half), rel=1e-13)
+
+
 def test_scale_equivariance():
     f = gaussian_bump()
     g = TestFunction("scaled", lambda x: 3.0 * f.value(x),
