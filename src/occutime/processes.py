@@ -296,9 +296,8 @@ def dump_paths_csv(bundle: PathBundle, stream) -> None:
     d = bundle.dimension
     header = "path_id,time," + ",".join(f"x_{j + 1}" for j in range(d))
     stream.write(header + "\n")
-    times = bundle.grid.fine_times
-    ids = bundle.path_indices()
-    for i in range(bundle.count):
-        for j, t in enumerate(times):
-            coords = ",".join(repr(float(v)) for v in bundle.x[i, j])
-            stream.write(f"{ids[i]},{float(t)!r},{coords}\n")
+    times = [repr(t) for t in bundle.grid.fine_times.tolist()]
+    for index, path in zip(bundle.path_indices().tolist(), bundle.x.tolist()):
+        stream.write("".join(
+            f"{index},{t},{','.join(map(repr, point))}\n"
+            for t, point in zip(times, path)))

@@ -43,11 +43,24 @@ def test_gaussian_bump_fourier_closed_form(u):
     assert f.fourier(u) == pytest.approx(expected, rel=1e-12)
 
 
+def _ladder_atol(s, J, scale):
+    """Absolute error bound of the lacunary value kernel. Its cosine ladder
+    2 cos^2 a - 1 multiplies an absolute error by at most 4 per level and
+    takes a direct cos every 6 levels, so the k-th level after one is off
+    by at most 4^k ulps of 1. The 1e-15 * scale term covers the localizer
+    and the oracle's own rounding. At s = 1.2 this is 5.6e-15 of the
+    largest value; at s = 0.3 the ladder's error itself reaches 1.1e-14."""
+    js = np.arange(1, J + 1)
+    growth = 4.0 ** ((js - 1) % 6)
+    return 2.0 ** -52 * np.sum(2.0 ** (-js * s) * growth) + 1e-15 * scale
+
+
 @pytest.mark.parametrize("s", [0.3, 1.2])
-@pytest.mark.parametrize("J", [1, 12])
+@pytest.mark.parametrize("J", [1, 6, 7, 12, 13])
 def test_lacunary_matches_direct_series(s, J):
     # angle doubling against the term-by-term series, on a strided view
-    # with more points than one kernel block and off its block boundary
+    # with more points than one kernel block and off its block boundary;
+    # J = 6, 7, 12, 13 cross the reseed boundaries
     x = np.linspace(-12.0, 12.0, 80000).reshape(200, 400)[:, ::2]
     js = np.arange(1, J + 1)[:, None, None]
     w = np.exp(-x ** 2 / 18.0)
@@ -55,11 +68,48 @@ def test_lacunary_matches_direct_series(s, J):
     series = np.sum(terms * np.cos(2.0 ** js * x), axis=0)
     dseries = -np.sum(terms * 2.0 ** js * np.sin(2.0 ** js * x), axis=0)
     f = lacunary(s, J=J)
-    for got, want in ((f.value(x), w * series),
+    value, want_value = f.value(x), w * series
+    for got, want in ((value, want_value),
                       (f.gradient(x), w * (dseries - x / 9.0 * series))):
         assert got.shape == x.shape
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want)))
+    # the value path alone, within the error law of its cosine ladder
+    atol = _ladder_atol(s, J, np.max(np.abs(want_value)))
+    np.testing.assert_allclose(value, want_value, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("s", [0.3, 1.2])
+def test_lacunary_gaussian_expectation_matches_direct_sum(s):
+    # the cosine ladder on mu * shrink against one np.cos per level, from
+    # point values (v = 0) to wide laws
+    J, cutoff = 13, 3.0
+    mu, var = np.broadcast_arrays(np.linspace(-6.0, 6.0, 2001)[:, None],
+                                  np.array([0.0, 1 / 2048, 1 / 128, 0.05, 1.0]))
+    js = np.arange(1, J + 1)[:, None, None]
+    c2 = cutoff ** 2
+    shrink = c2 / (c2 + var)
+    levels = np.sum(2.0 ** (-js * s) * np.exp(-0.5 * var * shrink * 4.0 ** js)
+                    * np.cos(2.0 ** js * mu * shrink), axis=0)
+    want = np.sqrt(shrink) * np.exp(-0.5 * mu * mu / (c2 + var)) * levels
+    got = gaussian_mean(lacunary(s, J=J, cutoff=cutoff), mu, var)
+    assert got.shape == mu.shape
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_lacunary_empty_and_scalar_inputs():
+    f = lacunary(1.2, J=7)
+    for fn in (f.value, f.gradient):
+        assert fn(np.empty(0)).shape == (0,)
+        assert fn(np.empty((0, 4))).shape == (0, 4)
+        point = fn(np.float64(0.7))
+        assert np.shape(point) == ()
+        assert point == fn(np.array([0.7]))[0]
+    assert gaussian_mean(f, np.empty(0), 0.01).shape == (0,)
+    point = gaussian_mean(f, np.array(0.7), 0.01)
+    assert np.shape(point) == ()
+    assert point == gaussian_mean(f, np.array([0.7]), 0.01)[0]
 
 
 def test_fourier_conventions_numerically():

@@ -140,6 +140,32 @@ def test_observed_paths_apply_the_shift_once():
     np.testing.assert_array_equal(shifted.observed(stride=2), y[:, ::2])
 
 
+def _dump_paths_per_value(bundle, stream):
+    # the writer's oracle: one repr per value and one write per row
+    d = bundle.dimension
+    stream.write("path_id,time," + ",".join(f"x_{j + 1}" for j in range(d))
+                 + "\n")
+    ids = bundle.path_indices()
+    for i in range(bundle.count):
+        for j, t in enumerate(bundle.grid.fine_times):
+            coords = ",".join(repr(float(v)) for v in bundle.x[i, j])
+            stream.write(f"{ids[i]},{float(t)!r},{coords}\n")
+
+
+@pytest.mark.parametrize("spec", [
+    BrownianMotion(dimension=2, initial=FixedStart((0.3, -1.0))),
+    BrownianMotion(shift=UniformShift(0.5)),
+    StochVol(),
+], ids=["brownian-2d", "brownian-shift", "stochvol"])
+def test_dump_paths_csv_matches_per_value_writer(spec):
+    grid = build_grid(0.7, 3, 5)
+    bundle = simulate_paths(spec, grid, 4, master_seed=21, first_path_index=7)
+    fast, oracle = io.StringIO(), io.StringIO()
+    dump_paths_csv(bundle, fast)
+    _dump_paths_per_value(bundle, oracle)
+    assert fast.getvalue() == oracle.getvalue()
+
+
 def test_dump_paths_csv_layout():
     grid = build_grid(1.0, 2, 2)
     spec = BrownianMotion(dimension=2, initial=FixedStart((0.0, 0.0)))
