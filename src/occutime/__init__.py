@@ -21,6 +21,7 @@ from .processes import (
     PathBundle,
     StochVol,
     UniformShift,
+    simulate_grids,
     simulate_paths,
 )
 from .functions import (
@@ -99,6 +100,7 @@ __all__ = [
     "rate_study",
     "reference_value",
     "riemann_estimate",
+    "simulate_grids",
     "simulate_limit",
     "simulate_paths",
     "sobolev_seminorm",

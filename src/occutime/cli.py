@@ -93,12 +93,15 @@ def _finite_or_null(v):
 def _documented_nonfinite(key: str, record: dict, tables: dict) -> bool:
     """Whether a nan or inf is one of the documented values: the slope of a
     fit that was not run (degenerate or single resolution), the value of a
-    seminorm flagged divergent, and the Kendall trend of a frequency whose
+    seminorm flagged divergent, the nan tail exponent of a seminorm whose
+    integrand shows no tail, and the Kendall trend of a frequency whose
     ``g_hat`` does not vary over n (a single n, or u = 0)."""
     if key == "slope":
         return "slope_se" not in record
     if key.endswith("value") and record.get(key[:-5] + "divergent") is True:
         return True
+    if key == "tail_exponent":
+        return math.isnan(record[key])
     if key in ("kendall_tau", "p_value") and "u" in record:
         column = {r["g_hat"] for r in tables.get("g_decay", ())
                   if r["u"] == record["u"]}

@@ -162,12 +162,13 @@ def build_process(cfg: ResolvedConfig) -> ProcessSpec:
                               "have one entry per dimension")
         bv = np.asarray(b)
         sm = np.diag(s)
+        cov = sm @ sm.T
         make = partial(
             DeterministicGaussian,
             drift=lambda t: bv,
             diffusion=lambda t: sm,
-            drift_integral=lambda t0, t1: bv * (t1 - t0),
-            covariance_integral=lambda t0, t1: sm @ sm.T * (t1 - t0),
+            drift_integral=lambda t0, t1: np.multiply.outer(t1 - t0, bv),
+            covariance_integral=lambda t0, t1: np.multiply.outer(t1 - t0, cov),
             nondegenerate=all(v != 0 for v in s), **common)
     else:
         raise ConfigError(f"[process] kind: unknown process kind {kind!r}; "

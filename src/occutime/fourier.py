@@ -31,7 +31,7 @@ from .processes import (
     BrownianMotion,
     DeterministicGaussian,
     PathBundle,
-    simulate_paths,
+    simulate_grids,
 )
 
 GL_ORDER = 16          # Gauss-Legendre nodes per coarse interval
@@ -87,13 +87,10 @@ def _interval_nodes(spec, grid: TimeGrid, K: int) -> _IntervalNodes:
         t0 = grid.coarse_times[:K]
         r = t0[:, None] + tau * delta
         ends = np.column_stack([r, grid.coarse_times[1:K + 1]])
-        pairs = [spec.transition_moments(a, b)
-                 for a, row in zip(t0, ends) for b in row]
-        mean = np.array([mu[0] for mu, _ in pairs]).reshape(K, GL_ORDER + 1)
-        var = np.array([cov[0, 0] for _, cov in pairs]).reshape(K, GL_ORDER + 1)
-        drift = np.array([spec.drift_at(s)[0] for s in r.ravel()]).reshape(r.shape)
-        sig2 = np.array([np.sum(spec.diffusion_at(s)[0] ** 2)
-                         for s in r.ravel()]).reshape(r.shape)
+        mu, cov = spec.transition_moments(t0[:, None], ends)
+        mean, var = mu[..., 0], cov[..., 0, 0]
+        drift = spec.drift_at(r)[..., 0]
+        sig2 = np.sum(spec.diffusion_at(r)[..., 0, :] ** 2, axis=-1)
     return _IntervalNodes(mean[:, :-1], var[:, :-1], mean[:, -1], var[:, -1],
                           drift, sig2, tw, (0.5 - tau) * delta * delta * tw)
 
@@ -198,9 +195,9 @@ def g_decay_probe(u_list, n_list, spec, count: int, seed: int,
     _require_gaussian(spec, "g_decay_probe")
     rows = []
     table = {u: [] for u in u_list}
-    for n in n_list:
-        grid = build_grid(horizon, int(n), 1)
-        bundle = simulate_paths(spec, grid, count, seed)
+    grids = [build_grid(horizon, int(n), 1) for n in n_list]
+    for n, grid, bundle in zip(n_list, grids,
+                               simulate_grids(spec, grids, count, seed)):
         nodes = _interval_nodes(spec, grid, grid.coarse_count)
         y_left = bundle.observed(coarse=True)[:, :-1, 0]
         for u in u_list:

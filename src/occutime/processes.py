@@ -6,9 +6,10 @@ Gaussian processes with deterministic time-dependent drift/diffusion
 example driven by an auxiliary Brownian motion (Euler-Maruyama on the
 fine grid). All three run one simulation loop: each path starts at a
 fixed point and draws its shift and standard normals from a counter-based
-stream derived from ``(master_seed, path_index)``, and only the rule that
-turns the normals into increments depends on the family. Ensembles are
-therefore reproducible bit for bit regardless of chunking or thread count.
+stream derived from ``(master_seed, path_index)``, once for all the grids
+of a call, and only the rule that turns the normals into increments
+depends on the family. Ensembles are therefore reproducible bit for bit
+regardless of chunking, thread count or the other grids of the call.
 """
 
 from __future__ import annotations
@@ -81,46 +82,60 @@ class BrownianMotion:
 class DeterministicGaussian:
     """Gaussian process with deterministic time-dependent coefficients.
 
-    ``drift(t)`` returns a (d,) vector, ``diffusion(t)`` a (d, d) matrix.
+    The coefficients take arrays of times: ``drift(t)`` returns an array of
+    shape ``t.shape + (d,)`` and ``diffusion(t)`` one of shape
+    ``t.shape + (d, d)``; a constant of shape (d,) or (d, d) broadcasts.
     Optional ``drift_integral(t0, t1)`` / ``covariance_integral(t0, t1)``
-    give closed forms for the transition moments; otherwise 16-point
-    Gauss-Legendre per fine step is used. ``nondegenerate=False`` opts out
-    of the eigenvalue check, allowing degenerate examples such as sigma = 0.
+    give closed forms for the transition moments, broadcasting ``t0`` against
+    ``t1`` in the same way; otherwise 16-point Gauss-Legendre per fine step
+    is used. ``nondegenerate=False`` opts out of the eigenvalue check,
+    allowing degenerate examples such as sigma = 0.
     """
 
     dimension: int
-    drift: Callable[[float], np.ndarray]
-    diffusion: Callable[[float], np.ndarray]
+    drift: Callable[[np.ndarray], np.ndarray]
+    diffusion: Callable[[np.ndarray], np.ndarray]
     initial: FixedStart = field(default_factory=lambda: FixedStart((0.0,)))
     shift: UniformShift | None = None
-    drift_integral: Callable[[float, float], np.ndarray] | None = None
-    covariance_integral: Callable[[float, float], np.ndarray] | None = None
+    drift_integral: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    covariance_integral: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     nondegenerate: bool = True
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ConfigError("dimension must be >= 1")
 
-    def drift_at(self, t: float) -> np.ndarray:
-        return np.asarray(self.drift(t), dtype=float).reshape(self.dimension)
+    def _shaped(self, value, times, matrix: bool) -> np.ndarray:
+        d = self.dimension
+        return np.broadcast_to(np.asarray(value, dtype=float),
+                               np.shape(times) + ((d, d) if matrix else (d,)))
 
-    def diffusion_at(self, t: float) -> np.ndarray:
-        return np.asarray(self.diffusion(t), dtype=float).reshape(
-            self.dimension, self.dimension)
+    def drift_at(self, t) -> np.ndarray:
+        """b at the times t, shape t.shape + (d,)."""
+        t = np.asarray(t, float)
+        return self._shaped(self.drift(t), t, False)
 
-    def transition_moments(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance of X_{t1} - X_{t0}."""
+    def diffusion_at(self, t) -> np.ndarray:
+        """sigma at the times t, shape t.shape + (d, d)."""
+        t = np.asarray(t, float)
+        return self._shaped(self.diffusion(t), t, True)
+
+    def transition_moments(self, t0, t1) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and covariance of X_{t1} - X_{t0} for broadcast arrays of
+        times t0, t1: shapes (..., d) and (..., d, d)."""
+        t0, t1 = np.broadcast_arrays(np.asarray(t0, float),
+                                     np.asarray(t1, float))
         if self.drift_integral is not None:
-            mu = np.asarray(self.drift_integral(t0, t1), float).reshape(self.dimension)
+            mu = self._shaped(self.drift_integral(t0, t1), t0, False)
         else:
-            mu = _gl_integrate(self.drift_at, t0, t1, (self.dimension,))
+            mu = _gl_integrate(self.drift_at, t0, t1)
         if self.covariance_integral is not None:
-            cov = np.asarray(self.covariance_integral(t0, t1), float).reshape(
-                self.dimension, self.dimension)
+            cov = self._shaped(self.covariance_integral(t0, t1), t0, True)
         else:
-            cov = _gl_integrate(
-                lambda t: self.diffusion_at(t) @ self.diffusion_at(t).T,
-                t0, t1, (self.dimension, self.dimension))
+            def sigma_sigma_t(t):
+                sigma = self.diffusion_at(t)
+                return sigma @ np.swapaxes(sigma, -1, -2)
+            cov = _gl_integrate(sigma_sigma_t, t0, t1)
         return mu, cov
 
 
@@ -153,15 +168,16 @@ class StochVol:
 ProcessSpec = BrownianMotion | DeterministicGaussian | StochVol
 
 
-def _gl_integrate(fn, t0, t1, shape):
-    """16-point Gauss-Legendre integral of an array-valued fn over [t0, t1]."""
+def _gl_integrate(fn, t0, t1):
+    """16-point Gauss-Legendre integral over [t0, t1] of a coefficient fn of
+    times, for arrays t0, t1 of one shape S; fn(t) has shape S + (...)."""
     nodes, weights = gauss_legendre(16)
     half = 0.5 * (t1 - t0)
     mid = 0.5 * (t1 + t0)
-    out = np.zeros(shape)
+    out = 0.0
     for y, w in zip(nodes, weights):
-        out += w * np.asarray(fn(mid + half * y), float).reshape(shape)
-    return half * out
+        out = out + w * fn(mid + half * y)
+    return half.reshape(half.shape + (1,) * (out.ndim - half.ndim)) * out
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -216,7 +232,7 @@ class PathBundle:
 
 def _diffusion_nodes(spec: DeterministicGaussian, grid: TimeGrid) -> np.ndarray:
     """sigma at the fine nodes, checked for degeneracy unless opted out."""
-    sigma = np.array([spec.diffusion_at(t) for t in grid.fine_times])
+    sigma = np.array(spec.diffusion_at(grid.fine_times))
     if spec.nondegenerate:
         lam = np.linalg.eigvalsh(sigma @ sigma.transpose(0, 2, 1))[:, 0]
         bad = np.flatnonzero(lam <= 0)
@@ -230,65 +246,97 @@ def _diffusion_nodes(spec: DeterministicGaussian, grid: TimeGrid) -> np.ndarray:
 def _transition_factors(spec: DeterministicGaussian, grid: TimeGrid):
     """Mean and covariance factor of every fine-step increment."""
     times = grid.fine_times
-    moments = [spec.transition_moments(t0, t1)
-               for t0, t1 in zip(times[:-1], times[1:])]
-    mu = np.array([m for m, _ in moments])
-    return mu, _psd_factor(np.array([cov for _, cov in moments]))
+    mu, cov = spec.transition_moments(times[:-1], times[1:])
+    return mu, _psd_factor(cov)
 
 
-def _volatility(spec: StochVol, grid: TimeGrid, master_seed, index) -> np.ndarray:
-    """sigma0 (1 + eta sin W') at the fine nodes, W' from the path's VOL stream."""
-    zv = path_rng(master_seed, index, STREAM_VOL).standard_normal(grid.fine_count)
-    w_aux = np.concatenate(([0.0], np.cumsum(zv) * np.sqrt(grid.fine_step)))
-    return spec.sigma0 * (1.0 + spec.eta * np.sin(w_aux))
+def _assemble(spec: ProcessSpec, grid: TimeGrid, x: np.ndarray,
+              sigma: np.ndarray | None) -> np.ndarray | None:
+    """Turn the standard normals z in x[:, 1:] (and, for StochVol, the
+    auxiliary normals in sigma[:, 1:]) into the paths, in place, and return
+    the bundle's sigma.
 
-
-def simulate_paths(spec: ProcessSpec, grid: TimeGrid, count: int,
-                   master_seed: int, first_path_index: int = 0) -> PathBundle:
-    """Simulate ``count`` trajectories on the fine grid.
-
-    Every family turns the path's standard normals z into fine-step
-    increments: z sqrt(dt) for Brownian motion, the exact Gaussian
-    transition mu + factor z for deterministic coefficients, and
-    Euler-Maruyama sigma z sqrt(dt) with the volatility frozen between fine
-    nodes for stochastic volatility; the path is their cumulative sum.
+    Every family turns z into fine-step increments: z sqrt(dt) for Brownian
+    motion, the exact Gaussian transition mu + factor z for deterministic
+    coefficients, and Euler-Maruyama sigma z sqrt(dt) with the volatility
+    frozen between fine nodes for stochastic volatility; the path is their
+    cumulative sum.
     """
-    if count < 1:
-        raise ConfigError(f"path count must be >= 1, got {count}")
     sqrt_dt = np.sqrt(grid.fine_step)
-    sigma = None
+    z = x[:, 1:]
     if isinstance(spec, BrownianMotion):
-        def increments(i, z):
-            return z * sqrt_dt
+        z *= sqrt_dt
     elif isinstance(spec, DeterministicGaussian):
         sigma = _diffusion_nodes(spec, grid)
         mu, factor = _transition_factors(spec, grid)
-
-        def increments(i, z):
-            return mu + np.einsum("jab,jb->ja", factor, z)
-    elif isinstance(spec, StochVol):
-        sigma = np.empty((count, grid.fine_count + 1))
-
-        def increments(i, z):
-            sigma[i] = _volatility(spec, grid, master_seed, first_path_index + i)
-            return sigma[i, :-1, None] * z * sqrt_dt
+        np.add(mu, np.einsum("jab,ijb->ija", factor, z), out=z)
     else:
-        raise ConfigError(f"unknown process spec {type(spec).__name__}")
+        # sigma0 (1 + eta sin W') at the fine nodes, W' from the VOL normals
+        w_aux = sigma[:, 1:]
+        np.cumsum(w_aux, axis=1, out=w_aux)
+        w_aux *= sqrt_dt
+        sigma[:, 0] = 0.0
+        np.sin(sigma, out=sigma)
+        sigma *= spec.eta
+        sigma += 1.0
+        sigma *= spec.sigma0
+        z *= sigma[:, :-1, None]
+        z *= sqrt_dt
+    x0 = np.asarray(spec.initial.point, dtype=float).reshape(spec.dimension)
+    np.cumsum(z, axis=1, out=z)
+    z += x0
+    x[:, 0] = x0
+    return sigma
 
+
+def simulate_grids(spec: ProcessSpec, grids: list[TimeGrid], count: int,
+                   master_seed: int, first_path_index: int = 0
+                   ) -> list[PathBundle]:
+    """Simulate the same ``count`` trajectories on each of ``grids``.
+
+    Each path draws its shift and its standard normals from its own
+    streams once, for the grid with the most fine steps, straight into that
+    grid's bundle. The draws are sequential, so a grid of N fine steps
+    takes the first N normals of the path, exactly what a draw of N alone
+    gives: every bundle equals ``simulate_paths`` on its grid.
+    """
+    if count < 1:
+        raise ConfigError(f"path count must be >= 1, got {count}")
+    if not isinstance(spec, (BrownianMotion, DeterministicGaussian, StochVol)):
+        raise ConfigError(f"unknown process spec {type(spec).__name__}")
     d = spec.dimension
-    x0 = np.asarray(spec.initial.point, dtype=float).reshape(d)
-    x = np.empty((count, grid.fine_count + 1, d))
+    vol = isinstance(spec, StochVol)
+    xs = [np.empty((count, g.fine_count + 1, d)) for g in grids]
+    vols = [np.empty((count, g.fine_count + 1)) if vol else None
+            for g in grids]
     shifts = np.zeros((count, d))
+    top = max(range(len(grids)), key=lambda k: grids[k].fine_count)
+    x_top, vol_top = xs[top], vols[top]
     for i in range(count):
         # the shift, then the (fine_count, d) normals, from the main stream
         rng = path_rng(master_seed, first_path_index + i)
         if spec.shift is not None:
             shifts[i] = spec.shift.sample(rng, d)
-        dx = increments(i, rng.standard_normal((grid.fine_count, d)))
-        x[i, 0] = x0
-        np.cumsum(dx, axis=0, out=x[i, 1:])
-        x[i, 1:] += x0
-    return PathBundle(grid, spec, master_seed, first_path_index, x, sigma, shifts)
+        rng.standard_normal(out=x_top[i, 1:])
+        if vol:
+            path_rng(master_seed, first_path_index + i,
+                     STREAM_VOL).standard_normal(out=vol_top[i, 1:])
+    for grid, x, sigma in zip(grids, xs, vols):
+        if x is not x_top:
+            x[:, 1:] = x_top[:, 1:grid.fine_count + 1]
+            if vol:
+                sigma[:, 1:] = vol_top[:, 1:grid.fine_count + 1]
+    return [PathBundle(grid, spec, master_seed, first_path_index, x,
+                       _assemble(spec, grid, x, sigma), shifts)
+            for grid, x, sigma in zip(grids, xs, vols)]
+
+
+def simulate_paths(spec: ProcessSpec, grid: TimeGrid, count: int,
+                   master_seed: int, first_path_index: int = 0) -> PathBundle:
+    """Simulate ``count`` trajectories on the fine grid; see
+    :func:`simulate_grids`."""
+    return simulate_grids(spec, [grid], count, master_seed,
+                          first_path_index)[0]
 
 
 def dump_paths_csv(bundle: PathBundle, stream) -> None:

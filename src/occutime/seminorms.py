@@ -24,9 +24,12 @@ from .grids import gauss_legendre
 # each split into Gauss-Legendre subpanels of SUBPANEL_ORDER nodes. A panel
 # is active when its sum exceeds NEGLIGIBLE times the largest. The tail
 # exponent is fitted over the TAIL_FIT_PANELS panels that end at the last
-# active one; a fitted decay slower than u^-(1 + DIVERGENCE_EPS) is flagged
-# divergent only when all of them are active, as a transform that lives on a
-# few panels (a smooth bump at high s, a short lacunary series) has no tail.
+# active one, and only when they are a tail: all of them active, or ending
+# at the last panel below U_MAX, where an integrand that grows by more than
+# 1 / NEGLIGIBLE over the window (the indicator at s = 6) leaves its first
+# panels negligible. A transform that lives on a few panels (a smooth bump
+# at high s, a short lacunary series) has no tail, and its exponent is nan.
+# A tail that decays slower than u^-(1 + DIVERGENCE_EPS) is divergent.
 # U_MAX / PANEL_START is a power of two: the geometric tail beyond U_MAX
 # assumes that every panel, the last included, is a full octave, and it is
 # added only while the integrand just below U_MAX is not negligible: a
@@ -45,7 +48,8 @@ DIVERGENCE_EPS = 0.05
 class SeminormResult:
     value: float                 # +inf when divergent
     divergent: bool
-    tail_exponent: float         # fitted decay exponent p of the integrand
+    tail_exponent: float         # fitted decay exponent p of the integrand,
+                                 # nan when the panels show no tail
 
     def __float__(self):
         return self.value
@@ -93,24 +97,22 @@ def _weighted_integral(f: TestFunction, s: float, squared: bool):
     body = head + float(panels.sum())
     peak = panels.max(initial=0.0)
     if peak <= 0.0:
-        return body, 0.0, False, math.inf
+        return body, 0.0, False, math.nan
 
     active = panels > NEGLIGIBLE * peak
     last = np.nonzero(active)[0][-1]
-    first = max(0, last - TAIL_FIT_PANELS + 1)
-    window = panels[first:last + 1]
-    if window.size < 2:
-        return body, 0.0, False, math.inf
+    first = last - TAIL_FIT_PANELS + 1
+    at_cap = last == len(panels) - 1
+    if first < 0 or not (at_cap or active[first:last + 1].all()):
+        return body, 0.0, False, math.nan
 
-    ratios = window[1:] / window[:-1]
-    rho = float(np.median(ratios))
+    window = panels[first:last + 1]
+    rho = float(np.median(window[1:] / window[:-1]))
     # panel sums of an integrand ~ u^-p over octaves scale by 2^(1-p)
     p_hat = 1.0 - math.log2(rho) if rho > 0 else math.inf
-    divergent = (p_hat < 1.0 + DIVERGENCE_EPS
-                 and window.size == TAIL_FIT_PANELS
-                 and bool(active[first:last + 1].all()))
+    divergent = p_hat < 1.0 + DIVERGENCE_EPS
     tail = 0.0
-    if not divergent and last == len(panels) - 1 and rho < 1.0:
+    if not divergent and at_cap and rho < 1.0:
         edge = float(np.max(integrand(U_MAX - np.arange(MIN_NODES) / density)))
         if U_MAX * edge > NEGLIGIBLE * peak:
             tail = float(window[-1]) * rho / (1.0 - rho)
@@ -129,7 +131,8 @@ def _tensor_seminorm(f: TestFunction, s: float, squared: bool) -> SeminormResult
     k = int(k)
     parts = [[_seminorm(g, a if squared else 2 * a, squared)
               for a in range(k + 1)] for g in f.components]
-    p_min = min(p.tail_exponent for row in parts for p in row)
+    p_min = min((p.tail_exponent for row in parts for p in row
+                 if not math.isnan(p.tail_exponent)), default=math.nan)
     if any(p.divergent for row in parts for p in row):
         return SeminormResult(math.inf, True, p_min)
     total = sum(

@@ -189,9 +189,12 @@ def test_bad_override_exits_1(tmp_path, capsys):
 def test_non_finite_result_exits_2(tmp_path, capsys):
     # 2^(100 j) coefficients overflow the series; no table may carry the nan
     cfg = _write(tmp_path, STUDY_CFG)
-    rc = main(["rate-study", "--config", cfg, "--out", str(tmp_path / "nan"),
-               "--set", "function.descriptor=lacunary(s=-100,J=12)",
-               "--set", "study.n_list=8,16"])
+    with pytest.warns(RuntimeWarning) as caught:
+        rc = main(["rate-study", "--config", cfg, "--out",
+                   str(tmp_path / "nan"),
+                   "--set", "function.descriptor=lacunary(s=-100,J=12)",
+                   "--set", "study.n_list=8,16"])
+    assert any("overflow" in str(w.message) for w in caught)
     assert rc == 2
     assert "rates.csv" in capsys.readouterr().err
 
@@ -211,6 +214,20 @@ def test_documented_non_finite_values_exit_0(tmp_path):
     assert main(["norms", "--config", norms, "--out", str(tmp_path / "n"),
                  "--set", "function.descriptor=hat"]) == 0
     assert "inf,true" in (tmp_path / "n" / "norms.csv").read_text()
+    # the bump's transform lives on a few panels: it has no tail exponent
+    assert main(["norms", "--config", norms, "--out", str(tmp_path / "b")]) == 0
+    rows = (tmp_path / "b" / "norms.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["nan", "nan"]
+
+
+def test_norms_flags_indicator_growing_to_the_cap(tmp_path):
+    # |u|^12 |F 1_[0,1]|^2 grows up to the frequency cap: divergent
+    norms = _write(tmp_path, NORMS_CFG, "norms.cfg")
+    assert main(["norms", "--config", norms, "--out", str(tmp_path / "n"),
+                 "--set", "function.descriptor=indicator(0,1)",
+                 "--set", "norms.s=6", "--set", "norms.norm=sobolev"]) == 0
+    row = (tmp_path / "n" / "norms.csv").read_text().splitlines()[1]
+    assert row.startswith("sobolev,6.0,inf,true,")
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

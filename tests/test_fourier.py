@@ -39,8 +39,8 @@ def test_char_increment_closed_form():
     assert char_increment(1.0, spec, 0.5, 0.5) == pytest.approx(1.0)
     assert char_increment(1.0, spec, 0.0, 0.5) == pytest.approx(np.exp(-0.25))
     scaled = DeterministicGaussian(
-        dimension=1, drift=lambda t: np.array([5.0]),
-        diffusion=lambda t: np.array([[2.0]]))
+        dimension=1, drift=lambda t: np.full(t.shape + (1,), 5.0),
+        diffusion=lambda t: np.full(t.shape + (1, 1), 2.0))
     # drift contributes only phase; |.| depends on sigma alone
     assert char_increment(1.0, scaled, 0.0, 0.5) == pytest.approx(np.exp(-1.0))
     with pytest.raises(ConfigError):
@@ -84,8 +84,8 @@ def test_identity_drift_sum_vanishes_for_brownian(bundle):
 def test_deterministic_drift_E_value():
     # dX = dt, sigma = 0, f(x) = x, T = 1, n = 4: E = (step/2) * sum step = 1/8
     spec = DeterministicGaussian(
-        dimension=1, drift=lambda t: np.array([1.0]),
-        diffusion=lambda t: np.array([[0.0]]), nondegenerate=False)
+        dimension=1, drift=lambda t: np.full(t.shape + (1,), 1.0),
+        diffusion=lambda t: np.zeros(t.shape + (1, 1)), nondegenerate=False)
     grid = build_grid(1.0, 4, 8)
     b = simulate_paths(spec, grid, 3, master_seed=1)
     np.testing.assert_allclose(compute_E(identity(), b), 0.125, atol=1e-12)
@@ -105,8 +105,8 @@ def test_decomposition_identity(bundle, u):
 def _time_varying_bundle():
     # no closed-form integrals: the moments come from Gauss-Legendre
     spec = DeterministicGaussian(
-        dimension=1, drift=lambda t: np.array([np.sin(3.0 * t)]),
-        diffusion=lambda t: np.array([[1.0 + 0.5 * t]]))
+        dimension=1, drift=lambda t: np.sin(3.0 * t)[..., None],
+        diffusion=lambda t: (1.0 + 0.5 * t)[..., None, None])
     return simulate_paths(spec, build_grid(1.0, 8, 64), 40, master_seed=78)
 
 
@@ -152,6 +152,32 @@ def test_decompose_needs_closed_form_or_gradient(bundle):
 def test_g_probe_zero_frequency_row():
     probe = g_decay_probe([0.0], [8, 16], BrownianMotion(), 50, seed=3)
     assert all(row.g_hat == 0.0 for row in probe.rows)
+
+
+def test_g_probe_rows_match_per_grid_simulation():
+    # oracle: one simulate_paths ensemble per n, and sup_t (|F1|^2 + |F2|^2)
+    # over the coarse times from compute_F at each of them
+    spec = DeterministicGaussian(
+        dimension=1, drift=lambda t: np.sin(3.0 * t)[..., None],
+        diffusion=lambda t: (1.0 + 0.5 * t)[..., None, None])
+    u_list, n_list, horizon = (1.0, 3.0), (4, 8, 16), 0.5
+    probe = g_decay_probe(u_list, n_list, spec, 60, seed=12, horizon=horizon)
+    expected = []
+    for n in n_list:
+        grid = build_grid(horizon, n, 1)
+        bundle = simulate_paths(spec, grid, 60, master_seed=12)
+        for u in u_list:
+            sup = np.max([np.abs(f1) ** 2 + np.abs(f2) ** 2
+                          for f1, f2 in (compute_F(u, bundle, t)
+                                         for t in grid.coarse_times[1:])],
+                         axis=0)
+            vals = sup / grid.coarse_step ** 2 / (1.0 + u * u)
+            expected.append((u, n, vals.mean(),
+                             vals.std(ddof=1) / np.sqrt(len(vals))))
+    assert [(r.u, r.n) for r in probe.rows] == [e[:2] for e in expected]
+    for row, (_, _, g_hat, stderr) in zip(probe.rows, expected):
+        assert row.g_hat == pytest.approx(g_hat, rel=1e-12)
+        assert row.stderr == pytest.approx(stderr, rel=1e-10)
 
 
 def test_g_probe_decreasing_trend():

@@ -12,16 +12,18 @@ from occutime import (
     StochVol,
     UniformShift,
     build_grid,
+    simulate_grids,
     simulate_paths,
 )
-from occutime.processes import dump_paths_csv, path_rng
+from occutime.config import build_process, load_config
+from occutime.processes import STREAM_VOL, dump_paths_csv, path_rng
 
 
 @pytest.mark.parametrize("spec", [
     BrownianMotion(dimension=2, initial=FixedStart((0.0, 1.0)),
                    shift=UniformShift(0.5)),
-    DeterministicGaussian(dimension=1, drift=lambda t: np.array([t]),
-                          diffusion=lambda t: np.array([[1.0 + t]])),
+    DeterministicGaussian(dimension=1, drift=lambda t: t[..., None],
+                          diffusion=lambda t: (1.0 + t)[..., None, None]),
     StochVol(),
 ], ids=["brownian-2d-shift", "deterministic", "stochvol"])
 def test_streams_independent_of_chunking(spec):
@@ -38,6 +40,115 @@ def test_streams_independent_of_chunking(spec):
             np.testing.assert_array_equal(whole.sigma, part.sigma)
         else:
             np.testing.assert_array_equal(whole.sigma[rows], part.sigma)
+
+
+@pytest.mark.parametrize("spec", [
+    BrownianMotion(dimension=2, initial=FixedStart((0.0, 1.0)),
+                   shift=UniformShift(0.5)),
+    DeterministicGaussian(dimension=1,
+                          drift=lambda t: np.full(t.shape + (1,), 0.3),
+                          diffusion=lambda t: np.full(t.shape + (1, 1), 0.8)),
+    DeterministicGaussian(dimension=1, drift=lambda t: np.sin(3.0 * t)[..., None],
+                          diffusion=lambda t: (1.0 + 0.5 * t)[..., None, None]),
+    StochVol(shift=UniformShift(0.2)),
+], ids=["brownian-2d-shift", "deterministic-constant",
+        "deterministic-time-varying", "stochvol"])
+def test_simulate_grids_equals_separate_runs(spec):
+    # one draw per path serves every grid, the longest not listed first;
+    # each bundle is byte for byte the single-grid simulation
+    grids = [build_grid(1.0, 4, 2), build_grid(1.0, 16, 4),
+             build_grid(2.0, 8, 1)]
+    bundles = simulate_grids(spec, grids, 5, master_seed=31,
+                             first_path_index=4)
+    assert [b.grid for b in bundles] == grids
+    for grid, bundle in zip(grids, bundles):
+        alone = simulate_paths(spec, grid, 5, master_seed=31,
+                               first_path_index=4)
+        for name in ("x", "sigma", "shifts"):
+            got, want = getattr(bundle, name), getattr(alone, name)
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def test_stochvol_matches_per_path_euler():
+    # oracle: each path's two streams drawn alone, the volatility and the
+    # Euler increments assembled one path at a time
+    spec = StochVol(sigma0=1.5, eta=-0.3, initial=FixedStart((0.2,)))
+    grid = build_grid(1.0, 4, 8)
+    bundle = simulate_paths(spec, grid, 3, master_seed=12, first_path_index=2)
+    sqrt_dt = np.sqrt(grid.fine_step)
+    for i in range(3):
+        z = path_rng(12, 2 + i).standard_normal((grid.fine_count, 1))
+        zv = path_rng(12, 2 + i, STREAM_VOL).standard_normal(grid.fine_count)
+        w_aux = np.concatenate(([0.0], np.cumsum(zv) * sqrt_dt))
+        sigma = 1.5 * (1.0 + -0.3 * np.sin(w_aux))
+        x = np.concatenate(([[0.0]], np.cumsum(sigma[:-1, None] * z * sqrt_dt,
+                                               axis=0))) + 0.2
+        assert bundle.sigma[i].tobytes() == sigma.tobytes()
+        np.testing.assert_array_equal(bundle.x[i, 1:], x[1:])
+        assert bundle.x[i, 0, 0] == 0.2
+
+
+def _sigma_2d(t):
+    out = np.empty(t.shape + (2, 2))
+    out[..., 0, 0] = 1.0 + t
+    out[..., 0, 1] = 0.3
+    out[..., 1, 0] = 0.2 * t
+    out[..., 1, 1] = 1.5 - 0.25 * t * t
+    return out
+
+
+def _constant_gaussian(d):
+    return build_process(load_config(
+        "[process]\nkind = deterministic_gaussian\n"
+        f"dimension = {d}\ndrift_const = {','.join(['0.3', '-0.1'][:d])}\n"
+        f"diffusion_const = {','.join(['0.8', '1.3'][:d])}\n"))
+
+
+@pytest.mark.parametrize("spec", [
+    DeterministicGaussian(dimension=1, drift=lambda t: t[..., None],
+                          diffusion=lambda t: (1.0 + t)[..., None, None]),
+    DeterministicGaussian(
+        dimension=2, drift=lambda t: np.stack([t, 1.0 - t * t], axis=-1),
+        diffusion=_sigma_2d),
+    _constant_gaussian(1),
+    _constant_gaussian(2),
+], ids=["gauss-legendre-1d", "gauss-legendre-2d", "closed-form-1d",
+        "closed-form-2d"])
+def test_array_transition_moments_match_scalar_calls(spec):
+    d = spec.dimension
+    t0 = np.array([[0.0], [0.25], [0.5]])
+    t1 = t0 + np.array([0.0, 0.01, 0.3, 0.5])
+    mu, cov = spec.transition_moments(t0, t1)
+    assert mu.shape == (3, 4, d) and cov.shape == (3, 4, d, d)
+    for i, j in np.ndindex(t1.shape):
+        m, c = spec.transition_moments(t0[i, 0], t1[i, j])
+        assert m.shape == (d,) and c.shape == (d, d)
+        np.testing.assert_array_equal(mu[i, j], m)
+        np.testing.assert_array_equal(cov[i, j], c)
+    if d == 1 and spec.drift_integral is None:
+        # 16-point Gauss-Legendre is exact for these polynomials
+        np.testing.assert_allclose(mu[..., 0], 0.5 * (t1 ** 2 - t0 ** 2),
+                                   rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(cov[..., 0, 0],
+                                   ((1.0 + t1) ** 3 - (1.0 + t0) ** 3) / 3.0,
+                                   rtol=1e-13, atol=1e-16)
+
+
+def test_constant_coefficients_broadcast_over_times():
+    spec = DeterministicGaussian(dimension=2,
+                                 drift=lambda t: np.array([0.5, -1.0]),
+                                 diffusion=lambda t: np.eye(2))
+    times = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    np.testing.assert_array_equal(spec.drift_at(times),
+                                  np.broadcast_to([0.5, -1.0], (2, 3, 2)))
+    assert spec.diffusion_at(times).shape == (2, 3, 2, 2)
+    mu, cov = spec.transition_moments(0.0, 0.5)
+    np.testing.assert_allclose(mu, [0.25, -0.5], rtol=1e-15)
+    np.testing.assert_allclose(cov, 0.5 * np.eye(2), rtol=1e-15, atol=1e-17)
 
 
 def test_streams_distinct_per_path_and_tag():
@@ -63,8 +174,8 @@ def test_deterministic_gaussian_matches_closed_form():
     # dX = dt + 2 dW from x0 = 1
     spec = DeterministicGaussian(
         dimension=1,
-        drift=lambda t: np.array([1.0]),
-        diffusion=lambda t: np.array([[2.0]]),
+        drift=lambda t: np.full(t.shape + (1,), 1.0),
+        diffusion=lambda t: np.full(t.shape + (1, 1), 2.0),
         initial=FixedStart((1.0,)))
     grid = build_grid(1.0, 8, 8)
     bundle = simulate_paths(spec, grid, 3000, master_seed=3)
@@ -75,14 +186,14 @@ def test_deterministic_gaussian_matches_closed_form():
 
 def test_degenerate_diffusion_rejected_unless_opted_out():
     degenerate = DeterministicGaussian(
-        dimension=1, drift=lambda t: np.array([1.0]),
-        diffusion=lambda t: np.array([[0.0]]))
+        dimension=1, drift=lambda t: np.full(t.shape + (1,), 1.0),
+        diffusion=lambda t: np.zeros(t.shape + (1, 1)))
     grid = build_grid(1.0, 4, 2)
     with pytest.raises(SimulationError, match="degenerate at time"):
         simulate_paths(degenerate, grid, 2, master_seed=0)
     allowed = DeterministicGaussian(
-        dimension=1, drift=lambda t: np.array([1.0]),
-        diffusion=lambda t: np.array([[0.0]]), nondegenerate=False)
+        dimension=1, drift=lambda t: np.full(t.shape + (1,), 1.0),
+        diffusion=lambda t: np.zeros(t.shape + (1, 1)), nondegenerate=False)
     bundle = simulate_paths(allowed, grid, 2, master_seed=0)
     # pure drift: X_t = t exactly
     np.testing.assert_allclose(bundle.x[:, :, 0],

@@ -42,6 +42,35 @@ def test_indicator_divergence_boundary():
     assert divergent.value == math.inf
 
 
+@pytest.mark.parametrize("s", [0.6, 1.0, 3.0, 6.0])
+def test_indicator_outside_h_half_is_divergent(s):
+    # |F 1_[0,1]|^2 ~ u^-2: every s >= 1/2 diverges. At s = 6 the integrand
+    # grows by 2^11 per octave up to the frequency cap, so the first panels
+    # of the fit window are negligible beside the last one
+    r = sobolev_seminorm(indicator(0.0, 1.0), s)
+    assert r.divergent and r.value == math.inf
+    assert r.tail_exponent == pytest.approx(2.0 - 2.0 * s, abs=0.01)
+
+
+def test_power_singularity_h6_divergent():
+    # |Ff|^2 |u|^12 ~ u^10.6 grows up to the frequency cap
+    r = sobolev_seminorm(power_singularity(0.3), 6.0)
+    assert r.divergent and r.value == math.inf
+
+
+def test_tail_exponent_only_from_a_tail():
+    # transforms that live on a few panels have no tail and no exponent
+    assert math.isnan(sobolev_seminorm(gaussian_bump(), 6.0).tail_exponent)
+    assert math.isnan(sobolev_seminorm(lacunary(1.2, J=1), 1.0).tail_exponent)
+    assert math.isnan(fourier_lebesgue_seminorm(gaussian_bump(), 1.0)
+                      .tail_exponent)
+    # the hat's |Ff|^2 |u|^2.8 ~ u^-1.2 is a tail on every panel
+    r = sobolev_seminorm(hat(), 1.4)
+    assert not r.divergent
+    assert r.value == pytest.approx(7.9461531371165925, rel=1e-12)
+    assert r.tail_exponent == pytest.approx(1.2, abs=1e-3)
+
+
 def test_indicator_fractional_closed_form():
     # |F 1_[0,1](u)|^2 = 4 sin^2(u/2) / u^2, so its H^s seminorm squared is
     # 4 Gamma(2s) sin(pi s) / (1 - 2s) for 0 < s < 1/2 (2 pi at s = 0)
