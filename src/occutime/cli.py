@@ -18,7 +18,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import ResolvedConfig, build_function, build_process, build_study, load_config
+from .config import (ResolvedConfig, build_function, build_process,
+                     build_study, load_config, read_seed)
 from .errors import CapabilityError, ConfigError, SimulationError
 from .experiments import StudyReport, run_study
 from .grids import build_grid
@@ -165,8 +166,7 @@ def _run_simulate(cfg: ResolvedConfig, seed_override, threads, out_dir) -> dict:
     n = cfg.number("simulate", "n", kind=int)
     refine = cfg.number("simulate", "refine", "1", int)
     paths = cfg.number("simulate", "paths", kind=int)
-    seed = seed_override if seed_override is not None \
-        else cfg.number("simulate", "seed", kind=int)
+    seed = read_seed(cfg, "simulate", seed_override)
     horizon = cfg.number("simulate", "horizon", "1.0")
     grid = build_grid(horizon, n, refine)
     bundle = simulate_paths(spec, grid, paths, seed)
@@ -201,7 +201,8 @@ def _run_norms(cfg: ResolvedConfig, seed_override, threads, out_dir) -> dict:
                      "divergent": r.divergent, "tail_exponent": r.tail_exponent})
         summary[f"{form}_value"] = r.value
         summary[f"{form}_divergent"] = r.divergent
-    seed = seed_override if seed_override is not None else 0
+    seed = 0 if seed_override is None else read_seed(cfg, "norms",
+                                                      seed_override)
     return {"seed": seed, "tables": {"norms": rows}, "summary": summary,
             "runtime": 0.0}
 

@@ -130,6 +130,19 @@ def load_config(text: str, overrides=()) -> ResolvedConfig:
     return ResolvedConfig(sections, _canonical_text(parser))
 
 
+def read_seed(cfg: ResolvedConfig, section: str,
+              override: int | None = None) -> int:
+    """The master seed: ``--seed`` if given, else [section] seed. Path
+    streams are keyed by it, so it must be a non-negative integer."""
+    if override is not None:
+        seed, key = override, "--seed"
+    else:
+        seed, key = cfg.number(section, "seed", kind=int), f"[{section}] seed"
+    if seed < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def build_process(cfg: ResolvedConfig) -> ProcessSpec:
     kind = cfg.get("process", "kind", "brownian").strip().lower()
     d = cfg.number("process", "dimension", "1", int)
@@ -196,8 +209,7 @@ def build_study(cfg: ResolvedConfig, kind: str, seed_override: int | None = None
             f"[process] dimension is {spec.dimension}, but {function.name} "
             f"takes points of dimension {function.dimension}")
     n_list = cfg.numbers("study", "n_list", kind=int)
-    seed = seed_override if seed_override is not None \
-        else cfg.number("study", "seed", kind=int)
+    seed = read_seed(cfg, "study", seed_override)
     t_eval = cfg.get("study", "t_eval")
     estimators = tuple(
         p.strip() for p in cfg.get("study", "estimators",

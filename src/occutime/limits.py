@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimators import _time_sum
 from .functions import TestFunction, fn_gradient, fn_value
-from .processes import PathBundle, STREAM_LIMIT, path_rng
+from .processes import PathBundle, STREAM_LIMIT, _path_streams
 
 INV_SQRT12 = 1.0 / np.sqrt(12.0)
 
@@ -76,10 +76,10 @@ def simulate_limit(f: TestFunction, bundle: PathBundle) -> LimitSample:
     stg = _sigma_transpose_grad(bundle, fn_gradient(f, y))
     left = stg[:, :-1]                                    # left endpoints
     ends = fn_value(f, y[:, [0, -1], :])
-    ito = np.array([
-        np.sum(row * path_rng(bundle.master_seed, index, STREAM_LIMIT)
-               .standard_normal(row.shape))
-        for row, index in zip(left, bundle.path_indices())])
+    streams = _path_streams(bundle.master_seed, bundle.path_indices(),
+                            STREAM_LIMIT)
+    ito = np.array([np.sum(row * rng.standard_normal(row.shape))
+                    for row, rng in zip(left, streams)])
     return LimitSample(0.5 * (ends[:, 1] - ends[:, 0]).real,
                        INV_SQRT12 * np.sqrt(dt) * ito,
                        _energy_sum(bundle.grid, stg))

@@ -10,6 +10,13 @@ stream derived from ``(master_seed, path_index)``, once for all the grids
 of a call, and only the rule that turns the normals into increments
 depends on the family. Ensembles are therefore reproducible bit for bit
 regardless of chunking, thread count or the other grids of the call.
+
+The stream contract: the stream with tag ``tag`` of path ``i`` is
+``Generator(Philox(SeedSequence(master_seed, spawn_key=(i, tag))))``. The
+seed is a non-negative integer and path indices lie in [0, 2**32), so each
+index is one spawn word. The keys of all paths of a call are computed in
+one array call (``_stream_keys``), and one generator per call is re-keyed
+for each path instead of building a SeedSequence per path.
 """
 
 from __future__ import annotations
@@ -29,12 +36,94 @@ STREAM_MAIN = 0
 STREAM_VOL = 1
 STREAM_LIMIT = 2
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MAX_PATHS = 2 ** 32
 
-def path_rng(master_seed: int, path_index: int, stream: int = STREAM_MAIN) -> np.random.Generator:
-    """Deterministic, non-overlapping per-path generator."""
-    ss = np.random.SeedSequence(entropy=int(master_seed),
-                                spawn_key=(int(path_index), int(stream)))
-    return np.random.Generator(np.random.Philox(ss))
+
+def _hasher(init: int, mult: int):
+    """numpy's SeedSequence hash: a multiplier that advances with every
+    word hashed, whatever its value; words are ints or uint64 arrays
+    holding 32-bit values."""
+    const = init
+
+    def hash_word(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ (value >> _XSHIFT)
+    return hash_word
+
+
+def _stream_keys(master_seed: int, indices, stream: int) -> np.ndarray:
+    """Philox keys of the streams (master_seed, index, stream), shape
+    (count, 2) uint64: ``SeedSequence(master_seed, spawn_key=(index,
+    stream)).generate_state(2, np.uint64)`` for every index at once.
+
+    The seed enters as its little-endian 32-bit words (one word for 0),
+    padded with zeros to the pool size; each index below 2**32 and the
+    stream tag are one spawn word each. The hash multipliers do not depend
+    on the words' values, so everything before the index word is a scalar
+    and the rest is uint64 arithmetic mod 2**32 over all indices.
+    """
+    seed = int(master_seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    index = np.asarray(indices, dtype=np.uint64)
+    entropy = words + [index, int(stream)]
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> _XSHIFT)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(2, np.uint64): four 32-bit words, paired little-endian
+    out = _hasher(_INIT_B, _MULT_B)
+    lo0, hi0, lo1, hi1 = map(out, pool)
+    return np.stack([lo0 | hi0 << np.uint64(32),
+                     lo1 | hi1 << np.uint64(32)], axis=-1)
+
+
+def _path_streams(master_seed: int, indices, stream: int = STREAM_MAIN):
+    """Yield the generator of each path's stream in turn.
+
+    One ``Generator(Philox)`` serves the whole call: Philox is counter
+    based, so setting its key to the path's and its counter and buffer to
+    zero gives exactly the stream that ``Philox(SeedSequence(master_seed,
+    spawn_key=(index, stream)))`` starts. The generator yielded is reused,
+    so each path's draws must be taken before the next is requested.
+    """
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    zero = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": zero, "key": None},
+             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in _stream_keys(master_seed, indices, stream).tolist():
+        state["state"]["key"] = key
+        bit_generator.state = state
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +391,10 @@ def simulate_grids(spec: ProcessSpec, grids: list[TimeGrid], count: int,
     """
     if count < 1:
         raise ConfigError(f"path count must be >= 1, got {count}")
+    if first_path_index < 0 or first_path_index + count > _MAX_PATHS:
+        raise ConfigError(
+            f"path indices must lie in [0, 2**32), got {first_path_index} "
+            f"to {first_path_index + count - 1}")
     if not isinstance(spec, (BrownianMotion, DeterministicGaussian, StochVol)):
         raise ConfigError(f"unknown process spec {type(spec).__name__}")
     d = spec.dimension
@@ -312,15 +405,16 @@ def simulate_grids(spec: ProcessSpec, grids: list[TimeGrid], count: int,
     shifts = np.zeros((count, d))
     top = max(range(len(grids)), key=lambda k: grids[k].fine_count)
     x_top, vol_top = xs[top], vols[top]
-    for i in range(count):
+    indices = first_path_index + np.arange(count)
+    for i, rng in enumerate(_path_streams(master_seed, indices)):
         # the shift, then the (fine_count, d) normals, from the main stream
-        rng = path_rng(master_seed, first_path_index + i)
         if spec.shift is not None:
             shifts[i] = spec.shift.sample(rng, d)
         rng.standard_normal(out=x_top[i, 1:])
-        if vol:
-            path_rng(master_seed, first_path_index + i,
-                     STREAM_VOL).standard_normal(out=vol_top[i, 1:])
+    if vol:
+        for i, rng in enumerate(_path_streams(master_seed, indices,
+                                              STREAM_VOL)):
+            rng.standard_normal(out=vol_top[i, 1:])
     for grid, x, sigma in zip(grids, xs, vols):
         if x is not x_top:
             x[:, 1:] = x_top[:, 1:grid.fine_count + 1]
@@ -345,7 +439,11 @@ def dump_paths_csv(bundle: PathBundle, stream) -> None:
     header = "path_id,time," + ",".join(f"x_{j + 1}" for j in range(d))
     stream.write(header + "\n")
     times = [repr(t) for t in bundle.grid.fine_times.tolist()]
-    for index, path in zip(bundle.path_indices().tolist(), bundle.x.tolist()):
-        stream.write("".join(
-            f"{index},{t},{','.join(map(repr, point))}\n"
-            for t, point in zip(times, path)))
+    flat = bundle.x.reshape(bundle.count, -1)
+    for index, row in zip(bundle.path_indices().tolist(), flat):
+        values = list(map(repr, row.tolist()))
+        if d > 1:
+            values = [",".join(values[k:k + d])
+                      for k in range(0, len(values), d)]
+        stream.write("".join([f"{index},{t},{v}\n"
+                              for t, v in zip(times, values)]))

@@ -112,6 +112,23 @@ def test_seed_flag_overrides_config(tmp_path):
     assert report["master_seed"] == 7
 
 
+@pytest.mark.parametrize("command, text, args, key", [
+    ("simulate", SIM_CFG, ["--seed", "-1"], "--seed"),
+    ("simulate", SIM_CFG, ["--set", "simulate.seed=-3"], "[simulate] seed"),
+    ("rate-study", STUDY_CFG, ["--seed", "-1"], "--seed"),
+    ("rate-study", STUDY_CFG, ["--set", "study.seed=-2"], "[study] seed"),
+], ids=["simulate-flag", "simulate-key", "study-flag", "study-key"])
+def test_negative_seed_exits_1_naming_key(tmp_path, capsys, command, text,
+                                          args, key):
+    cfg = _write(tmp_path, text)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "neg"),
+               *args])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert key in err and "non-negative" in err
+    assert not (tmp_path / "neg").exists()
+
+
 def test_reruns_byte_identical_across_threads(tmp_path):
     cfg = _write(tmp_path, STUDY_CFG)
     outs = []

@@ -12,11 +12,22 @@ from occutime import (
     StochVol,
     UniformShift,
     build_grid,
+    gaussian_bump,
     simulate_grids,
+    simulate_limit,
     simulate_paths,
 )
 from occutime.config import build_process, load_config
-from occutime.processes import STREAM_VOL, dump_paths_csv, path_rng
+from occutime.functions import fn_gradient
+from occutime.processes import (STREAM_LIMIT, STREAM_MAIN, STREAM_VOL,
+                                _path_streams, _stream_keys, dump_paths_csv)
+
+
+def path_rng(master_seed, path_index, stream=STREAM_MAIN):
+    # the stream oracle: numpy's own SeedSequence and Philox, one per path
+    ss = np.random.SeedSequence(entropy=int(master_seed),
+                                spawn_key=(int(path_index), int(stream)))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 @pytest.mark.parametrize("spec", [
@@ -152,12 +163,88 @@ def test_constant_coefficients_broadcast_over_times():
 
 
 def test_streams_distinct_per_path_and_tag():
-    a = path_rng(5, 0).standard_normal(4)
-    b = path_rng(5, 1).standard_normal(4)
-    c = path_rng(5, 0, stream=1).standard_normal(4)
-    assert not np.allclose(a, b)
-    assert not np.allclose(a, c)
-    np.testing.assert_array_equal(a, path_rng(5, 0).standard_normal(4))
+    def draws(index, stream=STREAM_MAIN):
+        rng = next(_path_streams(5, [index], stream))
+        return rng.standard_normal(4)
+
+    a = draws(0)
+    assert not np.allclose(a, draws(1))
+    assert not np.allclose(a, draws(0, stream=STREAM_VOL))
+    np.testing.assert_array_equal(a, draws(0))
+    keys = _stream_keys(5, np.arange(1000), STREAM_MAIN)
+    assert len({tuple(k) for k in keys.tolist()}) == 1000
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11, 2 ** 32 - 1, 2 ** 32 + 5,
+                                  2 ** 70 + 3, 2 ** 130 + 1])
+def test_stream_keys_match_seed_sequence(seed):
+    indices = [0, 1, 99, 2 ** 31, 2 ** 32 - 1]
+    for stream in (STREAM_MAIN, STREAM_VOL, STREAM_LIMIT):
+        keys = _stream_keys(seed, indices, stream)
+        assert keys.shape == (5, 2) and keys.dtype == np.uint64
+        for key, index in zip(keys, indices):
+            ss = np.random.SeedSequence(seed, spawn_key=(index, stream))
+            np.testing.assert_array_equal(key, ss.generate_state(2, np.uint64))
+
+
+def test_shift_then_normals_drawn_as_the_oracle():
+    spec = BrownianMotion(dimension=2, initial=FixedStart((0.0, 1.0)),
+                          shift=UniformShift(0.5))
+    grid = build_grid(1.0, 4, 8)
+    bundle = simulate_paths(spec, grid, 3, master_seed=2 ** 40 + 9,
+                            first_path_index=2 ** 32 - 3)
+    sqrt_dt = np.sqrt(grid.fine_step)
+    for i in range(3):
+        rng = path_rng(2 ** 40 + 9, 2 ** 32 - 3 + i)
+        shift = rng.uniform(-0.5, 0.5, size=2)
+        z = rng.standard_normal((grid.fine_count, 2))
+        x = np.cumsum(z * sqrt_dt, axis=0) + np.array([0.0, 1.0])
+        assert bundle.shifts[i].tobytes() == shift.tobytes()
+        assert bundle.x[i, 1:].tobytes() == x.tobytes()
+
+
+def test_limit_stream_drawn_as_the_oracle():
+    grid = build_grid(1.0, 4, 8)
+    bundle = simulate_paths(BrownianMotion(), grid, 3, master_seed=6,
+                            first_path_index=10)
+    f = gaussian_bump()
+    left = fn_gradient(f, bundle.observed())[:, :-1]
+    ito = np.array([np.sum(row * path_rng(6, 10 + i, STREAM_LIMIT)
+                           .standard_normal(row.shape))
+                    for i, row in enumerate(left)])
+    want = 1.0 / np.sqrt(12.0) * np.sqrt(grid.fine_step) * ito
+    got = simulate_limit(f, bundle).mixed_gaussian_part
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("first, count", [(-1, 2), (2 ** 32 - 1, 2),
+                                          (2 ** 32, 1)])
+def test_path_index_outside_32_bits_rejected(first, count):
+    grid = build_grid(1.0, 2, 2)
+    with pytest.raises(ConfigError, match="path indices"):
+        simulate_paths(BrownianMotion(), grid, count, master_seed=1,
+                       first_path_index=first)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="non-negative"):
+        simulate_paths(BrownianMotion(), build_grid(1.0, 2, 2), 2,
+                       master_seed=-1)
+
+
+def test_no_seed_sequence_per_path(monkeypatch):
+    # the streams are keyed directly; numpy's SeedSequence is never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("SeedSequence built during simulation")
+
+    grid = build_grid(1.0, 4, 4)
+    spec = StochVol(shift=UniformShift(0.2))
+    want = simulate_paths(spec, grid, 5, master_seed=3)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    got = simulate_paths(spec, grid, 5, master_seed=3)
+    simulate_limit(gaussian_bump(), got)
+    for name in ("x", "sigma", "shifts"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_brownian_moments():
@@ -265,9 +352,10 @@ def _dump_paths_per_value(bundle, stream):
 
 @pytest.mark.parametrize("spec", [
     BrownianMotion(dimension=2, initial=FixedStart((0.3, -1.0))),
+    BrownianMotion(dimension=3, initial=FixedStart((0.0, 2.0, -0.5))),
     BrownianMotion(shift=UniformShift(0.5)),
     StochVol(),
-], ids=["brownian-2d", "brownian-shift", "stochvol"])
+], ids=["brownian-2d", "brownian-3d", "brownian-shift", "stochvol"])
 def test_dump_paths_csv_matches_per_value_writer(spec):
     grid = build_grid(0.7, 3, 5)
     bundle = simulate_paths(spec, grid, 4, master_seed=21, first_path_index=7)
