@@ -49,7 +49,6 @@ from .estimators import (
     riemann_estimate,
     trapezoid_estimate,
 )
-from .limits import LimitSample, lower_bound_constant, simulate_limit
 from . import fourier
 from .experiments import (
     StudyConfig,
@@ -68,7 +67,6 @@ __all__ = [
     "ConfigError",
     "DeterministicGaussian",
     "FixedStart",
-    "LimitSample",
     "OccutimeError",
     "PathBundle",
     "SeminormResult",
@@ -93,7 +91,6 @@ __all__ = [
     "identity",
     "indicator",
     "lacunary",
-    "lower_bound_constant",
     "parse_function",
     "power_singularity",
     "quadratic",
@@ -101,7 +98,6 @@ __all__ = [
     "reference_value",
     "riemann_estimate",
     "simulate_grids",
-    "simulate_limit",
     "simulate_paths",
     "sobolev_seminorm",
     "tensor_product",

@@ -161,13 +161,17 @@ def _write_artifacts(out_dir: Path, command: str, cfg: ResolvedConfig,
         fh.write(f"created = {datetime.now(timezone.utc).isoformat()}\n")
 
 
-def _run_simulate(cfg: ResolvedConfig, seed_override, threads, out_dir) -> dict:
+def _run_simulate(cfg: ResolvedConfig, seed_override, out_dir) -> dict:
     spec = build_process(cfg)
     n = cfg.number("simulate", "n", kind=int)
     refine = cfg.number("simulate", "refine", "1", int)
     paths = cfg.number("simulate", "paths", kind=int)
     seed = read_seed(cfg, "simulate", seed_override)
     horizon = cfg.number("simulate", "horizon", "1.0")
+    for key, value in (("n", n), ("refine", refine), ("paths", paths),
+                       ("horizon", horizon)):
+        if value <= 0:
+            raise ConfigError(f"[simulate] {key} must be > 0, got {value}")
     grid = build_grid(horizon, n, refine)
     bundle = simulate_paths(spec, grid, paths, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,7 +182,7 @@ def _run_simulate(cfg: ResolvedConfig, seed_override, threads, out_dir) -> dict:
     return {"seed": seed, "tables": {}, "summary": summary, "runtime": 0.0}
 
 
-def _run_norms(cfg: ResolvedConfig, seed_override, threads, out_dir) -> dict:
+def _run_norms(cfg: ResolvedConfig, seed_override) -> dict:
     f = build_function(cfg)
     if f.fourier is None:
         raise ConfigError(f"[function] descriptor: norms needs a closed-form "
@@ -208,7 +212,7 @@ def _run_norms(cfg: ResolvedConfig, seed_override, threads, out_dir) -> dict:
 
 
 def _run_study_command(kind: str, cfg: ResolvedConfig, seed_override,
-                       threads, out_dir) -> dict:
+                       threads: int) -> dict:
     study = build_study(cfg, kind, seed_override, threads)
     report: StudyReport = run_study(study)
     return {"seed": study.master_seed, "tables": report.tables,
@@ -223,15 +227,15 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = load_config(config_path.read_text(), args.overrides)
-        threads = _resolve_threads(args.threads)
         out_dir = Path(args.out)
         if args.subcommand == "simulate":
-            result = _run_simulate(cfg, args.seed, threads, out_dir)
+            result = _run_simulate(cfg, args.seed, out_dir)
         elif args.subcommand == "norms":
-            result = _run_norms(cfg, args.seed, threads, out_dir)
+            result = _run_norms(cfg, args.seed)
         else:
             result = _run_study_command(_STUDY_KINDS[args.subcommand], cfg,
-                                        args.seed, threads, out_dir)
+                                        args.seed,
+                                        _resolve_threads(args.threads))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -75,6 +75,8 @@ class StudyConfig:
         if self.kind != "diagnostics" and self.refine < 8:
             raise ConfigError(f"refine must be at least 8 for the fine "
                               f"reference, got {self.refine}")
+        if self.kind == "diagnostics" and not self.u_list:
+            raise ConfigError("u_list must be non-empty")
         if self.paths < 100:
             raise ConfigError(f"paths must be at least 100, got {self.paths}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError
+from .errors import CapabilityError
 from .estimators import reference_value, riemann_estimate
 from .functions import TestFunction, gaussian_mean
 from .grids import TimeGrid, build_grid, gauss_legendre
@@ -43,19 +43,6 @@ def _require_gaussian(spec, what: str):
         raise CapabilityError(
             f"{what} needs a Brownian or deterministic-Gaussian specification "
             f"(no tractable conditional law for {type(spec).__name__})")
-
-
-def char_increment(u, spec, h: float, r: float) -> float:
-    """|E exp(i <u, X_r - X_h>)| = exp(-1/2 int_h^r |sigma^T u|^2 dt)."""
-    if h > r:
-        raise ConfigError(f"need h <= r, got h={h}, r={r}")
-    _require_gaussian(spec, "char_increment")
-    u = np.atleast_1d(np.asarray(u, float))
-    if isinstance(spec, BrownianMotion):
-        quad = float(u @ u) * (r - h)
-    else:
-        quad = float(u @ spec.transition_moments(h, r)[1] @ u)
-    return float(np.exp(-0.5 * quad))
 
 
 @dataclass(frozen=True)

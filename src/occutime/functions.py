@@ -42,36 +42,25 @@ class TestFunction:
         return f"TestFunction({self.name!r}, d={self.dimension})"
 
 
-def fn_value(f: TestFunction, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on points of shape (..., d)."""
-    x = np.asarray(x)
-    if f.dimension == 1 and x.shape[-1] == 1:
-        return f.value(x[..., 0])
-    return f.value(x)
-
-
-def fn_gradient(f: TestFunction, x: np.ndarray) -> np.ndarray:
-    """Gradient on points of shape (..., d), returned with a coordinate axis."""
-    if f.gradient is None:
-        raise CapabilityError(f"{f.name} has no gradient")
-    x = np.asarray(x)
-    if f.dimension == 1 and x.shape[-1] == 1:
-        return np.asarray(f.gradient(x[..., 0]))[..., None]
-    return f.gradient(x)
-
-
 def eval_on_path(f: TestFunction, bundle, gradient: bool = False):
     """Sample f (and optionally its gradient) at the fine nodes of the
     observed paths Y = X + xi (see ``PathBundle.observed``).
 
     Returns an array of shape (paths, nodes) or a pair with the gradient
-    array (paths, nodes, d).
+    array (paths, nodes, d). A one-dimensional f gets the points without
+    their coordinate axis, and its gradient gets the axis back.
     """
+    if gradient and f.gradient is None:
+        raise CapabilityError(f"{f.name} has no gradient")
     y = bundle.observed()
-    vals = fn_value(f, y)
+    squeeze = f.dimension == 1 and y.shape[-1] == 1
+    if squeeze:
+        y = y[..., 0]
+    vals = f.value(y)
     if not gradient:
         return vals
-    return vals, fn_gradient(f, y)
+    grad = f.gradient(y)
+    return vals, (np.asarray(grad)[..., None] if squeeze else grad)
 
 
 def gaussian_mean(f: TestFunction, mean, var) -> np.ndarray:

@@ -31,10 +31,9 @@ from .grids import TimeGrid, gauss_legendre
 
 # Stream tags for the splittable per-path RNG. MAIN drives the shift and the
 # increments of W; VOL drives the auxiliary Brownian motion of the stochastic
-# volatility; LIMIT drives the limit-law module.
+# volatility.
 STREAM_MAIN = 0
 STREAM_VOL = 1
-STREAM_LIMIT = 2
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4

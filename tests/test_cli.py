@@ -172,6 +172,7 @@ def test_bad_override_exits_1(tmp_path, capsys):
             ("norms", ("function.descriptor=power_singularity(alpha=0.3,"
                        "cutoff=0)",), "[function] descriptor"),
             ("diagnostics", ("study.u_list=1,nan",), "[study] u_list"),
+            ("diagnostics", ("study.u_list=",), "[study] u_list"),
             ("diagnostics", ("process.x0=nan",), "[process] x0"),
             ("rate-study", ("process.x0=inf",), "[process] x0"),
             ("diagnostics", ("process.shift_half_width=nan",),
@@ -201,6 +202,23 @@ def test_bad_override_exits_1(tmp_path, capsys):
             args += ["--set", item]
         assert main(args) == 1, (command, overrides)
         assert key in capsys.readouterr().err, (command, overrides)
+
+
+def test_empty_u_list_ignored_outside_diagnostics(tmp_path):
+    cfg = _write(tmp_path, STUDY_CFG)
+    assert main(["rate-study", "--config", cfg, "--out", str(tmp_path / "r"),
+                 "--set", "study.u_list=", "--set", "study.paths=100"]) == 0
+
+
+@pytest.mark.parametrize("key, value", [("n", "0"), ("refine", "0"),
+                                        ("paths", "0"), ("horizon", "-1")])
+def test_simulate_bad_size_exits_1_naming_key(tmp_path, capsys, key, value):
+    cfg = _write(tmp_path, SIM_CFG)
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "bad"),
+               "--set", f"simulate.{key}={value}"])
+    assert rc == 1
+    assert f"[simulate] {key} " in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_non_finite_result_exits_2(tmp_path, capsys):

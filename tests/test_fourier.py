@@ -6,7 +6,6 @@ import pytest
 from occutime import (
     BrownianMotion,
     CapabilityError,
-    ConfigError,
     DeterministicGaussian,
     StochVol,
     build_grid,
@@ -19,7 +18,7 @@ from occutime import (
     simulate_paths,
 )
 from occutime.fourier import (
-    char_increment,
+    _interval_nodes,
     compute_E,
     compute_F,
     decompose,
@@ -34,28 +33,19 @@ def bundle():
     return simulate_paths(BrownianMotion(), grid, 40, master_seed=77)
 
 
-def test_char_increment_closed_form():
-    spec = BrownianMotion()
-    assert char_increment(1.0, spec, 0.5, 0.5) == pytest.approx(1.0)
-    assert char_increment(1.0, spec, 0.0, 0.5) == pytest.approx(np.exp(-0.25))
+def test_interval_node_ends_closed_form():
+    # over a step of 0.5 the increment of X has variance 0.5 sigma^2, and
+    # |E exp(iuX)| = exp(-u^2 var_end / 2) does not see the drift
+    grid = build_grid(1.0, 2)
+    bm = _interval_nodes(BrownianMotion(), grid, 2)
+    np.testing.assert_allclose(bm.var_end, 0.5)
+    np.testing.assert_allclose(bm.mean_end, 0.0)
     scaled = DeterministicGaussian(
         dimension=1, drift=lambda t: np.full(t.shape + (1,), 5.0),
         diffusion=lambda t: np.full(t.shape + (1, 1), 2.0))
-    # drift contributes only phase; |.| depends on sigma alone
-    assert char_increment(1.0, scaled, 0.0, 0.5) == pytest.approx(np.exp(-1.0))
-    with pytest.raises(ConfigError):
-        char_increment(1.0, spec, 0.6, 0.5)
-    with pytest.raises(CapabilityError):
-        char_increment(1.0, StochVol(), 0.0, 0.5)
-
-
-def test_char_increment_against_monte_carlo():
-    rng = np.random.default_rng(123)
-    u, gap = 2.0, 0.3
-    z = np.sqrt(gap) * rng.standard_normal(100000)
-    mc = abs(np.exp(1j * u * z).mean())
-    assert char_increment(u, BrownianMotion(), 0.2, 0.2 + gap) == pytest.approx(
-        mc, abs=3.0 / np.sqrt(100000))
+    nodes = _interval_nodes(scaled, grid, 2)
+    np.testing.assert_allclose(np.exp(-0.5 * nodes.var_end), np.exp(-1.0))
+    np.testing.assert_allclose(nodes.mean_end, 2.5)
 
 
 def test_constant_function_decomposes_to_zero(bundle):

@@ -12,15 +12,12 @@ from occutime import (
     StochVol,
     UniformShift,
     build_grid,
-    gaussian_bump,
     simulate_grids,
-    simulate_limit,
     simulate_paths,
 )
 from occutime.config import build_process, load_config
-from occutime.functions import fn_gradient
-from occutime.processes import (STREAM_LIMIT, STREAM_MAIN, STREAM_VOL,
-                                _path_streams, _stream_keys, dump_paths_csv)
+from occutime.processes import (STREAM_MAIN, STREAM_VOL, _path_streams,
+                                _stream_keys, dump_paths_csv)
 
 
 def path_rng(master_seed, path_index, stream=STREAM_MAIN):
@@ -179,7 +176,7 @@ def test_streams_distinct_per_path_and_tag():
                                   2 ** 70 + 3, 2 ** 130 + 1])
 def test_stream_keys_match_seed_sequence(seed):
     indices = [0, 1, 99, 2 ** 31, 2 ** 32 - 1]
-    for stream in (STREAM_MAIN, STREAM_VOL, STREAM_LIMIT):
+    for stream in (STREAM_MAIN, STREAM_VOL, 2):     # any tag is keyed
         keys = _stream_keys(seed, indices, stream)
         assert keys.shape == (5, 2) and keys.dtype == np.uint64
         for key, index in zip(keys, indices):
@@ -201,20 +198,6 @@ def test_shift_then_normals_drawn_as_the_oracle():
         x = np.cumsum(z * sqrt_dt, axis=0) + np.array([0.0, 1.0])
         assert bundle.shifts[i].tobytes() == shift.tobytes()
         assert bundle.x[i, 1:].tobytes() == x.tobytes()
-
-
-def test_limit_stream_drawn_as_the_oracle():
-    grid = build_grid(1.0, 4, 8)
-    bundle = simulate_paths(BrownianMotion(), grid, 3, master_seed=6,
-                            first_path_index=10)
-    f = gaussian_bump()
-    left = fn_gradient(f, bundle.observed())[:, :-1]
-    ito = np.array([np.sum(row * path_rng(6, 10 + i, STREAM_LIMIT)
-                           .standard_normal(row.shape))
-                    for i, row in enumerate(left)])
-    want = 1.0 / np.sqrt(12.0) * np.sqrt(grid.fine_step) * ito
-    got = simulate_limit(f, bundle).mixed_gaussian_part
-    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("first, count", [(-1, 2), (2 ** 32 - 1, 2),
@@ -242,7 +225,6 @@ def test_no_seed_sequence_per_path(monkeypatch):
     want = simulate_paths(spec, grid, 5, master_seed=3)
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
     got = simulate_paths(spec, grid, 5, master_seed=3)
-    simulate_limit(gaussian_bump(), got)
     for name in ("x", "sigma", "shifts"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
