@@ -10,6 +10,7 @@ the manifest.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -30,7 +31,9 @@ _STUDY_KINDS = {"rate-study": "rate", "clt-check": "clt",
                 "efficiency": "efficiency", "diagnostics": "diagnostics"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call of a process."""
     parser = argparse.ArgumentParser(
         prog="occutime",
         description="Occupation-time quadrature studies")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma, hyp1f1, ndtr
 
 from .errors import CapabilityError, ConfigError
 
@@ -78,6 +77,7 @@ def gaussian_mean(f: TestFunction, mean, var) -> np.ndarray:
 def _ramp_mean(d, sd):
     """E max(d + sd Z, 0) for a standard normal Z, elementwise; max(d, 0)
     where sd = 0."""
+    from scipy.special import ndtr      # slow to import; only used here
     with np.errstate(divide="ignore", invalid="ignore"):
         z = d / sd
         out = d * ndtr(z) + sd * np.exp(-0.5 * z * z) / SQRT_2PI
@@ -146,6 +146,7 @@ def indicator(a: float, b: float) -> TestFunction:
         return np.where(small, b - a, out)
 
     def gauss_expect(mu, var):
+        from scipy.special import ndtr  # slow to import; only used here
         sd = np.sqrt(np.maximum(var, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             hi = np.where(sd > 0, (b - mu) / np.where(sd > 0, sd, 1.0), 0.0)
@@ -165,6 +166,7 @@ def power_singularity(alpha: float, cutoff: float = 1.0) -> TestFunction:
         raise ConfigError("power singularity needs 0 < alpha < 1 in d = 1")
     if not cutoff > 0:
         raise ConfigError(f"power singularity needs cutoff > 0, got {cutoff}")
+    from scipy.special import gamma, hyp1f1  # slow to import; only used here
 
     def value(x):
         x = np.asarray(x, float)
@@ -230,8 +232,10 @@ def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
     width ``cutoff``; the dyadic coefficient decay places the H^sigma
     membership boundary at sigma = s.
     """
-    if J < 1:
-        raise ConfigError("lacunary series needs J >= 1")
+    if not (float(J).is_integer() and J >= 1):
+        raise ConfigError(f"lacunary series needs an integer J >= 1, got {J}")
+    if not cutoff > 0:
+        raise ConfigError(f"lacunary series needs cutoff > 0, got {cutoff}")
     js = np.arange(1, J + 1)
     freqs = 2.0 ** js
     coeffs = 2.0 ** (-js * s)

@@ -39,8 +39,9 @@ def gradient_energy(bundle: PathBundle, grad: np.ndarray,
     grid = bundle.grid
     stg = _sigma_transpose_grad(bundle, grad)
     j = grid.fine_index(grid.horizon if t is None else t)
-    return _time_sum(np.sum(stg ** 2, axis=2), j, grid.fine_step, False,
-                     "gradient_energy") / 12.0
+    energy = (np.square(stg[:, :, 0]) if stg.shape[2] == 1
+              else np.sum(stg ** 2, axis=2))
+    return _time_sum(energy, j, grid.fine_step, False, "gradient_energy") / 12.0
 
 
 def mean_se(x: np.ndarray) -> tuple[float, float]:

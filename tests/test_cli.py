@@ -167,6 +167,14 @@ def test_bad_override_exits_1(tmp_path, capsys):
              "[function] descriptor"),
             ("rate-study", ("function.descriptor=indicator(a=0,b=inf)",),
              "[function] descriptor"),
+            ("rate-study", ("function.descriptor=lacunary(s=1.2,J=12.5)",),
+             "[function] descriptor"),
+            ("rate-study", ("function.descriptor=lacunary(s=1.2,cutoff=0)",),
+             "[function] descriptor"),
+            ("norms", ("function.descriptor=lacunary(s=1.2,cutoff=0)",),
+             "[function] descriptor"),
+            ("norms", ("function.descriptor=lacunary(s=1.2,cutoff=-3)",),
+             "[function] descriptor"),
             ("norms", ("norms.s=nan",), "[norms] s"),
             ("norms", ("norms.s=-0.5",), "[norms] s"),
             ("norms", ("function.descriptor=power_singularity(alpha=0.3,"
@@ -265,12 +273,66 @@ def test_norms_flags_indicator_growing_to_the_cap(tmp_path):
     assert row.startswith("sobolev,6.0,inf,true,")
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats dominates start-up time; only clt-check and the
-    # diagnostics trend statistic import it, when they run
+def test_successive_main_calls_do_not_share_overrides(tmp_path, capsys):
+    # the parser is built once per process, so the --set list of one
+    # call must not reach the next
+    cfg = _write(tmp_path, NORMS_CFG)
+    out = tmp_path / "out"
+    assert main(["norms", "--config", cfg, "--out", str(out),
+                 "--set", "norms.nope=3"]) == 1
+    assert "nope" in capsys.readouterr().err
+    assert main(["norms", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["norms"] == {"s": "1.0", "norm": "both"}
+
+
+def _fresh_interpreter(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter on this checkout's src."""
     src = str(Path(occutime.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, occutime.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"])
+def test_cli_import_leaves_scipy_unloaded(tmp_path, module):
+    # scipy.stats and scipy.special dominate start-up time. Only clt-check
+    # and the diagnostics trend statistic import scipy.stats, and only the
+    # hat, indicator and power_singularity closed forms scipy.special.
+    cfg = _write(tmp_path, STUDY_CFG.replace("paths = 200", "paths = 100"))
+    code = f"""\
+import sys
+import occutime.cli
+loaded = [{module!r} in sys.modules]
+for fn in ("gaussian_bump", "lacunary(s=1.2,J=12)"):
+    assert occutime.cli.main(["rate-study", "--config", {cfg!r},
+                              "--out", {str(tmp_path / "o")!r},
+                              "--threads", "1",
+                              "--set", "function.descriptor=" + fn]) == 0
+    loaded.append({module!r} in sys.modules)
+print(loaded)
+"""
+    assert _fresh_interpreter(code) == "[False, False, False]"
+
+
+LAZY_SPECIAL_VALUES = """\
+import numpy as np
+from occutime.functions import hat, indicator, power_singularity
+mu, var = np.array([-0.7, 0.0, 0.4, 1.3]), np.array([0.0, 0.2, 0.5, 1.0])
+p = power_singularity(0.3)
+values = [hat().gaussian_expectation(mu, var).tolist(),
+          indicator(-0.5, 1.0).gaussian_expectation(mu, var).tolist(),
+          p.fourier(np.array([0.0, 1.5, 4.0])).tolist(),
+          p.gaussian_expectation(mu, var).tolist()]
+"""
+
+
+def test_lazy_scipy_special_imports_resolve():
+    # In-process tests cannot show these imports resolve: the test modules
+    # import scipy.integrate, which loads scipy.special first.
+    scope = {}
+    exec(LAZY_SPECIAL_VALUES, scope)
+    code = LAZY_SPECIAL_VALUES + "import json; print(json.dumps(values))"
+    assert json.loads(_fresh_interpreter(code)) == scope["values"]

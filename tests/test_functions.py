@@ -281,7 +281,9 @@ def test_parse_function_round_trips():
 
 @pytest.mark.parametrize("text", ["nope", "gaussian_bump(oops=1)",
                                   "indicator(a=1, b=0)", "lacunary(J=0)",
-                                  "indicator(z=3)"])
+                                  "indicator(z=3)", "lacunary(s=1.2, J=12.5)",
+                                  "lacunary(s=1.2, cutoff=0)",
+                                  "lacunary(s=1.2, cutoff=-3)"])
 def test_parse_function_rejects_bad_descriptors(text):
     with pytest.raises(ConfigError):
         parse_function(text)
