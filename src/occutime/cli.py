@@ -16,13 +16,16 @@ import json
 import math
 import os
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .config import (ResolvedConfig, build_function, build_process,
                      build_study, load_config, read_seed)
 from .errors import CapabilityError, ConfigError, SimulationError
-from .experiments import StudyReport, run_study
+from .experiments import run_study
 from .grids import build_grid
 from .processes import dump_paths_csv, simulate_paths
 from .seminorms import fourier_lebesgue_seminorm, sobolev_seminorm
@@ -164,7 +167,7 @@ def _write_artifacts(out_dir: Path, command: str, cfg: ResolvedConfig,
         fh.write(f"created = {datetime.now(timezone.utc).isoformat()}\n")
 
 
-def _run_simulate(cfg: ResolvedConfig, seed_override, out_dir) -> dict:
+def _run_simulate(cfg: ResolvedConfig, seed_override, out_dir) -> tuple:
     spec = build_process(cfg)
     n = cfg.number("simulate", "n", kind=int)
     refine = cfg.number("simulate", "refine", "1", int)
@@ -177,15 +180,20 @@ def _run_simulate(cfg: ResolvedConfig, seed_override, out_dir) -> dict:
             raise ConfigError(f"[simulate] {key} must be > 0, got {value}")
     grid = build_grid(horizon, n, refine)
     bundle = simulate_paths(spec, grid, paths, seed)
+    bad = np.argwhere(~np.isfinite(bundle.x))
+    if bad.size:
+        path, node = bad[0, :2]
+        raise SimulationError(f"path {path} is not finite at time "
+                              f"{grid.fine_times[node]}")
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "paths.csv", "w") as fh:
         dump_paths_csv(bundle, fh)
     summary = {"paths": paths, "n": n, "refine": refine, "horizon": horizon,
                "dimension": bundle.dimension}
-    return {"seed": seed, "tables": {}, "summary": summary, "runtime": 0.0}
+    return seed, {}, summary
 
 
-def _run_norms(cfg: ResolvedConfig, seed_override) -> dict:
+def _run_norms(cfg: ResolvedConfig, seed_override) -> tuple:
     f = build_function(cfg)
     if f.fourier is None:
         raise ConfigError(f"[function] descriptor: norms needs a closed-form "
@@ -210,16 +218,14 @@ def _run_norms(cfg: ResolvedConfig, seed_override) -> dict:
         summary[f"{form}_divergent"] = r.divergent
     seed = 0 if seed_override is None else read_seed(cfg, "norms",
                                                       seed_override)
-    return {"seed": seed, "tables": {"norms": rows}, "summary": summary,
-            "runtime": 0.0}
+    return seed, {"norms": rows}, summary
 
 
 def _run_study_command(kind: str, cfg: ResolvedConfig, seed_override,
-                       threads: int) -> dict:
+                       threads: int) -> tuple:
     study = build_study(cfg, kind, seed_override, threads)
-    report: StudyReport = run_study(study)
-    return {"seed": study.master_seed, "tables": report.tables,
-            "summary": report.summary, "runtime": report.runtime_seconds}
+    report = run_study(study)
+    return study.master_seed, report.tables, report.summary
 
 
 def main(argv=None) -> int:
@@ -230,15 +236,17 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = load_config(config_path.read_text(), args.overrides)
+        started = time.perf_counter()
         out_dir = Path(args.out)
         if args.subcommand == "simulate":
-            result = _run_simulate(cfg, args.seed, out_dir)
+            seed, tables, summary = _run_simulate(cfg, args.seed, out_dir)
         elif args.subcommand == "norms":
-            result = _run_norms(cfg, args.seed)
+            seed, tables, summary = _run_norms(cfg, args.seed)
         else:
-            result = _run_study_command(_STUDY_KINDS[args.subcommand], cfg,
-                                        args.seed,
-                                        _resolve_threads(args.threads))
+            seed, tables, summary = _run_study_command(
+                _STUDY_KINDS[args.subcommand], cfg, args.seed,
+                _resolve_threads(args.threads))
+        runtime = time.perf_counter() - started
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -246,13 +254,13 @@ def main(argv=None) -> int:
             ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    bad = _first_nonfinite(result["tables"], result["summary"])
+    bad = _first_nonfinite(tables, summary)
     if bad is not None:
         print(f"numerical failure: non-finite result in {bad}",
               file=sys.stderr)
         return 2
-    _write_artifacts(out_dir, args.subcommand, cfg, result["seed"],
-                     result["tables"], result["summary"], result["runtime"])
+    _write_artifacts(out_dir, args.subcommand, cfg, seed, tables, summary,
+                     runtime)
     return 0
 
 

@@ -15,7 +15,6 @@ covariance of the log-RMS values.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -120,7 +119,6 @@ class StudyReport:
     kind: str
     tables: dict = field(default_factory=dict)   # name -> list of row dicts
     summary: dict = field(default_factory=dict)
-    runtime_seconds: float = 0.0
 
 
 def _ensemble_map(spec, grid, paths: int, seed: int, worker,
@@ -251,7 +249,6 @@ def _fit_slope(deltas, rms, cov):
 def rate_study(cfg: StudyConfig) -> StudyReport:
     """RMS of (reference - estimator) per resolution from one pass on the
     finest grid, with a GLS log-log slope fit per estimator."""
-    started = time.perf_counter()
     grid = build_grid(cfg.horizon, cfg.n_list[-1], cfg.refine)
     stats = _ensemble_map(
         cfg.spec, grid, cfg.paths, cfg.master_seed,
@@ -275,8 +272,7 @@ def rate_study(cfg: StudyConfig) -> StudyReport:
             cov = _log_rms_cov(stats[f"err_{name}"])
             summary[name] = {"degenerate": False,
                              **_fit_slope(deltas, rms, cov)}
-    return StudyReport("rate", {"rates": rows}, summary,
-                       time.perf_counter() - started)
+    return StudyReport("rate", {"rates": rows}, summary)
 
 
 def clt_check(cfg: StudyConfig) -> StudyReport:
@@ -286,7 +282,6 @@ def clt_check(cfg: StudyConfig) -> StudyReport:
     and compared with the standard normal (Kolmogorov-Smirnov); scaled
     Riemann errors are compared with the realized endpoint bias.
     """
-    started = time.perf_counter()
     f = cfg.function
     t = cfg.eval_time
     n = cfg.n_list[-1]
@@ -323,13 +318,11 @@ def clt_check(cfg: StudyConfig) -> StudyReport:
     }
     table = [{"path_id": int(i), "z": float(v)}
              for i, v in zip(np.nonzero(keep)[0], z)]
-    return StudyReport("clt", {"standardized": table}, summary,
-                       time.perf_counter() - started)
+    return StudyReport("clt", {"standardized": table}, summary)
 
 
 def efficiency_study(cfg: StudyConfig) -> StudyReport:
     """Scaled RMS per estimator against the minimal asymptotic constant."""
-    started = time.perf_counter()
     f = cfg.function
     t = cfg.eval_time
     top = cfg.n_list[-1]
@@ -362,23 +355,16 @@ def efficiency_study(cfg: StudyConfig) -> StudyReport:
     for name, (val, se) in scaled_at_top.items():
         summary[f"scaled_rms_{name}"] = val
         summary[f"scaled_rms_{name}_se"] = se
-    return StudyReport("efficiency", {"efficiency": rows}, summary,
-                       time.perf_counter() - started)
+    return StudyReport("efficiency", {"efficiency": rows}, summary)
 
 
 def diagnostics_study(cfg: StudyConfig) -> StudyReport:
     """Frequency-domain diagnostics: normalized F1/F2 second-moment decay
     over (u, n), and the decomposition identity residuals on a small
     exponential probe ensemble."""
-    started = time.perf_counter()
-    probe = g_decay_probe(cfg.u_list, cfg.n_list, cfg.spec,
-                          min(cfg.paths, 2000), cfg.master_seed, cfg.horizon)
-    g_rows = [{"u": r.u, "n": r.n, "g_hat": r.g_hat, "stderr": r.stderr}
-              for r in probe.rows]
-    trend_rows = [{"u": u, "kendall_tau": tau, "p_value": p}
-                  for u, (tau, p) in probe.trend.items()]
-
-    summary = {"sup_g_hat": probe.sup_over_grid}
+    tables = g_decay_probe(cfg.u_list, cfg.n_list, cfg.spec,
+                           min(cfg.paths, 2000), cfg.master_seed, cfg.horizon)
+    summary = {"sup_g_hat": max(r["g_hat"] for r in tables["g_decay"])}
     if cfg.refine >= 2 and cfg.spec.dimension == 1:
         from .functions import complex_exponential
         f = complex_exponential(float(cfg.u_list[0]))
@@ -395,9 +381,7 @@ def diagnostics_study(cfg: StudyConfig) -> StudyReport:
             np.max(np.abs(trace.total - realized)))
         summary["max_drift_identity_residual"] = float(
             np.max(np.abs(drift_gap)))
-    return StudyReport("diagnostics",
-                       {"g_decay": g_rows, "g_trend": trend_rows},
-                       summary, time.perf_counter() - started)
+    return StudyReport("diagnostics", tables, summary)
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:

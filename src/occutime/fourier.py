@@ -102,7 +102,6 @@ class DecompositionTrace:
     intervals, and those minus the Riemann sum at t. For t off the coarse
     grid the martingale part also holds the integral over [t_K, t]."""
 
-    t: float
     martingale: np.ndarray       # (paths,)
     drift: np.ndarray            # (paths,)
 
@@ -122,7 +121,6 @@ def decompose(f: TestFunction, bundle: PathBundle,
     cond = gaussian_mean(f, y[:, :-1, None] + nodes.mean, nodes.var)
     cond_int = grid.coarse_step * (cond @ nodes.tw).sum(axis=1)
     return DecompositionTrace(
-        grid.horizon if t is None else t,
         reference_value(fy, grid, t) - cond_int,
         cond_int - riemann_estimate(fy[:, ::grid.refine_factor], grid, t))
 
@@ -159,50 +157,39 @@ def compute_F(u: float, bundle: PathBundle,
     return f1.sum(axis=1), f2.sum(axis=1)
 
 
-@dataclass(frozen=True)
-class GDecayRow:
-    u: float
-    n: int
-    g_hat: float
-    stderr: float
-
-
-@dataclass(frozen=True)
-class GDecayProbe:
-    rows: list
-    trend: dict            # u -> (kendall_tau, p_value)
-    sup_over_grid: float
-
-
 def g_decay_probe(u_list, n_list, spec, count: int, seed: int,
-                  horizon: float = 1.0) -> GDecayProbe:
+                  horizon: float = 1.0) -> dict:
     """Empirical normalized bound sup_t (|F1|^2 + |F2|^2), scaled by
     step^-2 (1 + |u|^2)^-G_DECAY_ORDER, tabulated over a (u, n) probe grid
-    on [0, horizon] with a Kendall monotonicity statistic per frequency."""
+    on [0, horizon] with a Kendall monotonicity statistic per frequency.
+
+    Returns two tables of row dicts: ``g_decay`` (u, n, g_hat, stderr),
+    one row per (n, u) with n outer, and ``g_trend`` (u, kendall_tau,
+    p_value), one row per entry of ``u_list``."""
     _require_gaussian(spec, "g_decay_probe")
     rows = []
-    table = {u: [] for u in u_list}
+    columns = [[] for _ in u_list]        # g_hat over n, per frequency
     grids = [build_grid(horizon, int(n), 1) for n in n_list]
     for n, grid, bundle in zip(n_list, grids,
                                simulate_grids(spec, grids, count, seed)):
         nodes = _interval_nodes(spec, grid, grid.coarse_count)
         y_left = bundle.observed(coarse=True)[:, :-1, 0]
-        for u in u_list:
+        for u, column in zip(u_list, columns):
             f1, f2 = _f_terms(float(u), nodes, y_left)
             sup = np.max(np.abs(np.cumsum(f1, axis=1)) ** 2
                          + np.abs(np.cumsum(f2, axis=1)) ** 2, axis=1)
             scale = grid.coarse_step ** -2 / (1.0 + u * u) ** G_DECAY_ORDER
-            vals = scale * sup
-            g_hat, stderr = mean_se(vals)
-            rows.append(GDecayRow(float(u), int(n), g_hat, stderr))
-            table[u].append(g_hat)
+            g_hat, stderr = mean_se(scale * sup)
+            rows.append({"u": float(u), "n": int(n), "g_hat": g_hat,
+                         "stderr": stderr})
+            column.append(g_hat)
     from scipy.stats import kendalltau    # slow to import; only used here
-    trend = {}
-    for u in u_list:
+    trend = []
+    for u, column in zip(u_list, columns):
         if len(n_list) > 1:
-            tau_stat, p = kendalltau(list(n_list), table[u])
+            tau_stat, p = kendalltau(list(n_list), column)
         else:
             tau_stat, p = float("nan"), float("nan")
-        trend[float(u)] = (float(tau_stat), float(p))
-    sup_grid = max(r.g_hat for r in rows)
-    return GDecayProbe(rows, trend, sup_grid)
+        trend.append({"u": float(u), "kendall_tau": float(tau_stat),
+                      "p_value": float(p)})
+    return {"g_decay": rows, "g_trend": trend}

@@ -412,7 +412,6 @@ _FAMILY_BUILDERS = {
     "indicator": (indicator, ("a", "b")),
     "power_singularity": (power_singularity, ("alpha", "cutoff")),
     "lacunary": (lacunary, ("s", "J", "cutoff")),
-    "complex_exponential": (complex_exponential, ("u",)),
     "identity": (identity, ()),
     "quadratic": (quadratic, ()),
     "constant": (constant, ("c",)),

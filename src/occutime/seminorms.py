@@ -67,6 +67,7 @@ def _panel_sum(integrand, a: float, b: float, nodes: int, order: int) -> float:
     return float(np.sum(half[:, None] * w[None, :] * vals))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _weighted_integral(f: TestFunction, s: float, squared: bool):
     """Shared engine: integrand |Ff|^2 |u|^{2s} (squared) or |Ff| |u|^s,
     over both half-lines, as no symmetry of Ff is assumed. Returns (body,
@@ -74,11 +75,18 @@ def _weighted_integral(f: TestFunction, s: float, squared: bool):
     transform = f.fourier
     if transform is None:
         raise CapabilityError(f"{f.name}: no closed-form Fourier transform")
-    if squared:
-        integrand = lambda u: ((np.abs(transform(u)) ** 2
-                                + np.abs(transform(-u)) ** 2) * u ** (2.0 * s))
-    else:
-        integrand = lambda u: (np.abs(transform(u)) + np.abs(transform(-u))) * u ** s
+    power = 2.0 * s if squared else s
+
+    def integrand(u):
+        a, b = np.abs(transform(u)), np.abs(transform(-u))
+        mag = a ** 2 + b ** 2 if squared else a + b
+        vals = mag * u ** power
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            # u^power overflows below the cap (H^s at s > 1024 / 26), where
+            # the transform may have underflowed to 0: multiply in logs
+            vals[bad] = np.exp(np.log(mag[bad]) + power * np.log(u[bad]))
+        return vals
 
     density = max(1.0, f.osc_scale)
 
@@ -95,6 +103,11 @@ def _weighted_integral(f: TestFunction, s: float, squared: bool):
     panels = np.asarray(panels)
 
     body = head + float(panels.sum())
+    if not math.isfinite(body):
+        # past the float range: divergent when the last panel is, as for an
+        # integrand that grows up to the cap, else too large to represent
+        return body, 0.0, bool(np.isinf(panels[-1])), math.nan
+
     peak = panels.max(initial=0.0)
     if peak <= 0.0:
         return body, 0.0, False, math.nan

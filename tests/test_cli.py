@@ -201,6 +201,10 @@ def test_bad_override_exits_1(tmp_path, capsys):
              "[study] estimators"),
             ("clt-check", ("function.descriptor=indicator(a=0,b=1)",),
              "[function] descriptor"),
+            ("rate-study", ("function.descriptor=complex_exponential(u=2)",),
+             "[function] descriptor"),
+            ("clt-check", ("function.descriptor=complex_exponential(u=2)",),
+             "[function] descriptor"),
             ("diagnostics", ("process.kind=stochvol",), "[process] kind"),
             ("norms", ("function.descriptor=constant",),
              "[function] descriptor"),
@@ -242,6 +246,33 @@ def test_non_finite_result_exits_2(tmp_path, capsys):
     assert "rates.csv" in capsys.readouterr().err
 
 
+def test_simulate_non_finite_paths_exit_2(tmp_path, capsys):
+    # a drift of 1e308 overflows the path by time 2; paths.csv would hold inf
+    cfg = _write(tmp_path, SIM_CFG.replace("kind = brownian",
+                                           "kind = deterministic_gaussian\n"
+                                           "drift_const = 1e308"))
+    out = tmp_path / "inf"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rc = main(["simulate", "--config", cfg, "--out", str(out),
+                   "--set", "simulate.refine=1", "--set", "simulate.paths=2",
+                   "--set", "simulate.seed=1", "--set", "simulate.horizon=4"])
+    assert rc == 2
+    assert "path 0 is not finite at time 2.0" in capsys.readouterr().err
+    assert not (out / "paths.csv").exists()
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "norms", "rate-study",
+                                     "clt-check", "efficiency", "diagnostics"])
+def test_runtime_seconds_is_measured(tmp_path, command):
+    text = {"simulate": SIM_CFG, "norms": NORMS_CFG}.get(command, STUDY_CFG)
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["runtime_seconds"] > 0
+
+
 def test_documented_non_finite_values_exit_0(tmp_path):
     # the Kendall trend is nan for a single n and for u = 0, where g_hat is
     # 0 at every n; the hat's Fourier-Lebesgue H^1 seminorm diverges
@@ -271,6 +302,21 @@ def test_norms_flags_indicator_growing_to_the_cap(tmp_path):
                  "--set", "norms.s=6", "--set", "norms.norm=sobolev"]) == 0
     row = (tmp_path / "n" / "norms.csv").read_text().splitlines()[1]
     assert row.startswith("sobolev,6.0,inf,true,")
+
+
+def test_norms_past_float_range(tmp_path, capsys):
+    # a divergent integrand past the float range is flagged; a finite
+    # seminorm too large to represent is a non-finite result
+    norms = _write(tmp_path, NORMS_CFG, "norms.cfg")
+    assert main(["norms", "--config", norms, "--out", str(tmp_path / "h"),
+                 "--set", "function.descriptor=hat", "--set", "norms.s=100",
+                 "--set", "norms.norm=sobolev"]) == 0
+    row = (tmp_path / "h" / "norms.csv").read_text().splitlines()[1]
+    assert row.startswith("sobolev,100.0,inf,true,")
+    assert main(["norms", "--config", norms, "--out", str(tmp_path / "b"),
+                 "--set", "norms.s=200", "--set", "norms.norm=sobolev"]) == 2
+    assert "'value' is inf" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
 
 
 def test_successive_main_calls_do_not_share_overrides(tmp_path, capsys):

@@ -241,8 +241,7 @@ def test_diagnostics_g_decay_honours_horizon():
     rows = diagnostics_study(cfg).tables["g_decay"]
     probe = g_decay_probe((1.0, 3.0), (8, 16), BrownianMotion(), 100, 7,
                           horizon=2.0)
-    assert rows == [{"u": r.u, "n": r.n, "g_hat": r.g_hat,
-                     "stderr": r.stderr} for r in probe.rows]
+    assert rows == probe["g_decay"]
 
 
 def test_thread_count_does_not_change_results():

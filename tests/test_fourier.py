@@ -141,7 +141,7 @@ def test_decompose_needs_closed_form_or_gradient(bundle):
 
 def test_g_probe_zero_frequency_row():
     probe = g_decay_probe([0.0], [8, 16], BrownianMotion(), 50, seed=3)
-    assert all(row.g_hat == 0.0 for row in probe.rows)
+    assert all(row["g_hat"] == 0.0 for row in probe["g_decay"])
 
 
 def test_g_probe_rows_match_per_grid_simulation():
@@ -164,16 +164,26 @@ def test_g_probe_rows_match_per_grid_simulation():
             vals = sup / grid.coarse_step ** 2 / (1.0 + u * u)
             expected.append((u, n, vals.mean(),
                              vals.std(ddof=1) / np.sqrt(len(vals))))
-    assert [(r.u, r.n) for r in probe.rows] == [e[:2] for e in expected]
-    for row, (_, _, g_hat, stderr) in zip(probe.rows, expected):
-        assert row.g_hat == pytest.approx(g_hat, rel=1e-12)
-        assert row.stderr == pytest.approx(stderr, rel=1e-10)
+    rows = probe["g_decay"]
+    assert [(r["u"], r["n"]) for r in rows] == [e[:2] for e in expected]
+    for row, (_, _, g_hat, stderr) in zip(rows, expected):
+        assert row["g_hat"] == pytest.approx(g_hat, rel=1e-12)
+        assert row["stderr"] == pytest.approx(stderr, rel=1e-10)
+
+
+def test_g_probe_repeated_frequency():
+    # each entry of u_list has its own column of g_hat over n
+    probe = g_decay_probe([1.0, 1.0], [4, 8], BrownianMotion(), 20, seed=1)
+    first, second = probe["g_trend"]
+    assert first == second and first["u"] == 1.0
 
 
 def test_g_probe_decreasing_trend():
     probe = g_decay_probe([2.0], [8, 16, 32, 64, 128], BrownianMotion(),
                           300, seed=9)
-    tau, p = probe.trend[2.0]
+    [trend] = probe["g_trend"]
+    assert trend["u"] == 2.0
+    tau, p = trend["kendall_tau"], trend["p_value"]
     assert tau < 0
     assert p < 0.05
-    assert np.isfinite(probe.sup_over_grid)
+    assert np.isfinite(max(r["g_hat"] for r in probe["g_decay"]))

@@ -168,16 +168,19 @@ def _normal_density(mu, v):
 
 
 def _family_params():
-    for name in sorted(_FAMILY_BUILDERS):
-        label, _, points, _ = FAMILY_CASES.get(name, (name, None, [(0.0, 1.0)],
-                                                      ()))
+    for name in sorted(FAMILY_CASES):
+        label, _, points, _ = FAMILY_CASES[name]
         for mu, v in points:
             yield pytest.param(name, mu, v, id=f"{label}-{mu}-{v}")
 
 
+def test_every_registered_family_has_a_gaussian_expectation_case():
+    missing = set(_FAMILY_BUILDERS) - set(FAMILY_CASES)
+    assert not missing, f"no Gaussian expectation case for {sorted(missing)}"
+
+
 @pytest.mark.parametrize("family, mu, v", _family_params())
 def test_gaussian_expectation_against_quadrature(family, mu, v):
-    assert family in FAMILY_CASES, f"no Gaussian expectation case for {family}"
     _, f, _, breaks = FAMILY_CASES[family]
     assert f.gaussian_expectation is not None, f"{family} has no closed form"
     got = complex(gaussian_mean(f, np.array(mu), v))
@@ -283,7 +286,8 @@ def test_parse_function_round_trips():
                                   "indicator(a=1, b=0)", "lacunary(J=0)",
                                   "indicator(z=3)", "lacunary(s=1.2, J=12.5)",
                                   "lacunary(s=1.2, cutoff=0)",
-                                  "lacunary(s=1.2, cutoff=-3)"])
+                                  "lacunary(s=1.2, cutoff=-3)",
+                                  "complex_exponential(u=2)"])
 def test_parse_function_rejects_bad_descriptors(text):
     with pytest.raises(ConfigError):
         parse_function(text)

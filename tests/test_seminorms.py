@@ -119,14 +119,29 @@ def test_lacunary_finite_series_has_no_tail(s):
     assert r.value == pytest.approx(math.sqrt(2.0 * half), rel=1e-10)
 
 
-@pytest.mark.parametrize("s", [5.0, 6.0, 8.0])
+@pytest.mark.parametrize("s", [5.0, 6.0, 8.0, 39.0, 40.0, 60.0])
 def test_gaussian_bump_high_order_is_finite(s):
     # int |Ff|^2 |u|^(2s) du = 2 pi Gamma(s + 1/2); the integrand lives on a
-    # few panels, which must not be read as a slowly decaying tail
+    # few panels, which must not be read as a slowly decaying tail. From
+    # s = 1024 / 26 on, u^(2s) overflows below the cap, where the transform
+    # has underflowed to 0
     r = sobolev_seminorm(gaussian_bump(), s)
     assert not r.divergent
     assert r.value == pytest.approx(
         math.sqrt(2.0 * math.pi * math.gamma(s + 0.5)), rel=1e-13)
+
+
+def test_integrands_past_float_range():
+    for f in (hat(), indicator(0.0, 1.0)):
+        r = sobolev_seminorm(f, 60.0)
+        assert r.divergent and r.value == math.inf
+    # finite, but its square is past the float range
+    r = sobolev_seminorm(gaussian_bump(), 200.0)
+    assert not r.divergent and r.value == math.inf
+    # int sqrt(2 pi) e^(-u^2 / 2) |u|^s du = sqrt(2 pi) 2^((s+1)/2) Gamma((s+1)/2)
+    r = fourier_lebesgue_seminorm(gaussian_bump(), 60.0)
+    assert r.value == pytest.approx(
+        math.sqrt(2.0 * math.pi) * 2.0 ** 30.5 * math.gamma(30.5), rel=1e-13)
 
 
 @pytest.mark.parametrize("s, J, cutoff, order", [
