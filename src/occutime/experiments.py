@@ -9,7 +9,8 @@ steps) serves every n in ``n_list``, whose coarse nodes are every
 (n_max m / n)-th fine node, and the fine sum over all n_max m steps is the
 reference for every n. The errors are then correlated across n, so the
 rate slope is a generalized least-squares fit under the path-level
-covariance of the log-RMS values.
+covariance of the log-RMS values. The CLT check takes the same
+finest-grid pass, at one n.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 from .estimators import (
     bridge_conditional_estimate,
     reference_value,
@@ -90,6 +91,9 @@ class StudyConfig:
             if name not in ESTIMATOR_NAMES:
                 raise ConfigError(f"estimators: unknown {name!r}; "
                                   f"choose from {ESTIMATOR_NAMES}")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ConfigError(f"estimators must be distinct, "
+                              f"got {self.estimators}")
         # studies the process or the function cannot support; these
         # messages name a key outside [study], except for the bridge
         process = type(self.spec).__name__
@@ -116,7 +120,6 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class StudyReport:
-    kind: str
     tables: dict = field(default_factory=dict)   # name -> list of row dicts
     summary: dict = field(default_factory=dict)
 
@@ -147,25 +150,25 @@ def _ensemble_map(spec, grid, paths: int, seed: int, worker,
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
-def _estimator_errors(f: TestFunction, bundle, fine_vals: np.ndarray,
-                      t: float, estimators, n_list=None) -> dict:
-    """Reference minus estimator per path and resolution, shape
-    (paths, len(n_list)), on shared paths, from the values of f at the fine
-    nodes of the observed paths.
-
-    The coarse grid of n is every (fine_count / n)-th fine node and the
-    fine sum is the reference for every n; ``n_list`` defaults to the
-    bundle's own coarse grid.
-    """
+def _study_outputs(f: TestFunction, t: float, n_list, estimators,
+                   limit: bool, bundle) -> dict:
+    """Reference minus estimator at t per path and n in ``n_list``, shape
+    (paths, len(n_list)), from one evaluation of f at the fine nodes of the
+    observed paths: the coarse grid of n is every (fine_count / n)-th fine
+    node and the fine sum is the reference for every n. With ``limit`` also
+    the gradient energy up to t and the realized endpoint bias
+    (f(Y_t) - f(Y_0)) / 2, which the limit laws need."""
     grid = bundle.grid
-    n_list = (grid.coarse_count,) if n_list is None else n_list
-    ref = reference_value(fine_vals, grid, t)
+    vals = eval_on_path(f, bundle, gradient=limit)
+    if limit:
+        vals, grad = vals
+    ref = reference_value(vals, grid, t)
     out = {f"err_{name}": np.empty((len(ref), len(n_list)), ref.dtype)
            for name in estimators}
     for col, n in enumerate(n_list):
         stride = grid.fine_count // n
         coarse = build_grid(grid.horizon, n, stride)
-        coarse_vals = fine_vals[:, ::stride]
+        coarse_vals = vals[:, ::stride]
         for name in estimators:
             if name == "riemann":
                 est = riemann_estimate(coarse_vals, coarse, t)
@@ -177,30 +180,21 @@ def _estimator_errors(f: TestFunction, bundle, fine_vals: np.ndarray,
                 est = bridge_conditional_estimate(f, x_arg, coarse, t,
                                                   spec=bundle.spec)
             out[f"err_{name}"][:, col] = ref - est
+    if limit:
+        j = grid.fine_index(t)
+        out["grad_energy"] = gradient_energy(bundle, grad, t)
+        out["bias_realized"] = 0.5 * (vals[:, j] - vals[:, 0]).real
     return out
 
 
-def _clt_outputs(f: TestFunction, t: float, bundle) -> dict:
-    """Riemann and trapezoid errors, conditional variance and realized
-    endpoint bias at t per path, from one evaluation of f and grad f."""
-    vals, grad = eval_on_path(f, bundle, gradient=True)
-    j = bundle.grid.fine_index(t)
-    return {**_estimator_errors(f, bundle, vals, t, ("riemann", "trapezoid")),
-            "condvar": gradient_energy(bundle, grad, t),
-            "bias_realized": 0.5 * (vals[:, j] - vals[:, 0]).real}
-
-
-def _error_outputs(f: TestFunction, t: float, n_list, estimators,
-                   energy: bool, bundle) -> dict:
-    """Estimator errors at t per path and n in ``n_list``; with ``energy``
-    also the gradient energy up to t, from one evaluation of f and grad f
-    on the bundle's (finest) grid."""
-    if not energy:
-        return _estimator_errors(f, bundle, eval_on_path(f, bundle), t,
-                                 estimators, n_list)
-    vals, grad = eval_on_path(f, bundle, gradient=True)
-    return {**_estimator_errors(f, bundle, vals, t, estimators, n_list),
-            "grad_energy": gradient_energy(bundle, grad, t)}
+def _study_pass(cfg: StudyConfig, n_list, estimators, limit: bool) -> dict:
+    """:func:`_study_outputs` over the whole ensemble, from one pass on the
+    finest grid (``n_list[-1]`` coarse steps of ``refine`` fine steps)."""
+    grid = build_grid(cfg.horizon, cfg.n_list[-1], cfg.refine)
+    return _ensemble_map(cfg.spec, grid, cfg.paths, cfg.master_seed,
+                         partial(_study_outputs, cfg.function, cfg.eval_time,
+                                 n_list, estimators, limit),
+                         cfg.threads)
 
 
 def _rms_stats(err: np.ndarray) -> dict:
@@ -249,12 +243,7 @@ def _fit_slope(deltas, rms, cov):
 def rate_study(cfg: StudyConfig) -> StudyReport:
     """RMS of (reference - estimator) per resolution from one pass on the
     finest grid, with a GLS log-log slope fit per estimator."""
-    grid = build_grid(cfg.horizon, cfg.n_list[-1], cfg.refine)
-    stats = _ensemble_map(
-        cfg.spec, grid, cfg.paths, cfg.master_seed,
-        partial(_error_outputs, cfg.function, cfg.eval_time, cfg.n_list,
-                cfg.estimators, False),
-        cfg.threads)
+    stats = _study_pass(cfg, cfg.n_list, cfg.estimators, False)
     deltas = [cfg.horizon / n for n in cfg.n_list]
     rows = [{"n": n, "delta": delta, "estimator": name,
              **_rms_stats(stats[f"err_{name}"][:, col])}
@@ -272,7 +261,7 @@ def rate_study(cfg: StudyConfig) -> StudyReport:
             cov = _log_rms_cov(stats[f"err_{name}"])
             summary[name] = {"degenerate": False,
                              **_fit_slope(deltas, rms, cov)}
-    return StudyReport("rate", {"rates": rows}, summary)
+    return StudyReport({"rates": rows}, summary)
 
 
 def clt_check(cfg: StudyConfig) -> StudyReport:
@@ -282,18 +271,17 @@ def clt_check(cfg: StudyConfig) -> StudyReport:
     and compared with the standard normal (Kolmogorov-Smirnov); scaled
     Riemann errors are compared with the realized endpoint bias.
     """
-    f = cfg.function
-    t = cfg.eval_time
     n = cfg.n_list[-1]
-    grid = build_grid(cfg.horizon, n, cfg.refine)
-    delta = grid.coarse_step
-
-    stats = _ensemble_map(cfg.spec, grid, cfg.paths, cfg.master_seed,
-                          partial(_clt_outputs, f, t), cfg.threads)
-    condvar = stats["condvar"]
+    delta = cfg.horizon / n
+    stats = _study_pass(cfg, (n,), ("riemann", "trapezoid"), True)
+    condvar = stats["grad_energy"]
     err_trap = stats["err_trapezoid"][:, 0]
     keep = condvar > 0
     excluded = int(np.sum(~keep))
+    if not keep.any():
+        raise SimulationError(
+            f"all {cfg.paths} paths have zero conditional variance up to "
+            f"t = {cfg.eval_time}; nothing to standardize")
     z = (err_trap[keep] / (delta * np.sqrt(condvar[keep])))
     from scipy.stats import kstest     # slow to import; only used here
     ks_stat, ks_p = kstest(z, "norm")
@@ -318,20 +306,13 @@ def clt_check(cfg: StudyConfig) -> StudyReport:
     }
     table = [{"path_id": int(i), "z": float(v)}
              for i, v in zip(np.nonzero(keep)[0], z)]
-    return StudyReport("clt", {"standardized": table}, summary)
+    return StudyReport({"standardized": table}, summary)
 
 
 def efficiency_study(cfg: StudyConfig) -> StudyReport:
     """Scaled RMS per estimator against the minimal asymptotic constant."""
-    f = cfg.function
-    t = cfg.eval_time
     top = cfg.n_list[-1]
-
-    grid = build_grid(cfg.horizon, top, cfg.refine)
-    stats = _ensemble_map(cfg.spec, grid, cfg.paths, cfg.master_seed,
-                          partial(_error_outputs, f, t, cfg.n_list,
-                                  cfg.estimators, True),
-                          cfg.threads)
+    stats = _study_pass(cfg, cfg.n_list, cfg.estimators, True)
     rows = []
     scaled_at_top = {}
     for col, n in enumerate(cfg.n_list):
@@ -355,7 +336,7 @@ def efficiency_study(cfg: StudyConfig) -> StudyReport:
     for name, (val, se) in scaled_at_top.items():
         summary[f"scaled_rms_{name}"] = val
         summary[f"scaled_rms_{name}_se"] = se
-    return StudyReport("efficiency", {"efficiency": rows}, summary)
+    return StudyReport({"efficiency": rows}, summary)
 
 
 def diagnostics_study(cfg: StudyConfig) -> StudyReport:
@@ -381,7 +362,7 @@ def diagnostics_study(cfg: StudyConfig) -> StudyReport:
             np.max(np.abs(trace.total - realized)))
         summary["max_drift_identity_residual"] = float(
             np.max(np.abs(drift_gap)))
-    return StudyReport("diagnostics", tables, summary)
+    return StudyReport(tables, summary)
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:

@@ -293,7 +293,6 @@ class PathBundle:
 
     grid: TimeGrid
     spec: ProcessSpec
-    master_seed: int
     first_path_index: int
     x: np.ndarray
     sigma: np.ndarray | None
@@ -419,7 +418,7 @@ def simulate_grids(spec: ProcessSpec, grids: list[TimeGrid], count: int,
             x[:, 1:] = x_top[:, 1:grid.fine_count + 1]
             if vol:
                 sigma[:, 1:] = vol_top[:, 1:grid.fine_count + 1]
-    return [PathBundle(grid, spec, master_seed, first_path_index, x,
+    return [PathBundle(grid, spec, first_path_index, x,
                        _assemble(spec, grid, x, sigma), shifts)
             for grid, x, sigma in zip(grids, xs, vols)]
 

@@ -6,6 +6,7 @@ values, then asserts. Tolerances are stated inline next to each check.
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from occutime import (
     trapezoid_estimate,
 )
 from occutime.cli import main as cli_main
-from occutime.experiments import _ensemble_map, _estimator_errors, _rms_stats
+from occutime.experiments import _ensemble_map, _rms_stats, _study_outputs
 from occutime.fourier import (
     _interval_nodes,
     compute_E,
@@ -68,8 +69,8 @@ def identity_scaled():
             else ("riemann", "trapezoid")
         stats = _ensemble_map(
             BrownianMotion(), grid, 10000, 2024,
-            lambda b: _estimator_errors(f, b, eval_on_path(f, b), 1.0,
-                                        estimators), threads=1)
+            partial(_study_outputs, f, 1.0, (n,), estimators, False),
+            threads=1)
         out[n] = {}
         for name in estimators:
             st = _rms_stats(stats[f"err_{name}"] / grid.coarse_step)

@@ -199,6 +199,10 @@ def test_bad_override_exits_1(tmp_path, capsys):
             ("rate-study", ("process.kind=stochvol",
                             "study.estimators=trapezoid,bridge"),
              "[study] estimators"),
+            ("rate-study", ("study.estimators=trapezoid,trapezoid",),
+             "[study] estimators"),
+            ("efficiency", ("study.estimators=trapezoid,riemann,trapezoid",),
+             "[study] estimators"),
             ("clt-check", ("function.descriptor=indicator(a=0,b=1)",),
              "[function] descriptor"),
             ("rate-study", ("function.descriptor=complex_exponential(u=2)",),
@@ -244,6 +248,22 @@ def test_non_finite_result_exits_2(tmp_path, capsys):
     assert any("overflow" in str(w.message) for w in caught)
     assert rc == 2
     assert "rates.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["function.descriptor=constant",
+                                      "study.t_eval=0"])
+def test_clt_check_zero_variance_everywhere_exits_2(tmp_path, capsys,
+                                                    override):
+    # no path has a conditional variance to standardize by
+    cfg = _write(tmp_path, STUDY_CFG)
+    out = tmp_path / "clt"
+    rc = main(["clt-check", "--config", cfg, "--out", str(out),
+               "--set", "study.n_list=8,16", "--set", "study.refine=8",
+               "--set", "study.paths=100", "--set", "study.seed=1",
+               "--set", override])
+    assert rc == 2
+    assert "zero conditional variance" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_simulate_non_finite_paths_exit_2(tmp_path, capsys):

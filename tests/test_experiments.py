@@ -21,9 +21,8 @@ from occutime import (
     identity,
     rate_study,
 )
-from occutime.experiments import (_clt_outputs, _ensemble_map, _error_outputs,
-                                  _fit_slope, _gls_line, _log_rms_cov,
-                                  _rms_stats)
+from occutime.experiments import (_ensemble_map, _fit_slope, _gls_line,
+                                  _log_rms_cov, _rms_stats, _study_outputs)
 from occutime.fourier import g_decay_probe
 
 
@@ -47,6 +46,7 @@ def _cfg(**kw):
     dict(kind="efficiency", n_list=(3, 16)),
     dict(horizon=float("inf")),
     dict(t_eval=-0.1),
+    dict(estimators=("trapezoid", "trapezoid")),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -60,7 +60,6 @@ def test_refine_floor_enforced():
 
 def test_rate_study_smooth_slope_near_one():
     report = rate_study(_cfg(paths=400))
-    assert report.kind == "rate"
     for name in ("riemann", "trapezoid"):
         assert 0.85 < report.summary[name]["slope"] < 1.15
     assert len(report.tables["rates"]) == 6
@@ -134,6 +133,22 @@ def test_log_rms_cov_diagonal_is_the_wls_variance():
                                           rel=1e-12)
 
 
+def test_studies_read_one_set_of_errors():
+    # rate, efficiency and clt take the same finest-grid pass, so their
+    # top-resolution errors agree to rounding
+    spec = BrownianMotion(shift=UniformShift(0.5))
+    rates = rate_study(_cfg(spec=spec)).tables["rates"]
+    top = {row["estimator"]: row for row in rates if row["n"] == 64}
+    delta = 1.0 / 64
+    eff = efficiency_study(_cfg(spec=spec, kind="efficiency")).summary
+    assert eff["scaled_rms_trapezoid"] == pytest.approx(
+        top["trapezoid"]["rms"] / delta, rel=1e-12)
+    clt = clt_check(_cfg(spec=spec, kind="clt")).summary
+    for name in ("riemann", "trapezoid"):
+        assert clt[f"scaled_{name}_mean"] == pytest.approx(
+            top[name]["mean_error"] / delta, rel=1e-12)
+
+
 def test_rate_rms_monotone_in_n():
     report = rate_study(_cfg(paths=400))
     by_est = {}
@@ -199,10 +214,11 @@ def test_efficiency_lower_bound_up_to_t_eval():
 
 
 _CHUNK_WORKERS = {
-    "clt": partial(_clt_outputs, gaussian_bump(), 0.75),
-    "efficiency": partial(_error_outputs, gaussian_bump(), 0.75, (8,),
+    "clt": partial(_study_outputs, gaussian_bump(), 0.75, (8,),
+                   ("riemann", "trapezoid"), True),
+    "efficiency": partial(_study_outputs, gaussian_bump(), 0.75, (8,),
                           ("riemann", "trapezoid", "bridge"), True),
-    "rate": partial(_error_outputs, gaussian_bump(), 0.75, (2, 4, 8),
+    "rate": partial(_study_outputs, gaussian_bump(), 0.75, (2, 4, 8),
                     ("riemann", "trapezoid", "bridge"), False),
 }
 

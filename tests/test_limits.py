@@ -12,7 +12,7 @@ from occutime import (
     indicator,
     simulate_paths,
 )
-from occutime.experiments import _clt_outputs
+from occutime.experiments import _study_outputs
 from occutime.functions import eval_on_path
 from occutime.limits import gradient_energy, root_mean_se
 
@@ -40,7 +40,8 @@ def test_identity_conditional_variance_exact(brownian_bundle):
 
 
 def test_constant_limit_is_zero(brownian_bundle):
-    out = _clt_outputs(constant(3.0), 1.0, brownian_bundle)
+    out = _study_outputs(constant(3.0), 1.0, (8,), ("riemann", "trapezoid"),
+                         True, brownian_bundle)
     assert len(out) == 4
     for name, values in out.items():
         assert np.all(values == 0.0), name
@@ -49,7 +50,8 @@ def test_constant_limit_is_zero(brownian_bundle):
 def test_identity_limit_total_variance(brownian_bundle):
     # the scaled Riemann error tends to the bias X_1 / 2 (variance 1/4) plus
     # a mixed part of variance 1/12 independent of the path: total 1/3
-    out = _clt_outputs(identity(), 1.0, brownian_bundle)
+    out = _study_outputs(identity(), 1.0, (8,), ("riemann", "trapezoid"),
+                         True, brownian_bundle)
     scaled = out["err_riemann"][:, 0] / brownian_bundle.grid.coarse_step
     bias = out["bias_realized"]
     assert scaled.var() == pytest.approx(1.0 / 3.0, rel=0.12)
