@@ -133,7 +133,7 @@ def _first_nonfinite(tables: dict, summary: dict) -> str | None:
 
 def _write_artifacts(out_dir: Path, command: str, cfg: ResolvedConfig,
                      seed: int, tables: dict, summary: dict,
-                     runtime: float) -> None:
+                     runtime: float, layout: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     table_files = {}
     for name, rows in tables.items():
@@ -150,6 +150,8 @@ def _write_artifacts(out_dir: Path, command: str, cfg: ResolvedConfig,
         "tables": table_files,
         "runtime_seconds": runtime,
     }
+    if layout:
+        report["layout"] = layout
     with open(out_dir / "report.json", "w") as fh:
         json.dump(_finite_or_null(report), fh, indent=2, sort_keys=True,
                   default=str, allow_nan=False)
@@ -225,7 +227,7 @@ def _run_study_command(kind: str, cfg: ResolvedConfig, seed_override,
                        threads: int) -> tuple:
     study = build_study(cfg, kind, seed_override, threads)
     report = run_study(study)
-    return study.master_seed, report.tables, report.summary
+    return study.master_seed, report.tables, report.summary, report.layout
 
 
 def main(argv=None) -> int:
@@ -238,12 +240,13 @@ def main(argv=None) -> int:
         cfg = load_config(config_path.read_text(), args.overrides)
         started = time.perf_counter()
         out_dir = Path(args.out)
+        layout = {}
         if args.subcommand == "simulate":
             seed, tables, summary = _run_simulate(cfg, args.seed, out_dir)
         elif args.subcommand == "norms":
             seed, tables, summary = _run_norms(cfg, args.seed)
         else:
-            seed, tables, summary = _run_study_command(
+            seed, tables, summary, layout = _run_study_command(
                 _STUDY_KINDS[args.subcommand], cfg, args.seed,
                 _resolve_threads(args.threads))
         runtime = time.perf_counter() - started
@@ -260,7 +263,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     _write_artifacts(out_dir, args.subcommand, cfg, seed, tables, summary,
-                     runtime)
+                     runtime, layout)
     return 0
 
 

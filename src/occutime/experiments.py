@@ -39,6 +39,7 @@ from .processes import (BrownianMotion, DeterministicGaussian, ProcessSpec,
 ESTIMATOR_NAMES = ("riemann", "trapezoid", "bridge")
 DEGENERATE_RMS = 1e-12
 CHUNK_SIZE = 256
+CHUNK_FLOATS = 2 ** 18      # floats per chunk path array: 2 MiB, about one L2 cache
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,14 @@ class StudyConfig:
 class StudyReport:
     tables: dict = field(default_factory=dict)   # name -> list of row dicts
     summary: dict = field(default_factory=dict)
+    layout: dict = field(default_factory=dict)   # paths, chunk_size, chunks, threads
+
+
+def _chunk_size(spec, grid) -> int:
+    """Default paths per chunk: as many as keep a chunk's path array within
+    ``CHUNK_FLOATS`` floats, clipped to [16, ``CHUNK_SIZE``]."""
+    floats = (grid.fine_count + 1) * spec.dimension
+    return int(np.clip(CHUNK_FLOATS // floats, 16, CHUNK_SIZE))
 
 
 def _ensemble_map(spec, grid, paths: int, seed: int, worker,
@@ -130,11 +139,10 @@ def _ensemble_map(spec, grid, paths: int, seed: int, worker,
 
     Per-path random streams make the result independent of the chunk
     layout and of ``threads``; the chunk size only bounds peak memory, so
-    it shrinks as the fine grid grows.
+    it shrinks as the fine grid or the dimension grows.
     """
     if chunk_size is None:
-        nodes = grid.fine_count + 1
-        chunk_size = int(np.clip(2 ** 20 // nodes, 16, CHUNK_SIZE))
+        chunk_size = _chunk_size(spec, grid)
     starts = list(range(0, paths, chunk_size))
 
     def run(start):
@@ -187,14 +195,22 @@ def _study_outputs(f: TestFunction, t: float, n_list, estimators,
     return out
 
 
-def _study_pass(cfg: StudyConfig, n_list, estimators, limit: bool) -> dict:
+def _study_pass(cfg: StudyConfig, n_list, estimators,
+                limit: bool) -> tuple[dict, dict]:
     """:func:`_study_outputs` over the whole ensemble, from one pass on the
-    finest grid (``n_list[-1]`` coarse steps of ``refine`` fine steps)."""
+    finest grid (``n_list[-1]`` coarse steps of ``refine`` fine steps), and
+    the chunk layout of that pass; the threads used are at most one per
+    chunk."""
     grid = build_grid(cfg.horizon, cfg.n_list[-1], cfg.refine)
-    return _ensemble_map(cfg.spec, grid, cfg.paths, cfg.master_seed,
-                         partial(_study_outputs, cfg.function, cfg.eval_time,
-                                 n_list, estimators, limit),
-                         cfg.threads)
+    chunk_size = _chunk_size(cfg.spec, grid)
+    chunks = -(-cfg.paths // chunk_size)
+    layout = {"paths": cfg.paths, "chunk_size": chunk_size, "chunks": chunks,
+              "threads": max(1, min(cfg.threads, chunks))}
+    stats = _ensemble_map(cfg.spec, grid, cfg.paths, cfg.master_seed,
+                          partial(_study_outputs, cfg.function, cfg.eval_time,
+                                  n_list, estimators, limit),
+                          cfg.threads, chunk_size)
+    return stats, layout
 
 
 def _rms_stats(err: np.ndarray) -> dict:
@@ -243,7 +259,7 @@ def _fit_slope(deltas, rms, cov):
 def rate_study(cfg: StudyConfig) -> StudyReport:
     """RMS of (reference - estimator) per resolution from one pass on the
     finest grid, with a GLS log-log slope fit per estimator."""
-    stats = _study_pass(cfg, cfg.n_list, cfg.estimators, False)
+    stats, layout = _study_pass(cfg, cfg.n_list, cfg.estimators, False)
     deltas = [cfg.horizon / n for n in cfg.n_list]
     rows = [{"n": n, "delta": delta, "estimator": name,
              **_rms_stats(stats[f"err_{name}"][:, col])}
@@ -261,7 +277,7 @@ def rate_study(cfg: StudyConfig) -> StudyReport:
             cov = _log_rms_cov(stats[f"err_{name}"])
             summary[name] = {"degenerate": False,
                              **_fit_slope(deltas, rms, cov)}
-    return StudyReport({"rates": rows}, summary)
+    return StudyReport({"rates": rows}, summary, layout)
 
 
 def clt_check(cfg: StudyConfig) -> StudyReport:
@@ -273,7 +289,7 @@ def clt_check(cfg: StudyConfig) -> StudyReport:
     """
     n = cfg.n_list[-1]
     delta = cfg.horizon / n
-    stats = _study_pass(cfg, (n,), ("riemann", "trapezoid"), True)
+    stats, layout = _study_pass(cfg, (n,), ("riemann", "trapezoid"), True)
     condvar = stats["grad_energy"]
     err_trap = stats["err_trapezoid"][:, 0]
     keep = condvar > 0
@@ -306,13 +322,13 @@ def clt_check(cfg: StudyConfig) -> StudyReport:
     }
     table = [{"path_id": int(i), "z": float(v)}
              for i, v in zip(np.nonzero(keep)[0], z)]
-    return StudyReport({"standardized": table}, summary)
+    return StudyReport({"standardized": table}, summary, layout)
 
 
 def efficiency_study(cfg: StudyConfig) -> StudyReport:
     """Scaled RMS per estimator against the minimal asymptotic constant."""
     top = cfg.n_list[-1]
-    stats = _study_pass(cfg, cfg.n_list, cfg.estimators, True)
+    stats, layout = _study_pass(cfg, cfg.n_list, cfg.estimators, True)
     rows = []
     scaled_at_top = {}
     for col, n in enumerate(cfg.n_list):
@@ -336,7 +352,7 @@ def efficiency_study(cfg: StudyConfig) -> StudyReport:
     for name, (val, se) in scaled_at_top.items():
         summary[f"scaled_rms_{name}"] = val
         summary[f"scaled_rms_{name}_se"] = se
-    return StudyReport({"efficiency": rows}, summary)
+    return StudyReport({"efficiency": rows}, summary, layout)
 
 
 def diagnostics_study(cfg: StudyConfig) -> StudyReport:

@@ -88,12 +88,29 @@ def _ramp_mean(d, sd):
 # registered one-dimensional families
 
 
+def _bump_value(x) -> np.ndarray:
+    """exp(-x^2 / 2) computed in one new array; x is never written. Rounds
+    as ``np.exp(-0.5 * x ** 2)`` does."""
+    x = np.asarray(x, float)
+    out = np.square(x, out=np.empty(x.shape))   # out= keeps a 0-d array
+    out *= -0.5
+    return np.exp(out, out=out)
+
+
+def _bump_gradient(x) -> np.ndarray:
+    """-x exp(-x^2 / 2) computed in one new array; x is never written."""
+    x = np.asarray(x, float)
+    out = _bump_value(x)
+    out *= x
+    return np.negative(out, out=out)
+
+
 def gaussian_bump() -> TestFunction:
     """f(x) = exp(-x^2 / 2), a smooth rapidly decaying reference function."""
     return TestFunction(
         name="gaussian_bump",
-        value=lambda x: np.exp(-0.5 * np.asarray(x, float) ** 2),
-        gradient=lambda x: -np.asarray(x, float) * np.exp(-0.5 * np.asarray(x, float) ** 2),
+        value=_bump_value,
+        gradient=_bump_gradient,
         fourier=lambda u: SQRT_2PI * np.exp(-0.5 * np.asarray(u, float) ** 2),
         osc_scale=1.0,
         # E exp(-N(mu, v)^2 / 2) = exp(-mu^2 / (2 (1 + v))) / sqrt(1 + v)

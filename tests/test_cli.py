@@ -291,6 +291,12 @@ def test_runtime_seconds_is_measured(tmp_path, command):
     assert main([command, "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["runtime_seconds"] > 0
+    # 1025 fine nodes: the 2**18-float budget holds 255 paths per chunk
+    if command in ("rate-study", "clt-check", "efficiency"):
+        assert report["layout"] == {"paths": 200, "chunk_size": 255,
+                                    "chunks": 1, "threads": 1}
+    else:
+        assert "layout" not in report
 
 
 def test_documented_non_finite_values_exit_0(tmp_path):

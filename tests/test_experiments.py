@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import cache, partial
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from occutime import (
     BrownianMotion,
     ConfigError,
+    FixedStart,
     StochVol,
     StudyConfig,
     UniformShift,
@@ -20,6 +22,7 @@ from occutime import (
     gaussian_bump,
     identity,
     rate_study,
+    tensor_product,
 )
 from occutime.experiments import (_ensemble_map, _fit_slope, _gls_line,
                                   _log_rms_cov, _rms_stats, _study_outputs)
@@ -241,6 +244,50 @@ def test_worker_outputs_independent_of_chunk_size(kind, chunk_size):
         np.testing.assert_array_equal(whole[key], chunked[key])
 
 
+@pytest.mark.parametrize("spec, worker", [
+    *((BrownianMotion(shift=UniformShift(0.5)), _CHUNK_WORKERS[kind])
+      for kind in sorted(_CHUNK_WORKERS)),
+    # the bridge needs Brownian motion
+    (StochVol(), partial(_study_outputs, gaussian_bump(), 0.75, (2, 4, 8),
+                         ("riemann", "trapezoid"), False)),
+], ids=[*sorted(_CHUNK_WORKERS), "stochvol-rate"])
+def test_default_chunks_of_a_large_grid_match_one_chunk(spec, worker):
+    # 4097 fine nodes: the default layout is two 63-path chunks here
+    grid = build_grid(1.0, 64, 64)
+    default = _ensemble_map(spec, grid, 100, 5, worker)
+    whole = _ensemble_map(spec, grid, 100, 5, worker, chunk_size=100)
+    assert default.keys() == whole.keys()
+    for key in whole:
+        np.testing.assert_array_equal(default[key], whole[key])
+
+
+def test_study_layout_budgets_path_floats():
+    # 4097 fine nodes: 2**18 floats hold 63 paths in d = 1 and 31 in d = 2
+    bump = gaussian_bump()
+    plane = BrownianMotion(dimension=2, initial=FixedStart((0.0, 0.0)))
+    for spec, f, chunk_size in (
+            (BrownianMotion(), bump, 63),
+            (plane, tensor_product([bump, bump]), 31)):
+        report = rate_study(_cfg(spec=spec, function=f, refine=64,
+                                 paths=100))
+        assert report.layout == {"paths": 100, "chunk_size": chunk_size,
+                                 "chunks": -(-100 // chunk_size),
+                                 "threads": 1}
+
+
+def test_study_pass_memory_stays_within_a_few_chunks():
+    worker = partial(_study_outputs, gaussian_bump(), 1.0,
+                     (16, 32, 64, 128, 256), ("trapezoid",), False)
+    tracemalloc.start()
+    try:
+        _ensemble_map(StochVol(1.0, 0.5), build_grid(1.0, 256, 64), 64, 3,
+                      worker, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_diagnostics_study_tables():
     cfg = _cfg(kind="diagnostics", n_list=(8, 16, 32, 64), refine=8,
                paths=200, u_list=(1.0, 3.0))
@@ -263,6 +310,8 @@ def test_diagnostics_g_decay_honours_horizon():
 def test_thread_count_does_not_change_results():
     r1 = rate_study(_cfg(paths=300, threads=1))
     r4 = rate_study(_cfg(paths=300, threads=4))
+    # two 255-path chunks: the second pass uses two of its four threads
+    assert (r1.layout["threads"], r4.layout["threads"]) == (1, 2)
     for a, b in zip(r1.tables["rates"], r4.tables["rates"]):
         assert a["rms"] == b["rms"]
         assert a["mean_error"] == b["mean_error"]

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from occutime.functions import _FAMILY_BUILDERS, gaussian_mean
+from occutime.functions import _FAMILY_BUILDERS, eval_on_path, gaussian_mean
 from occutime import (
+    BrownianMotion,
     ConfigError,
+    build_grid,
     complex_exponential,
     constant,
     gaussian_bump,
@@ -18,6 +20,7 @@ from occutime import (
     parse_function,
     power_singularity,
     quadratic,
+    simulate_paths,
     tensor_product,
 )
 
@@ -110,6 +113,25 @@ def test_lacunary_empty_and_scalar_inputs():
     point = gaussian_mean(f, np.array(0.7), 0.01)
     assert np.shape(point) == ()
     assert point == gaussian_mean(f, np.array([0.7]), 0.01)[0]
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (7,), (3, 5)])
+def test_gaussian_bump_kernels_round_as_the_formula(shape):
+    x = np.random.default_rng(3).normal(scale=3.0, size=shape)
+    f = gaussian_bump()
+    value, grad = f.value(x), f.gradient(x)
+    bump = np.exp(-0.5 * x ** 2)
+    assert np.array_equal(value, bump)
+    assert np.array_equal(grad, -x * bump)
+    assert np.shape(value) == np.shape(grad) == shape
+
+
+def test_gaussian_bump_leaves_the_paths_unwritten():
+    # without a shift the observed points are a view of bundle.x
+    bundle = simulate_paths(BrownianMotion(), build_grid(1.0, 4, 4), 5, 1)
+    before = bundle.x.copy()
+    eval_on_path(gaussian_bump(), bundle, gradient=True)
+    np.testing.assert_array_equal(bundle.x, before)
 
 
 def test_fourier_conventions_numerically():
