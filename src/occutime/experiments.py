@@ -11,11 +11,16 @@ reference for every n. The errors are then correlated across n, so the
 rate slope is a generalized least-squares fit under the path-level
 covariance of the log-RMS values. The CLT check takes the same
 finest-grid pass, at one n.
+
+Each worker thread of a pass simulates all its chunks into one set of path
+and volatility buffers, so a chunk worker's outputs must own their data:
+the thread's next chunk overwrites the bundle it was given.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -34,7 +39,7 @@ from .fourier import compute_E, compute_F, decompose, g_decay_probe
 from .grids import build_grid
 from .limits import gradient_energy, mean_se, root_mean_se
 from .processes import (BrownianMotion, DeterministicGaussian, ProcessSpec,
-                        simulate_paths)
+                        path_buffers, simulate_paths)
 
 ESTIMATOR_NAMES = ("riemann", "trapezoid", "bridge")
 DEGENERATE_RMS = 1e-12
@@ -139,15 +144,24 @@ def _ensemble_map(spec, grid, paths: int, seed: int, worker,
 
     Per-path random streams make the result independent of the chunk
     layout and of ``threads``; the chunk size only bounds peak memory, so
-    it shrinks as the fine grid or the dimension grows.
+    it shrinks as the fine grid or the dimension grows. Each thread of the
+    pass simulates all its chunks into one set of path (and volatility)
+    buffers, so a bundle is only valid while its worker runs: the worker's
+    outputs must own their data, not view the bundle's arrays.
     """
     if chunk_size is None:
         chunk_size = _chunk_size(spec, grid)
     starts = list(range(0, paths, chunk_size))
+    local = threading.local()
 
     def run(start):
         count = min(chunk_size, paths - start)
-        bundle = simulate_paths(spec, grid, count, seed, first_path_index=start)
+        buffers = getattr(local, "buffers", None)
+        if buffers is None:
+            buffers = local.buffers = path_buffers(spec, grid,
+                                                   min(chunk_size, paths))
+        bundle = simulate_paths(spec, grid, count, seed,
+                                first_path_index=start, out=buffers)
         return worker(bundle)
 
     if threads <= 1:

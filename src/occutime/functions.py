@@ -65,13 +65,17 @@ def eval_on_path(f: TestFunction, bundle, gradient: bool = False):
 def gaussian_mean(f: TestFunction, mean, var) -> np.ndarray:
     """E[f(N(mean, var I))] elementwise from f's closed form, with var
     broadcast against mean (against mean without its trailing coordinate
-    axis for d >= 2)."""
+    axis for d >= 2). var is passed on unbroadcast, so the closed form
+    computes its var-only terms once per distinct variance."""
     if f.gaussian_expectation is None:
         raise CapabilityError(
             f"{f.name} has no closed-form Gaussian expectation")
-    mean = np.asarray(mean)
+    mean, var = np.asarray(mean), np.asarray(var)
     shape = mean.shape if f.dimension == 1 else mean.shape[:-1]
-    return f.gaussian_expectation(mean, np.broadcast_to(var, shape))
+    if np.broadcast_shapes(var.shape, shape) != shape:
+        raise ValueError(f"var of shape {var.shape} does not broadcast "
+                         f"to the shape {shape} of the means")
+    return f.gaussian_expectation(mean, var)
 
 
 def _ramp_mean(d, sd):

@@ -376,17 +376,8 @@ def _assemble(spec: ProcessSpec, grid: TimeGrid, x: np.ndarray,
     return sigma
 
 
-def simulate_grids(spec: ProcessSpec, grids: list[TimeGrid], count: int,
-                   master_seed: int, first_path_index: int = 0
-                   ) -> list[PathBundle]:
-    """Simulate the same ``count`` trajectories on each of ``grids``.
-
-    Each path draws its shift and its standard normals from its own
-    streams once, for the grid with the most fine steps, straight into that
-    grid's bundle. The draws are sequential, so a grid of N fine steps
-    takes the first N normals of the path, exactly what a draw of N alone
-    gives: every bundle equals ``simulate_paths`` on its grid.
-    """
+def _check_request(spec: ProcessSpec, count: int,
+                   first_path_index: int) -> None:
     if count < 1:
         raise ConfigError(f"path count must be >= 1, got {count}")
     if first_path_index < 0 or first_path_index + count > _MAX_PATHS:
@@ -395,11 +386,49 @@ def simulate_grids(spec: ProcessSpec, grids: list[TimeGrid], count: int,
             f"to {first_path_index + count - 1}")
     if not isinstance(spec, (BrownianMotion, DeterministicGaussian, StochVol)):
         raise ConfigError(f"unknown process spec {type(spec).__name__}")
-    d = spec.dimension
+
+
+def path_buffers(spec: ProcessSpec, grid: TimeGrid, rows: int):
+    """Uninitialized ``(x, sigma)`` buffers for up to ``rows`` paths on
+    ``grid``, for the ``out=`` argument of :func:`simulate_paths`: x of
+    shape (rows, fine_count + 1, d), and sigma of shape (rows,
+    fine_count + 1) for StochVol or None for the other families."""
+    nodes = grid.fine_count + 1
+    return (np.empty((rows, nodes, spec.dimension)),
+            np.empty((rows, nodes)) if isinstance(spec, StochVol) else None)
+
+
+def _out_rows(spec: ProcessSpec, grid: TimeGrid, count: int, out):
+    """The leading ``count`` rows of the ``out=`` buffers, checked against
+    the layout of :func:`path_buffers`."""
+    x, sigma = out
+    nodes = grid.fine_count + 1
     vol = isinstance(spec, StochVol)
-    xs = [np.empty((count, g.fine_count + 1, d)) for g in grids]
-    vols = [np.empty((count, g.fine_count + 1)) if vol else None
-            for g in grids]
+    for name, buf, trailing in (("x", x, (nodes, spec.dimension)),
+                                ("sigma", sigma, (nodes,) if vol else None)):
+        if trailing is None:
+            if buf is not None:
+                raise ValueError(f"out {name} must be None for "
+                                 f"{type(spec).__name__}")
+            continue
+        if not isinstance(buf, np.ndarray) or buf.dtype != np.float64:
+            raise ValueError(f"out {name} must be a float64 array")
+        if buf.shape[1:] != trailing or len(buf) < count:
+            raise ValueError(f"out {name} must have shape (>= {count}, "
+                             f"{', '.join(map(str, trailing))}), "
+                             f"got {buf.shape}")
+        if not buf.flags.c_contiguous:
+            raise ValueError(f"out {name} must be C-contiguous")
+    return x[:count], None if sigma is None else sigma[:count]
+
+
+def _simulate(spec: ProcessSpec, grids: list[TimeGrid], xs: list, vols: list,
+              master_seed: int, first_path_index: int) -> list[PathBundle]:
+    """Draw every path once into the buffers of the grid with the most fine
+    steps, copy the leading normals to the other grids' buffers and
+    assemble each grid's paths in place."""
+    count, d = len(xs[0]), spec.dimension
+    vol = isinstance(spec, StochVol)
     shifts = np.zeros((count, d))
     top = max(range(len(grids)), key=lambda k: grids[k].fine_count)
     x_top, vol_top = xs[top], vols[top]
@@ -423,12 +452,41 @@ def simulate_grids(spec: ProcessSpec, grids: list[TimeGrid], count: int,
             for grid, x, sigma in zip(grids, xs, vols)]
 
 
+def simulate_grids(spec: ProcessSpec, grids: list[TimeGrid], count: int,
+                   master_seed: int, first_path_index: int = 0
+                   ) -> list[PathBundle]:
+    """Simulate the same ``count`` trajectories on each of ``grids``.
+
+    Each path draws its shift and its standard normals from its own
+    streams once, for the grid with the most fine steps, straight into that
+    grid's bundle. The draws are sequential, so a grid of N fine steps
+    takes the first N normals of the path, exactly what a draw of N alone
+    gives: every bundle equals ``simulate_paths`` on its grid.
+    """
+    _check_request(spec, count, first_path_index)
+    xs, vols = zip(*(path_buffers(spec, g, count) for g in grids))
+    return _simulate(spec, grids, xs, vols, master_seed, first_path_index)
+
+
 def simulate_paths(spec: ProcessSpec, grid: TimeGrid, count: int,
-                   master_seed: int, first_path_index: int = 0) -> PathBundle:
+                   master_seed: int, first_path_index: int = 0, *,
+                   out=None) -> PathBundle:
     """Simulate ``count`` trajectories on the fine grid; see
-    :func:`simulate_grids`."""
-    return simulate_grids(spec, [grid], count, master_seed,
-                          first_path_index)[0]
+    :func:`simulate_grids`.
+
+    With ``out=(x, sigma)`` from :func:`path_buffers` (any row count of at
+    least ``count``) the paths are drawn and assembled in the leading
+    ``count`` rows of those buffers instead of new arrays, with the same
+    bits; the bundle's ``x`` and ``sigma`` are views of them, valid until
+    the buffers are filled again.
+    """
+    _check_request(spec, count, first_path_index)
+    if out is None:
+        x, sigma = path_buffers(spec, grid, count)
+    else:
+        x, sigma = _out_rows(spec, grid, count, out)
+    return _simulate(spec, [grid], [x], [sigma], master_seed,
+                     first_path_index)[0]
 
 
 def dump_paths_csv(bundle: PathBundle, stream) -> None:

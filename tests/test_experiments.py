@@ -22,6 +22,7 @@ from occutime import (
     gaussian_bump,
     identity,
     rate_study,
+    simulate_paths,
     tensor_product,
 )
 from occutime.experiments import (_ensemble_map, _fit_slope, _gls_line,
@@ -259,6 +260,53 @@ def test_default_chunks_of_a_large_grid_match_one_chunk(spec, worker):
     assert default.keys() == whole.keys()
     for key in whole:
         np.testing.assert_array_equal(default[key], whole[key])
+
+
+def test_one_thread_reuses_its_chunk_buffers():
+    seen = []
+
+    def worker(bundle):
+        seen.append(bundle)
+        return {"count": np.array([bundle.count])}
+
+    out = _ensemble_map(StochVol(), build_grid(1.0, 8, 8), 100, 5, worker,
+                        chunk_size=40)
+    assert out["count"].tolist() == [40, 40, 20]
+    for bundle in seen[1:]:
+        assert np.shares_memory(bundle.x, seen[0].x)
+        assert np.shares_memory(bundle.sigma, seen[0].sigma)
+
+
+_STOCHVOL_LIMIT = partial(_study_outputs, gaussian_bump(), 0.75, (2, 4, 8),
+                          ("riemann", "trapezoid"), True)
+
+
+@pytest.mark.parametrize("spec, worker", [
+    # no shift: the observed points are a view of bundle.x
+    *((BrownianMotion(), _CHUNK_WORKERS[kind])
+      for kind in sorted(_CHUNK_WORKERS)),
+    (StochVol(), _STOCHVOL_LIMIT),
+], ids=[*sorted(_CHUNK_WORKERS), "stochvol-limit"])
+def test_chunk_worker_outputs_own_their_data(spec, worker):
+    # the next chunk overwrites the bundle's buffers before the outputs
+    # are concatenated, so no output may view them
+    bundle = simulate_paths(spec, build_grid(1.0, 8, 8), 20, 5)
+    for key, value in worker(bundle).items():
+        for array in (bundle.x, bundle.sigma):
+            if array is not None:
+                assert not np.shares_memory(value, array), key
+
+
+def test_two_thread_chunks_with_a_partial_last_match_one_chunk():
+    # three chunks of 40, 40 and 20 paths on two threads
+    grid = build_grid(1.0, 16, 16)
+    chunked = _ensemble_map(StochVol(), grid, 100, 5, _STOCHVOL_LIMIT, 2,
+                            chunk_size=40)
+    whole = _ensemble_map(StochVol(), grid, 100, 5, _STOCHVOL_LIMIT,
+                          chunk_size=100)
+    assert chunked.keys() == whole.keys()
+    for key in whole:
+        np.testing.assert_array_equal(chunked[key], whole[key])
 
 
 def test_study_layout_budgets_path_floats():

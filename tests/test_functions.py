@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from occutime.estimators import BRIDGE_TIME_NODES
+from occutime.fourier import _interval_nodes
 from occutime.functions import _FAMILY_BUILDERS, eval_on_path, gaussian_mean
+from occutime.grids import gauss_legendre
 from occutime import (
     BrownianMotion,
     ConfigError,
+    DeterministicGaussian,
     build_grid,
     complex_exponential,
     constant,
@@ -218,6 +224,61 @@ def test_gaussian_expectation_against_quadrature(family, mu, v):
                           limit=400)[0]
                      for part in (lambda z: z.real, lambda z: z.imag)))
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _bridge_and_node_variances():
+    # the bridge's tau (1 - tau) step over its 8 time nodes, and the Fourier
+    # node tables of a Brownian and a deterministic-Gaussian spec
+    tau, _ = gauss_legendre(BRIDGE_TIME_NODES, unit=True)
+    grid = build_grid(1.0, 8, 4)
+    drifted = DeterministicGaussian(
+        dimension=1, drift=lambda t: np.sin(3.0 * t)[..., None],
+        diffusion=lambda t: (1.0 + 0.5 * t)[..., None, None])
+    yield "bridge", tau * (1.0 - tau) / 8
+    for label, spec in (("brownian", BrownianMotion()),
+                        ("deterministic", drifted)):
+        nodes = _interval_nodes(spec, grid, 6)
+        yield f"nodes-{label}", nodes.var
+        yield f"nodes-end-{label}", nodes.var_end
+
+
+def _unbroadcast_cases():
+    functions = [(label, f) for label, f, _, _ in FAMILY_CASES.values()]
+    functions.append(("tensor", tensor_product([gaussian_bump(), hat()])))
+    for (label, f), (var_label, var) in itertools.product(
+            functions, _bridge_and_node_variances()):
+        yield pytest.param(f, var, id=f"{label}-{var_label}")
+
+
+@pytest.mark.parametrize("f, var", _unbroadcast_cases())
+def test_gaussian_mean_takes_var_unbroadcast(f, var):
+    # the same bits as the closed form on the full-shape variance, for means
+    # of shape (paths, k, nodes) or (paths, K, q) and a coordinate axis
+    lead = (5,) * (3 - var.ndim) + var.shape
+    lead += () if f.dimension == 1 else (f.dimension,)
+    mean = np.random.default_rng(4).normal(scale=1.5, size=lead)
+    shape = mean.shape if f.dimension == 1 else mean.shape[:-1]
+    got = gaussian_mean(f, mean, var)
+    want = f.gaussian_expectation(mean, np.broadcast_to(var, shape))
+    assert got.shape == want.shape == shape
+    assert np.array_equal(got, want)
+
+
+def test_gaussian_mean_passes_var_unbroadcast():
+    seen = []
+    bump = gaussian_bump()
+    spy = dataclasses.replace(
+        bump, gaussian_expectation=lambda mu, var: (
+            seen.append(np.shape(var)) or bump.gaussian_expectation(mu, var)))
+    assert gaussian_mean(spy, np.zeros((4, 3, 8)), np.ones(8)).shape == (4, 3, 8)
+    assert seen == [(8,)]
+
+
+def test_gaussian_mean_rejects_a_var_larger_than_the_means():
+    with pytest.raises(ValueError):
+        gaussian_mean(gaussian_bump(), np.zeros(8), np.ones((3, 8)))
+    with pytest.raises(ValueError):
+        gaussian_mean(gaussian_bump(), np.zeros(8), np.ones(3))
 
 
 @pytest.mark.parametrize("mu, v", KINK_POINTS)

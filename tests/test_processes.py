@@ -17,7 +17,7 @@ from occutime import (
 )
 from occutime.config import build_process, load_config
 from occutime.processes import (STREAM_MAIN, STREAM_VOL, _path_streams,
-                                _stream_keys, dump_paths_csv)
+                                _stream_keys, dump_paths_csv, path_buffers)
 
 
 def path_rng(master_seed, path_index, stream=STREAM_MAIN):
@@ -79,6 +79,64 @@ def test_simulate_grids_equals_separate_runs(spec):
             else:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+OUT_SPECS = [
+    BrownianMotion(shift=UniformShift(0.5)),
+    BrownianMotion(dimension=2, initial=FixedStart((0.0, 1.0))),
+    DeterministicGaussian(dimension=1, drift=lambda t: np.sin(3.0 * t)[..., None],
+                          diffusion=lambda t: (1.0 + 0.5 * t)[..., None, None]),
+    StochVol(),
+]
+OUT_IDS = ["brownian-shift", "brownian-2d", "deterministic", "stochvol"]
+
+
+@pytest.mark.parametrize("spec", OUT_SPECS, ids=OUT_IDS)
+def test_simulate_into_buffers_matches_a_fresh_simulation(spec):
+    # 5 paths into the leading rows of 7-row buffers full of NaN
+    grid = build_grid(1.0, 4, 8)
+    buffers = path_buffers(spec, grid, 7)
+    for buf in buffers:
+        if buf is not None:
+            buf.fill(np.nan)
+    bundle = simulate_paths(spec, grid, 5, 31, first_path_index=3,
+                            out=buffers)
+    fresh = simulate_paths(spec, grid, 5, 31, first_path_index=3)
+    for name in ("x", "sigma", "shifts"):
+        got, want = getattr(bundle, name), getattr(fresh, name)
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert np.shares_memory(bundle.x, buffers[0])
+    if isinstance(spec, StochVol):
+        assert np.shares_memory(bundle.sigma, buffers[1])
+    else:
+        assert buffers[1] is None
+
+
+@pytest.mark.parametrize("spec", OUT_SPECS, ids=OUT_IDS)
+def test_simulate_into_bad_buffers_raises(spec):
+    grid = build_grid(1.0, 4, 8)
+    x, sigma = path_buffers(spec, grid, 6)
+    nodes, d = x.shape[1:]
+    wide = np.empty((6, nodes, d + 1))
+    bad = [
+        (np.empty((6, nodes + 1, d)), sigma),           # trailing shape
+        (np.empty(x.shape, np.float32), sigma),         # dtype
+        (wide[:, :, :d], sigma),                        # not contiguous
+        (x[:3], sigma),                                 # too few rows
+    ]
+    if sigma is not None:
+        bad += [(x, np.empty((6, nodes + 1))),
+                (x, np.empty(sigma.shape, np.float32)),
+                (x, np.empty((12, nodes))[::2]), (x, None)]
+    else:
+        bad.append((x, np.empty((6, nodes))))           # sigma for no vol
+    for out in bad:
+        with pytest.raises(ValueError, match="out "):
+            simulate_paths(spec, grid, 5, 31, out=out)
 
 
 def test_stochvol_matches_per_path_euler():
