@@ -21,7 +21,6 @@ from .processes import (
     PathBundle,
     StochVol,
     UniformShift,
-    simulate_grids,
     simulate_paths,
 )
 from .functions import (
@@ -97,7 +96,6 @@ __all__ = [
     "rate_study",
     "reference_value",
     "riemann_estimate",
-    "simulate_grids",
     "simulate_paths",
     "sobolev_seminorm",
     "tensor_product",

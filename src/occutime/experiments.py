@@ -1,16 +1,16 @@
 """Monte Carlo studies: convergence rates, limit laws, efficiency, diagnostics.
 
-Every study simulates path ensembles in fixed-size chunks whose random
-streams depend only on (master seed, path index), so results are identical
-for any thread count. Within a study all estimators share the same paths
-(common random numbers). Rate and efficiency studies share them across
-resolutions too: one pass on the finest grid (n_max coarse steps of m fine
-steps) serves every n in ``n_list``, whose coarse nodes are every
-(n_max m / n)-th fine node, and the fine sum over all n_max m steps is the
-reference for every n. The errors are then correlated across n, so the
+Every study simulates path ensembles in chunks (``_ensemble_map``) whose
+random streams depend only on (master seed, path index), so results are
+identical for any thread count. Within a study all estimators share the
+same paths (common random numbers), and so do all resolutions: one pass on
+one fine grid serves every n in ``n_list``, whose coarse nodes are every
+(fine steps / n)-th fine node. For the rate and efficiency studies that
+grid has n_max m steps, whose fine sum is the reference for every n; the
+CLT check takes the same pass at one n; the diagnostics decay probe reads
+a grid of lcm(n_list) steps. The errors are correlated across n, so the
 rate slope is a generalized least-squares fit under the path-level
-covariance of the log-RMS values. The CLT check takes the same
-finest-grid pass, at one n.
+covariance of the log-RMS values.
 
 Each worker thread of a pass simulates all its chunks into one set of path
 and volatility buffers, so a chunk worker's outputs must own their data:
@@ -35,7 +35,8 @@ from .estimators import (
     trapezoid_estimate,
 )
 from .functions import TestFunction, eval_on_path
-from .fourier import compute_E, compute_F, decompose, g_decay_probe
+from .fourier import (_interval_nodes, _require_gaussian, compute_E,
+                      compute_F, decompose, f_weights)
 from .grids import build_grid
 from .limits import gradient_energy, mean_se, root_mean_se
 from .processes import (BrownianMotion, DeterministicGaussian, ProcessSpec,
@@ -45,6 +46,8 @@ ESTIMATOR_NAMES = ("riemann", "trapezoid", "bridge")
 DEGENERATE_RMS = 1e-12
 CHUNK_SIZE = 256
 CHUNK_FLOATS = 2 ** 18      # floats per chunk path array: 2 MiB, about one L2 cache
+G_DECAY_ORDER = 1.0         # Sobolev order s of the weight (1 + |u|^2)^-s
+MAX_PROBE_STEPS = 2 ** 16   # fine steps of the diagnostics grid, lcm(n_list)
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,10 @@ class StudyConfig:
                 raise ConfigError(
                     f"n_list must nest: every n must divide n_list[-1] * "
                     f"refine = {fine}, and {loose} do not")
+        lcm = math.lcm(*self.n_list)
+        if self.kind == "diagnostics" and lcm > MAX_PROBE_STEPS:
+            raise ConfigError(f"n_list: diagnostics simulates lcm(n_list) = "
+                              f"{lcm} steps, more than {MAX_PROBE_STEPS}")
         if self.kind != "diagnostics" and self.refine < 8:
             raise ConfigError(f"refine must be at least 8 for the fine "
                               f"reference, got {self.refine}")
@@ -209,21 +216,25 @@ def _study_outputs(f: TestFunction, t: float, n_list, estimators,
     return out
 
 
+def _layout(spec, grid, paths: int, threads: int) -> dict:
+    """Chunk layout of a pass on ``grid``, with at most one thread per chunk."""
+    chunk_size = _chunk_size(spec, grid)
+    chunks = -(-paths // chunk_size)
+    return {"paths": paths, "chunk_size": chunk_size, "chunks": chunks,
+            "threads": max(1, min(threads, chunks))}
+
+
 def _study_pass(cfg: StudyConfig, n_list, estimators,
                 limit: bool) -> tuple[dict, dict]:
     """:func:`_study_outputs` over the whole ensemble, from one pass on the
     finest grid (``n_list[-1]`` coarse steps of ``refine`` fine steps), and
-    the chunk layout of that pass; the threads used are at most one per
-    chunk."""
+    the chunk layout of that pass."""
     grid = build_grid(cfg.horizon, cfg.n_list[-1], cfg.refine)
-    chunk_size = _chunk_size(cfg.spec, grid)
-    chunks = -(-cfg.paths // chunk_size)
-    layout = {"paths": cfg.paths, "chunk_size": chunk_size, "chunks": chunks,
-              "threads": max(1, min(cfg.threads, chunks))}
+    layout = _layout(cfg.spec, grid, cfg.paths, cfg.threads)
     stats = _ensemble_map(cfg.spec, grid, cfg.paths, cfg.master_seed,
                           partial(_study_outputs, cfg.function, cfg.eval_time,
                                   n_list, estimators, limit),
-                          cfg.threads, chunk_size)
+                          cfg.threads, layout["chunk_size"])
     return stats, layout
 
 
@@ -348,33 +359,104 @@ def efficiency_study(cfg: StudyConfig) -> StudyReport:
     for col, n in enumerate(cfg.n_list):
         delta = cfg.horizon / n
         for name in cfg.estimators:
-            st = _rms_stats(stats[f"err_{name}"][:, col] / delta)
+            scaled = stats[f"err_{name}"][:, col] / delta
+            st = _rms_stats(scaled)
             rows.append({"n": n, "delta": delta, "estimator": name,
                          "scaled_rms": st["rms"], "scaled_rms_se": st["rms_se"]})
             if n == top:
-                scaled_at_top[name] = (st["rms"], st["rms_se"])
-    lower, lower_se = root_mean_se(stats["grad_energy"])
+                scaled_at_top[name] = (st["rms"], st["rms_se"], scaled)
+    energy = stats["grad_energy"]
+    lower, lower_se = root_mean_se(energy)
 
     summary = {"lower_bound": lower, "lower_bound_se": lower_se}
     if "trapezoid" in scaled_at_top and lower > 0:
-        val, se = scaled_at_top["trapezoid"]
+        val, _, scaled = scaled_at_top["trapezoid"]
         ratio = val / lower
-        ratio_se = ratio * np.sqrt((se / val) ** 2 + (lower_se / lower) ** 2) \
-            if val > 0 else 0.0
         summary["efficiency_ratio_trapezoid"] = float(ratio)
-        summary["efficiency_ratio_se"] = float(ratio_se)
-    for name, (val, se) in scaled_at_top.items():
+        # delta method for sqrt(mean a / mean b), a = scaled^2 and b = energy
+        # correlated per path: ratio / 2 times the s.e. of a/mean a - b/mean b
+        summary["efficiency_ratio_se"] = 0.5 * ratio * mean_se(
+            scaled ** 2 / val ** 2 - energy / lower ** 2)[1] if val > 0 else 0.0
+    for name, (val, se, _) in scaled_at_top.items():
         summary[f"scaled_rms_{name}"] = val
         summary[f"scaled_rms_{name}_se"] = se
     return StudyReport({"efficiency": rows}, summary, layout)
 
 
+def _g_decay_outputs(strides, weights, bundle) -> dict:
+    """Scaled sup over the coarse times of |F1|^2 + |F2|^2 per path and
+    (n, u), from each n's coarse grid (every stride-th fine node) and its
+    ``weights`` (u, c1, c2, scale) per u, c1 and c2 from :func:`f_weights`."""
+    out = np.empty((bundle.count, len(strides), len(weights[0])))
+    for i, (stride, row) in enumerate(zip(strides, weights)):
+        y_left = bundle.observed(stride=stride)[:, :-1, 0]
+        # one set of arrays per n, reused for every u: a temporary per step
+        # made the allocator unmap and fault in memory again for each one
+        f1, f2 = np.empty((2,) + y_left.shape, complex)
+        sup = np.empty(y_left.shape)
+        for j, (u, c1, c2, scale) in enumerate(row):
+            np.exp(np.multiply(1j * u, y_left, out=f2), out=f2)   # the phase
+            np.multiply(f2, c1, out=f1)
+            np.multiply(f2, c2, out=f2)
+            np.cumsum(f1, axis=1, out=f1)
+            np.cumsum(f2, axis=1, out=f2)
+            np.square(np.abs(f1, out=sup), out=sup)
+            sup += np.square(np.abs(f2, out=f1.real), out=f1.real)
+            out[:, i, j] = scale * sup.max(axis=1)
+    return {"g": out}
+
+
+def g_decay_probe(u_list, n_list, spec, count: int, seed: int,
+                  horizon: float = 1.0, threads: int = 1) -> dict:
+    """Empirical normalized bound sup_t (|F1|^2 + |F2|^2), scaled by
+    step^-2 (1 + |u|^2)^-G_DECAY_ORDER, tabulated over a (u, n) probe grid
+    on [0, horizon] with a Kendall monotonicity statistic per frequency.
+    One :func:`_ensemble_map` pass on the grid of lcm(n_list) steps serves
+    every n, which observes the paths at every (lcm / n)-th node.
+
+    Returns two tables of row dicts: ``g_decay`` (u, n, g_hat, stderr),
+    one row per (n, u) with n outer, and ``g_trend`` (u, kendall_tau,
+    p_value), one row per entry of ``u_list``."""
+    _require_gaussian(spec, "g_decay_probe")
+    n_list = [int(n) for n in n_list]
+    fine = math.lcm(*n_list)
+    weights = []
+    for n in n_list:
+        grid = build_grid(horizon, n, 1)
+        nodes = _interval_nodes(spec, grid, n)
+        weights.append([
+            (float(u), *f_weights(float(u), nodes),
+             grid.coarse_step ** -2 / (1.0 + u * u) ** G_DECAY_ORDER)
+            for u in u_list])
+    g = _ensemble_map(spec, build_grid(horizon, fine, 1), count, seed,
+                      partial(_g_decay_outputs, [fine // n for n in n_list],
+                              weights), threads)["g"]
+    rows = []
+    for i, n in enumerate(n_list):
+        for j, u in enumerate(u_list):
+            g_hat, stderr = mean_se(g[:, i, j])
+            rows.append({"u": float(u), "n": n, "g_hat": g_hat,
+                         "stderr": stderr})
+    from scipy.stats import kendalltau    # slow to import; only used here
+    trend = []
+    for j, u in enumerate(u_list):
+        column = [row["g_hat"] for row in rows[j::len(u_list)]]   # over n
+        tau_stat, p = (kendalltau(n_list, column) if len(n_list) > 1
+                       else (float("nan"), float("nan")))
+        trend.append({"u": float(u), "kendall_tau": float(tau_stat),
+                      "p_value": float(p)})
+    return {"g_decay": rows, "g_trend": trend}
+
+
 def diagnostics_study(cfg: StudyConfig) -> StudyReport:
     """Frequency-domain diagnostics: normalized F1/F2 second-moment decay
-    over (u, n), and the decomposition identity residuals on a small
-    exponential probe ensemble."""
-    tables = g_decay_probe(cfg.u_list, cfg.n_list, cfg.spec,
-                           min(cfg.paths, 2000), cfg.master_seed, cfg.horizon)
+    over (u, n) from one chunked pass, and the decomposition identity
+    residuals on a small exponential probe ensemble."""
+    count = min(cfg.paths, 2000)
+    tables = g_decay_probe(cfg.u_list, cfg.n_list, cfg.spec, count,
+                           cfg.master_seed, cfg.horizon, cfg.threads)
+    layout = _layout(cfg.spec, build_grid(cfg.horizon, math.lcm(*cfg.n_list)),
+                     count, cfg.threads)
     summary = {"sup_g_hat": max(r["g_hat"] for r in tables["g_decay"])}
     if cfg.refine >= 2 and cfg.spec.dimension == 1:
         from .functions import complex_exponential
@@ -392,7 +474,7 @@ def diagnostics_study(cfg: StudyConfig) -> StudyReport:
             np.max(np.abs(trace.total - realized)))
         summary["max_drift_identity_residual"] = float(
             np.max(np.abs(drift_gap)))
-    return StudyReport(tables, summary)
+    return StudyReport(tables, summary, layout)
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:

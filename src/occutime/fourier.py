@@ -5,8 +5,8 @@ F_{t_k} is normal, so the conditional expectations entering the
 martingale/drift split of the error are the function's closed-form Gaussian
 expectations (``gaussian_mean``), and F1/F2 follow from the conditional
 characteristic function. This module assembles the split, the endpoint sum
-E, the weighted drift/diffusion integrals F1/F2, and an empirical probe of
-the decay of their normalized second moments.
+E and the weighted drift/diffusion integrals F1/F2 from given paths; the
+decay probe ``experiments.g_decay_probe`` reads their weights (``f_weights``).
 
 All of these read one deterministic node table (``_interval_nodes``): the
 mean and variance of X_r - X_{t_k} at the Gauss-Legendre times r of every
@@ -25,17 +25,10 @@ import numpy as np
 from .errors import CapabilityError
 from .estimators import reference_value, riemann_estimate
 from .functions import TestFunction, gaussian_mean
-from .grids import TimeGrid, build_grid, gauss_legendre
-from .limits import mean_se
-from .processes import (
-    BrownianMotion,
-    DeterministicGaussian,
-    PathBundle,
-    simulate_grids,
-)
+from .grids import TimeGrid, gauss_legendre
+from .processes import BrownianMotion, DeterministicGaussian, PathBundle
 
 GL_ORDER = 16          # Gauss-Legendre nodes per coarse interval
-G_DECAY_ORDER = 1.0    # Sobolev order s of the weight (1 + |u|^2)^-s
 
 
 def _require_gaussian(spec, what: str):
@@ -133,63 +126,23 @@ def compute_E(f: TestFunction, bundle: PathBundle, t: float | None = None) -> np
     return 0.5 * bundle.grid.coarse_step * (ce - f.value(left)).sum(axis=1)
 
 
-def _f_terms(u: float, nodes: _IntervalNodes,
-             y_left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-interval contributions to F1 and F2, shape (paths, K) each.
+def f_weights(u: float, nodes: _IntervalNodes) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic weights (c1, c2) of F1 and F2 per interval, shape (K,)
+    each, to be multiplied by the per-path phase exp(i u Y_{t_k}).
 
     F1 integrates (t_k - r - step/2) i u b_r against the conditional
     characteristic function, F2 the same weight against -(1/2) |sigma_r u|^2.
-    Both are a per-path phase at the interval start times a deterministic
-    sum over the nodes.
     """
     phase = np.exp(1j * u * nodes.mean - 0.5 * u * u * nodes.var)
     c1 = (1j * u * nodes.drift * phase) @ nodes.weight
     c2 = (-0.5 * u * u * nodes.sig2 * phase) @ nodes.weight
-    left = np.exp(1j * u * y_left)
-    return left * c1, left * c2
+    return c1, c2
 
 
 def compute_F(u: float, bundle: PathBundle,
               t: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(F1, F2) per path at time t, from one node table."""
     nodes, y = _setup(bundle, t, "compute_F")
-    f1, f2 = _f_terms(float(u), nodes, y[:, :-1])
-    return f1.sum(axis=1), f2.sum(axis=1)
-
-
-def g_decay_probe(u_list, n_list, spec, count: int, seed: int,
-                  horizon: float = 1.0) -> dict:
-    """Empirical normalized bound sup_t (|F1|^2 + |F2|^2), scaled by
-    step^-2 (1 + |u|^2)^-G_DECAY_ORDER, tabulated over a (u, n) probe grid
-    on [0, horizon] with a Kendall monotonicity statistic per frequency.
-
-    Returns two tables of row dicts: ``g_decay`` (u, n, g_hat, stderr),
-    one row per (n, u) with n outer, and ``g_trend`` (u, kendall_tau,
-    p_value), one row per entry of ``u_list``."""
-    _require_gaussian(spec, "g_decay_probe")
-    rows = []
-    columns = [[] for _ in u_list]        # g_hat over n, per frequency
-    grids = [build_grid(horizon, int(n), 1) for n in n_list]
-    for n, grid, bundle in zip(n_list, grids,
-                               simulate_grids(spec, grids, count, seed)):
-        nodes = _interval_nodes(spec, grid, grid.coarse_count)
-        y_left = bundle.observed(coarse=True)[:, :-1, 0]
-        for u, column in zip(u_list, columns):
-            f1, f2 = _f_terms(float(u), nodes, y_left)
-            sup = np.max(np.abs(np.cumsum(f1, axis=1)) ** 2
-                         + np.abs(np.cumsum(f2, axis=1)) ** 2, axis=1)
-            scale = grid.coarse_step ** -2 / (1.0 + u * u) ** G_DECAY_ORDER
-            g_hat, stderr = mean_se(scale * sup)
-            rows.append({"u": float(u), "n": int(n), "g_hat": g_hat,
-                         "stderr": stderr})
-            column.append(g_hat)
-    from scipy.stats import kendalltau    # slow to import; only used here
-    trend = []
-    for u, column in zip(u_list, columns):
-        if len(n_list) > 1:
-            tau_stat, p = kendalltau(list(n_list), column)
-        else:
-            tau_stat, p = float("nan"), float("nan")
-        trend.append({"u": float(u), "kendall_tau": float(tau_stat),
-                      "p_value": float(p)})
-    return {"g_decay": rows, "g_trend": trend}
+    c1, c2 = f_weights(float(u), nodes)
+    left = np.exp(1j * float(u) * y[:, :-1])
+    return (left * c1).sum(axis=1), (left * c2).sum(axis=1)

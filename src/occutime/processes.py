@@ -6,10 +6,10 @@ Gaussian processes with deterministic time-dependent drift/diffusion
 example driven by an auxiliary Brownian motion (Euler-Maruyama on the
 fine grid). All three run one simulation loop: each path starts at a
 fixed point and draws its shift and standard normals from a counter-based
-stream derived from ``(master_seed, path_index)``, once for all the grids
-of a call, and only the rule that turns the normals into increments
-depends on the family. Ensembles are therefore reproducible bit for bit
-regardless of chunking, thread count or the other grids of the call.
+stream derived from ``(master_seed, path_index)``, and only the rule that
+turns the normals into increments depends on the family. Ensembles are
+therefore reproducible bit for bit regardless of chunking or thread
+count.
 
 The stream contract: the stream with tag ``tag`` of path ``i`` is
 ``Generator(Philox(SeedSequence(master_seed, spawn_key=(i, tag))))``. The
@@ -376,18 +376,6 @@ def _assemble(spec: ProcessSpec, grid: TimeGrid, x: np.ndarray,
     return sigma
 
 
-def _check_request(spec: ProcessSpec, count: int,
-                   first_path_index: int) -> None:
-    if count < 1:
-        raise ConfigError(f"path count must be >= 1, got {count}")
-    if first_path_index < 0 or first_path_index + count > _MAX_PATHS:
-        raise ConfigError(
-            f"path indices must lie in [0, 2**32), got {first_path_index} "
-            f"to {first_path_index + count - 1}")
-    if not isinstance(spec, (BrownianMotion, DeterministicGaussian, StochVol)):
-        raise ConfigError(f"unknown process spec {type(spec).__name__}")
-
-
 def path_buffers(spec: ProcessSpec, grid: TimeGrid, rows: int):
     """Uninitialized ``(x, sigma)`` buffers for up to ``rows`` paths on
     ``grid``, for the ``out=`` argument of :func:`simulate_paths`: x of
@@ -422,71 +410,48 @@ def _out_rows(spec: ProcessSpec, grid: TimeGrid, count: int, out):
     return x[:count], None if sigma is None else sigma[:count]
 
 
-def _simulate(spec: ProcessSpec, grids: list[TimeGrid], xs: list, vols: list,
-              master_seed: int, first_path_index: int) -> list[PathBundle]:
-    """Draw every path once into the buffers of the grid with the most fine
-    steps, copy the leading normals to the other grids' buffers and
-    assemble each grid's paths in place."""
-    count, d = len(xs[0]), spec.dimension
-    vol = isinstance(spec, StochVol)
+def _simulate(spec: ProcessSpec, grid: TimeGrid, x: np.ndarray,
+              sigma: np.ndarray | None, master_seed: int,
+              first_path_index: int) -> PathBundle:
+    """Draw each path's shift and normals into the buffers, then assemble."""
+    count, d = len(x), spec.dimension
     shifts = np.zeros((count, d))
-    top = max(range(len(grids)), key=lambda k: grids[k].fine_count)
-    x_top, vol_top = xs[top], vols[top]
     indices = first_path_index + np.arange(count)
     for i, rng in enumerate(_path_streams(master_seed, indices)):
         # the shift, then the (fine_count, d) normals, from the main stream
         if spec.shift is not None:
             shifts[i] = spec.shift.sample(rng, d)
-        rng.standard_normal(out=x_top[i, 1:])
-    if vol:
+        rng.standard_normal(out=x[i, 1:])
+    if isinstance(spec, StochVol):
         for i, rng in enumerate(_path_streams(master_seed, indices,
                                               STREAM_VOL)):
-            rng.standard_normal(out=vol_top[i, 1:])
-    for grid, x, sigma in zip(grids, xs, vols):
-        if x is not x_top:
-            x[:, 1:] = x_top[:, 1:grid.fine_count + 1]
-            if vol:
-                sigma[:, 1:] = vol_top[:, 1:grid.fine_count + 1]
-    return [PathBundle(grid, spec, first_path_index, x,
-                       _assemble(spec, grid, x, sigma), shifts)
-            for grid, x, sigma in zip(grids, xs, vols)]
-
-
-def simulate_grids(spec: ProcessSpec, grids: list[TimeGrid], count: int,
-                   master_seed: int, first_path_index: int = 0
-                   ) -> list[PathBundle]:
-    """Simulate the same ``count`` trajectories on each of ``grids``.
-
-    Each path draws its shift and its standard normals from its own
-    streams once, for the grid with the most fine steps, straight into that
-    grid's bundle. The draws are sequential, so a grid of N fine steps
-    takes the first N normals of the path, exactly what a draw of N alone
-    gives: every bundle equals ``simulate_paths`` on its grid.
-    """
-    _check_request(spec, count, first_path_index)
-    xs, vols = zip(*(path_buffers(spec, g, count) for g in grids))
-    return _simulate(spec, grids, xs, vols, master_seed, first_path_index)
+            rng.standard_normal(out=sigma[i, 1:])
+    return PathBundle(grid, spec, first_path_index, x,
+                      _assemble(spec, grid, x, sigma), shifts)
 
 
 def simulate_paths(spec: ProcessSpec, grid: TimeGrid, count: int,
                    master_seed: int, first_path_index: int = 0, *,
                    out=None) -> PathBundle:
-    """Simulate ``count`` trajectories on the fine grid; see
-    :func:`simulate_grids`.
-
-    With ``out=(x, sigma)`` from :func:`path_buffers` (any row count of at
-    least ``count``) the paths are drawn and assembled in the leading
-    ``count`` rows of those buffers instead of new arrays, with the same
-    bits; the bundle's ``x`` and ``sigma`` are views of them, valid until
-    the buffers are filled again.
-    """
-    _check_request(spec, count, first_path_index)
+    """Simulate ``count`` trajectories on the fine grid, each from its own
+    streams. With ``out=(x, sigma)`` from :func:`path_buffers` (any row
+    count of at least ``count``) the paths are drawn and assembled in the
+    leading ``count`` rows of those buffers instead of new arrays, with the
+    same bits; the bundle's ``x`` and ``sigma`` are views of them, valid
+    until the buffers are filled again."""
+    if count < 1:
+        raise ConfigError(f"path count must be >= 1, got {count}")
+    if first_path_index < 0 or first_path_index + count > _MAX_PATHS:
+        raise ConfigError(
+            f"path indices must lie in [0, 2**32), got {first_path_index} "
+            f"to {first_path_index + count - 1}")
+    if not isinstance(spec, (BrownianMotion, DeterministicGaussian, StochVol)):
+        raise ConfigError(f"unknown process spec {type(spec).__name__}")
     if out is None:
         x, sigma = path_buffers(spec, grid, count)
     else:
         x, sigma = _out_rows(spec, grid, count, out)
-    return _simulate(spec, [grid], [x], [sigma], master_seed,
-                     first_path_index)[0]
+    return _simulate(spec, grid, x, sigma, master_seed, first_path_index)
 
 
 def dump_paths_csv(bundle: PathBundle, stream) -> None:

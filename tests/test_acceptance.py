@@ -34,13 +34,13 @@ from occutime import (
     trapezoid_estimate,
 )
 from occutime.cli import main as cli_main
-from occutime.experiments import _ensemble_map, _rms_stats, _study_outputs
+from occutime.experiments import (_ensemble_map, _rms_stats, _study_outputs,
+                                  g_decay_probe)
 from occutime.fourier import (
     _interval_nodes,
     compute_E,
     compute_F,
     decompose,
-    g_decay_probe,
 )
 from occutime.functions import eval_on_path
 from occutime.limits import gradient_energy, root_mean_se

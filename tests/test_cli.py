@@ -181,6 +181,7 @@ def test_bad_override_exits_1(tmp_path, capsys):
                        "cutoff=0)",), "[function] descriptor"),
             ("diagnostics", ("study.u_list=1,nan",), "[study] u_list"),
             ("diagnostics", ("study.u_list=",), "[study] u_list"),
+            ("diagnostics", ("study.n_list=255,256,257",), "[study] n_list"),
             ("diagnostics", ("process.x0=nan",), "[process] x0"),
             ("rate-study", ("process.x0=inf",), "[process] x0"),
             ("diagnostics", ("process.shift_half_width=nan",),
@@ -291,9 +292,13 @@ def test_runtime_seconds_is_measured(tmp_path, command):
     assert main([command, "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["runtime_seconds"] > 0
-    # 1025 fine nodes: the 2**18-float budget holds 255 paths per chunk
+    # 1025 fine nodes: the 2**18-float budget holds 255 paths per chunk;
+    # the diagnostics probe grid has lcm(n_list) + 1 = 65 nodes
     if command in ("rate-study", "clt-check", "efficiency"):
         assert report["layout"] == {"paths": 200, "chunk_size": 255,
+                                    "chunks": 1, "threads": 1}
+    elif command == "diagnostics":
+        assert report["layout"] == {"paths": 200, "chunk_size": 256,
                                     "chunks": 1, "threads": 1}
     else:
         assert "layout" not in report

@@ -25,9 +25,10 @@ from occutime import (
     simulate_paths,
     tensor_product,
 )
+from occutime import experiments
 from occutime.experiments import (_ensemble_map, _fit_slope, _gls_line,
-                                  _log_rms_cov, _rms_stats, _study_outputs)
-from occutime.fourier import g_decay_probe
+                                  _log_rms_cov, _rms_stats, _study_outputs,
+                                  _study_pass, g_decay_probe)
 
 
 def _cfg(**kw):
@@ -51,6 +52,7 @@ def _cfg(**kw):
     dict(horizon=float("inf")),
     dict(t_eval=-0.1),
     dict(estimators=("trapezoid", "trapezoid")),
+    dict(kind="diagnostics", n_list=(255, 256, 257), refine=8),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -80,6 +82,27 @@ def test_rate_study_constant_degenerate():
 def test_non_nesting_n_list_allowed_for_clt_and_diagnostics():
     for kind in ("clt", "diagnostics"):
         _cfg(kind=kind, n_list=(16, 24, 64), refine=8)
+
+
+def test_non_nesting_diagnostics_runs_on_the_lcm_grid(monkeypatch):
+    # every n of (16, 24, 64) is read from one ensemble of lcm = 192 steps;
+    # the decomposition probe then draws its own grid of n_list[0] steps
+    grids = []
+    simulate = experiments.simulate_paths
+
+    def recording(spec, grid, *args, **kwargs):
+        grids.append(grid)
+        return simulate(spec, grid, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "simulate_paths", recording)
+    report = diagnostics_study(_cfg(kind="diagnostics", n_list=(16, 24, 64),
+                                    refine=8, paths=100, u_list=(1.0, 3.0)))
+    assert grids == [build_grid(1.0, 192, 1), build_grid(1.0, 16, 8)]
+    rows = report.tables["g_decay"]
+    assert [(r["n"], r["u"]) for r in rows] == [
+        (n, u) for n in (16, 24, 64) for u in (1.0, 3.0)]
+    assert all(np.isfinite(r["g_hat"]) and r["g_hat"] > 0 for r in rows)
+    assert report.summary["max_decomposition_residual"] < 1e-10
 
 
 def test_coupled_top_rows_equal_single_resolution_study():
@@ -207,6 +230,29 @@ def test_efficiency_identity_constants():
     # bridge realizes the trapezoid for f = identity
     assert s["scaled_rms_bridge"] == pytest.approx(
         s["scaled_rms_trapezoid"], rel=1e-10)
+
+
+def test_efficiency_ratio_se_uses_the_path_covariance():
+    # delta method for sqrt(mean a / mean b), with a the scaled squared
+    # trapezoid error at the top n and b the gradient energy per path,
+    # under their sample covariance
+    cfg = _cfg(kind="efficiency", paths=400)
+    s = efficiency_study(cfg).summary
+    stats, _ = _study_pass(cfg, cfg.n_list, cfg.estimators, True)
+    a = (stats["err_trapezoid"][:, -1] / (1.0 / 64)) ** 2
+    b = stats["grad_energy"]
+    cov = np.cov(np.stack([a, b]))
+    ma, mb = a.mean(), b.mean()
+    ratio = math.sqrt(ma / mb)
+    grad = np.array([0.5 / ma, -0.5 / mb])
+    se = ratio * math.sqrt(grad @ cov @ grad / len(a))
+    assert s["efficiency_ratio_trapezoid"] == pytest.approx(ratio, rel=1e-12)
+    assert s["efficiency_ratio_se"] == pytest.approx(se, rel=1e-10)
+    # the error and the energy are positively correlated, so the s.e. is
+    # below the one that treats them as independent
+    independent = ratio * math.sqrt(grad ** 2 @ np.diag(cov) / len(a))
+    assert cov[0, 1] > 0
+    assert s["efficiency_ratio_se"] < independent
 
 
 def test_efficiency_lower_bound_up_to_t_eval():
@@ -353,6 +399,19 @@ def test_diagnostics_g_decay_honours_horizon():
     probe = g_decay_probe((1.0, 3.0), (8, 16), BrownianMotion(), 100, 7,
                           horizon=2.0)
     assert rows == probe["g_decay"]
+
+
+def test_diagnostics_thread_count_does_not_change_results():
+    # 600 paths on the 65-node probe grid are three 256-path chunks
+    cfg = dict(kind="diagnostics", n_list=(8, 16, 32, 64), refine=8,
+               paths=600, u_list=(1.0, 3.0))
+    r1 = diagnostics_study(_cfg(threads=1, **cfg))
+    r4 = diagnostics_study(_cfg(threads=4, **cfg))
+    assert r1.tables == r4.tables
+    assert r1.summary == r4.summary
+    layout = {"paths": 600, "chunk_size": 256, "chunks": 3}
+    assert r1.layout == {**layout, "threads": 1}
+    assert r4.layout == {**layout, "threads": 3}
 
 
 def test_thread_count_does_not_change_results():

@@ -22,8 +22,8 @@ from occutime.fourier import (
     compute_E,
     compute_F,
     decompose,
-    g_decay_probe,
 )
+from occutime.experiments import g_decay_probe
 from occutime.functions import eval_on_path
 
 
@@ -145,17 +145,20 @@ def test_g_probe_zero_frequency_row():
 
 
 def test_g_probe_rows_match_per_grid_simulation():
-    # oracle: one simulate_paths ensemble per n, and sup_t (|F1|^2 + |F2|^2)
-    # over the coarse times from compute_F at each of them
+    # oracle: one simulate_paths ensemble on the grid of lcm(n_list) steps,
+    # viewed by each n at every (lcm / n)-th node, and sup_t (|F1|^2 +
+    # |F2|^2) over the coarse times from compute_F on each view
     spec = DeterministicGaussian(
         dimension=1, drift=lambda t: np.sin(3.0 * t)[..., None],
         diffusion=lambda t: (1.0 + 0.5 * t)[..., None, None])
-    u_list, n_list, horizon = (1.0, 3.0), (4, 8, 16), 0.5
+    u_list, n_list, horizon = (1.0, 3.0), (4, 6, 16), 0.5
     probe = g_decay_probe(u_list, n_list, spec, 60, seed=12, horizon=horizon)
+    whole = simulate_paths(spec, build_grid(horizon, 48, 1), 60,
+                           master_seed=12)
     expected = []
     for n in n_list:
-        grid = build_grid(horizon, n, 1)
-        bundle = simulate_paths(spec, grid, 60, master_seed=12)
+        grid = build_grid(horizon, n, 48 // n)
+        bundle = replace(whole, grid=grid)
         for u in u_list:
             sup = np.max([np.abs(f1) ** 2 + np.abs(f2) ** 2
                           for f1, f2 in (compute_F(u, bundle, t)

@@ -12,7 +12,6 @@ from occutime import (
     StochVol,
     UniformShift,
     build_grid,
-    simulate_grids,
     simulate_paths,
 )
 from occutime.config import build_process, load_config
@@ -48,37 +47,6 @@ def test_streams_independent_of_chunking(spec):
             np.testing.assert_array_equal(whole.sigma, part.sigma)
         else:
             np.testing.assert_array_equal(whole.sigma[rows], part.sigma)
-
-
-@pytest.mark.parametrize("spec", [
-    BrownianMotion(dimension=2, initial=FixedStart((0.0, 1.0)),
-                   shift=UniformShift(0.5)),
-    DeterministicGaussian(dimension=1,
-                          drift=lambda t: np.full(t.shape + (1,), 0.3),
-                          diffusion=lambda t: np.full(t.shape + (1, 1), 0.8)),
-    DeterministicGaussian(dimension=1, drift=lambda t: np.sin(3.0 * t)[..., None],
-                          diffusion=lambda t: (1.0 + 0.5 * t)[..., None, None]),
-    StochVol(shift=UniformShift(0.2)),
-], ids=["brownian-2d-shift", "deterministic-constant",
-        "deterministic-time-varying", "stochvol"])
-def test_simulate_grids_equals_separate_runs(spec):
-    # one draw per path serves every grid, the longest not listed first;
-    # each bundle is byte for byte the single-grid simulation
-    grids = [build_grid(1.0, 4, 2), build_grid(1.0, 16, 4),
-             build_grid(2.0, 8, 1)]
-    bundles = simulate_grids(spec, grids, 5, master_seed=31,
-                             first_path_index=4)
-    assert [b.grid for b in bundles] == grids
-    for grid, bundle in zip(grids, bundles):
-        alone = simulate_paths(spec, grid, 5, master_seed=31,
-                               first_path_index=4)
-        for name in ("x", "sigma", "shifts"):
-            got, want = getattr(bundle, name), getattr(alone, name)
-            if want is None:
-                assert got is None
-            else:
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
 
 
 OUT_SPECS = [

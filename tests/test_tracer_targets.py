@@ -38,3 +38,26 @@ def test_tracer_targets_resolve():
             if not hasattr(importlib.import_module(module), attr):
                 unresolved.add(f"{module}.{attr}")
     assert unresolved <= KNOWN_STALE, sorted(unresolved - KNOWN_STALE)
+
+
+def test_diagnostics_calls_the_traced_module_globals(monkeypatch):
+    # the tracer's processes.simulate and fourier.g_decay spans replace
+    # these names in occutime.experiments, so the decay probe must be called,
+    # and must simulate, through them
+    from occutime import BrownianMotion, StudyConfig, gaussian_bump
+    experiments = importlib.import_module("occutime.experiments")
+    events = []
+    for name in ("simulate_paths", "g_decay_probe"):
+        def counted(*args, _real=getattr(experiments, name), _name=name,
+                    **kwargs):
+            events.append(_name)
+            result = _real(*args, **kwargs)
+            events.append(f"/{_name}")
+            return result
+        monkeypatch.setattr(experiments, name, counted)
+    experiments.diagnostics_study(StudyConfig(
+        spec=BrownianMotion(), function=gaussian_bump(), n_list=(4, 8),
+        refine=2, paths=100, master_seed=1, kind="diagnostics",
+        u_list=(1.0,)))
+    assert events == ["g_decay_probe", "simulate_paths", "/simulate_paths",
+                      "/g_decay_probe", "simulate_paths", "/simulate_paths"]
