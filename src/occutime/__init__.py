@@ -17,10 +17,8 @@ from .grids import TimeGrid, build_grid
 from .processes import (
     BrownianMotion,
     DeterministicGaussian,
-    FixedStart,
     PathBundle,
     StochVol,
-    UniformShift,
     simulate_paths,
 )
 from .functions import (
@@ -65,7 +63,6 @@ __all__ = [
     "CapabilityError",
     "ConfigError",
     "DeterministicGaussian",
-    "FixedStart",
     "OccutimeError",
     "PathBundle",
     "SeminormResult",
@@ -75,7 +72,6 @@ __all__ = [
     "StudyReport",
     "TestFunction",
     "TimeGrid",
-    "UniformShift",
     "bridge_conditional_estimate",
     "build_grid",
     "clt_check",

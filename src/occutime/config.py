@@ -19,10 +19,8 @@ from .functions import TestFunction, parse_function
 from .processes import (
     BrownianMotion,
     DeterministicGaussian,
-    FixedStart,
     ProcessSpec,
     StochVol,
-    UniformShift,
 )
 
 _SCHEMA = {
@@ -145,21 +143,11 @@ def read_seed(cfg: ResolvedConfig, section: str,
 
 def build_process(cfg: ResolvedConfig) -> ProcessSpec:
     kind = cfg.get("process", "kind", "brownian").strip().lower()
-    d = cfg.number("process", "dimension", "1", int)
-    if d < 1:
-        raise ConfigError(f"[process] dimension must be >= 1, got {d}")
-    x0 = cfg.numbers("process", "x0", ",".join(["0.0"] * d))
-    if len(x0) != d:
-        raise ConfigError(
-            f"[process] x0 has {len(x0)} coordinates for dimension {d}")
-    shift = None
+    common = dict(dimension=cfg.number("process", "dimension", "1", int))
+    if cfg.get("process", "x0") is not None:
+        common["x0"] = cfg.numbers("process", "x0")
     if cfg.get("process", "shift_half_width") is not None:
-        width = cfg.number("process", "shift_half_width")
-        try:
-            shift = UniformShift(width)
-        except ConfigError as exc:
-            raise ConfigError(f"[process] shift_half_width: {exc}") from exc
-    common = dict(dimension=d, initial=FixedStart(x0), shift=shift)
+        common["shift_half_width"] = cfg.number("process", "shift_half_width")
 
     if kind == "brownian":
         make = partial(BrownianMotion, **common)
@@ -167,29 +155,39 @@ def build_process(cfg: ResolvedConfig) -> ProcessSpec:
         make = partial(StochVol, sigma0=cfg.number("process", "sigma0", "1.0"),
                        eta=cfg.number("process", "eta", "0.5"), **common)
     elif kind == "deterministic_gaussian":
-        import numpy as np
-        b = cfg.numbers("process", "drift_const", ",".join(["0.0"] * d))
-        s = cfg.numbers("process", "diffusion_const", ",".join(["1.0"] * d))
-        if len(b) != d or len(s) != d:
-            raise ConfigError("[process] drift_const / diffusion_const must "
-                              "have one entry per dimension")
-        bv = np.asarray(b)
-        sm = np.diag(s)
-        cov = sm @ sm.T
-        make = partial(
-            DeterministicGaussian,
-            drift=lambda t: bv,
-            diffusion=lambda t: sm,
-            drift_integral=lambda t0, t1: np.multiply.outer(t1 - t0, bv),
-            covariance_integral=lambda t0, t1: np.multiply.outer(t1 - t0, cov),
-            nondegenerate=all(v != 0 for v in s), **common)
+        make = partial(_constant_gaussian, cfg, **common)
     else:
         raise ConfigError(f"[process] kind: unknown process kind {kind!r}; "
                           "choose brownian, deterministic_gaussian or stochvol")
     try:
         return make()
-    except ConfigError as exc:      # its messages open with the key's name
-        raise ConfigError(f"[process] {exc}") from exc
+    except ConfigError as exc:      # its messages open with the key's name,
+        text = str(exc)             # in [process] unless a section is named
+        raise ConfigError(text if text.startswith("[")
+                          else f"[process] {text}") from exc
+
+
+def _constant_gaussian(cfg: ResolvedConfig, **common) -> DeterministicGaussian:
+    """The deterministic Gaussian of constant drift vector ``drift_const``
+    and diagonal diffusion entries ``diffusion_const`` (zeros and ones by
+    default), one entry per dimension."""
+    import numpy as np
+    # the spec names a bad dimension, x0 or shift before the lengths are read
+    d = DeterministicGaussian(drift=None, diffusion=None, **common).dimension
+    b = cfg.numbers("process", "drift_const", ",".join(["0.0"] * d))
+    s = cfg.numbers("process", "diffusion_const", ",".join(["1.0"] * d))
+    if len(b) != d or len(s) != d:
+        raise ConfigError("drift_const / diffusion_const must have one entry "
+                          "per dimension")
+    bv = np.asarray(b)
+    sm = np.diag(s)
+    cov = sm @ sm.T
+    return DeterministicGaussian(
+        drift=lambda t: bv,
+        diffusion=lambda t: sm,
+        drift_integral=lambda t0, t1: np.multiply.outer(t1 - t0, bv),
+        covariance_integral=lambda t0, t1: np.multiply.outer(t1 - t0, cov),
+        nondegenerate=all(v != 0 for v in s), **common)
 
 
 def build_function(cfg: ResolvedConfig) -> TestFunction:
@@ -204,10 +202,6 @@ def build_study(cfg: ResolvedConfig, kind: str, seed_override: int | None = None
                 threads: int = 1) -> StudyConfig:
     spec = build_process(cfg)
     function = build_function(cfg)
-    if kind != "diagnostics" and function.dimension != spec.dimension:
-        raise ConfigError(
-            f"[process] dimension is {spec.dimension}, but {function.name} "
-            f"takes points of dimension {function.dimension}")
     n_list = cfg.numbers("study", "n_list", kind=int)
     seed = read_seed(cfg, "study", seed_override)
     t_eval = cfg.get("study", "t_eval")

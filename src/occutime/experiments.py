@@ -111,6 +111,12 @@ class StudyConfig:
         # messages name a key outside [study], except for the bridge
         process = type(self.spec).__name__
         brownian = isinstance(self.spec, BrownianMotion)
+        if self.kind != "diagnostics" and (
+                self.function.dimension != self.spec.dimension):
+            raise ConfigError(
+                f"[process] dimension is {self.spec.dimension}, but "
+                f"{self.function.name} takes points of dimension "
+                f"{self.function.dimension}")
         if self.kind in ("clt", "efficiency") and not self.function.gradient:
             raise ConfigError(f"[function] descriptor: the {self.kind} study "
                               f"needs a gradient; {self.function.name} has none")

@@ -460,7 +460,12 @@ def parse_function(text: str) -> TestFunction:
                 if key not in param_names:
                     raise ConfigError(
                         f"unknown parameter {key!r} for {name}; expected {param_names}")
+                if key in kwargs:
+                    raise ConfigError(f"parameter {key!r} of {name} given twice")
                 kwargs[key] = _number(val)
+            elif kwargs:
+                raise ConfigError(f"positional argument {piece!r} of {name} "
+                                  f"follows a keyword argument")
             else:
                 args.append(_number(piece))
     try:

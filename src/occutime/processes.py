@@ -4,12 +4,14 @@ Three coefficient families are supported: standard Brownian motion,
 Gaussian processes with deterministic time-dependent drift/diffusion
 (sampled from the exact transition law), and a stochastic volatility
 example driven by an auxiliary Brownian motion (Euler-Maruyama on the
-fine grid). All three run one simulation loop: each path starts at a
-fixed point and draws its shift and standard normals from a counter-based
-stream derived from ``(master_seed, path_index)``, and only the rule that
-turns the normals into increments depends on the family. Ensembles are
-therefore reproducible bit for bit regardless of chunking or thread
-count.
+fine grid). Each family takes ``dimension``, the start point ``x0`` (the
+origin by default) and ``shift_half_width`` w, which when set adds an
+independent shift uniform on [-w, w]^d, and checks them at construction.
+All three run one simulation loop: each path starts at ``x0`` and draws
+its shift and standard normals from a counter-based stream derived from
+``(master_seed, path_index)``, and only the rule that turns the normals
+into increments depends on the family. Ensembles are therefore
+reproducible bit for bit regardless of chunking or thread count.
 
 The stream contract: the stream with tag ``tag`` of path ``i`` is
 ``Generator(Philox(SeedSequence(master_seed, spawn_key=(i, tag))))``. The
@@ -21,7 +23,7 @@ for each path instead of building a SeedSequence per path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -126,44 +128,38 @@ def _path_streams(master_seed: int, indices, stream: int = STREAM_MAIN):
 
 
 # ---------------------------------------------------------------------------
-# start point and shift
-
-
-@dataclass(frozen=True)
-class FixedStart:
-    point: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class UniformShift:
-    """Independent shift with bounded density, uniform on [-w, w]^d."""
-
-    half_width: float = 0.5
-
-    def __post_init__(self):
-        if not (np.isfinite(self.half_width) and self.half_width > 0):
-            raise ConfigError(f"half_width must be finite and > 0, "
-                              f"got {self.half_width}")
-
-    def sample(self, rng: np.random.Generator, d: int) -> np.ndarray:
-        return rng.uniform(-self.half_width, self.half_width, size=d)
-
-
-# ---------------------------------------------------------------------------
 # coefficient specifications
+
+
+def _check_start(spec) -> None:
+    """Check the fields every family shares: ``dimension`` an integer
+    >= 1, ``x0`` (stored as a tuple of floats, the origin when None) one
+    finite coordinate per dimension, and ``shift_half_width`` finite and
+    > 0 when set."""
+    d = spec.dimension
+    if not (isinstance(d, (int, np.integer)) and d >= 1):
+        raise ConfigError(f"dimension must be an integer >= 1, got {d!r}")
+    x0 = (0.0,) * d if spec.x0 is None else tuple(map(float, spec.x0))
+    if len(x0) != d:
+        raise ConfigError(f"x0 has {len(x0)} coordinates for dimension {d}")
+    if not np.isfinite(x0).all():
+        raise ConfigError(f"x0 must be finite, got {x0}")
+    object.__setattr__(spec, "x0", x0)
+    w = spec.shift_half_width
+    if w is not None and not (np.isfinite(w) and w > 0):
+        raise ConfigError(f"shift_half_width must be finite and > 0, got {w}")
 
 
 @dataclass(frozen=True)
 class BrownianMotion:
-    """X = X_0 + W: zero drift, identity diffusion."""
+    """X = x0 + W: zero drift, identity diffusion."""
 
     dimension: int = 1
-    initial: FixedStart = field(default_factory=lambda: FixedStart((0.0,)))
-    shift: UniformShift | None = None
+    x0: tuple[float, ...] | None = None
+    shift_half_width: float | None = None
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ConfigError("dimension must be >= 1")
+        _check_start(self)
 
 
 @dataclass(frozen=True)
@@ -183,15 +179,14 @@ class DeterministicGaussian:
     dimension: int
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
-    initial: FixedStart = field(default_factory=lambda: FixedStart((0.0,)))
-    shift: UniformShift | None = None
+    x0: tuple[float, ...] | None = None
+    shift_half_width: float | None = None
     drift_integral: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     covariance_integral: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     nondegenerate: bool = True
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ConfigError("dimension must be >= 1")
+        _check_start(self)
 
     def _shaped(self, value, times, matrix: bool) -> np.ndarray:
         d = self.dimension
@@ -237,13 +232,14 @@ class StochVol:
     sigma0: float = 1.0
     eta: float = 0.5
     dimension: int = 1
-    initial: FixedStart = field(default_factory=lambda: FixedStart((0.0,)))
-    shift: UniformShift | None = None
+    x0: tuple[float, ...] | None = None
+    shift_half_width: float | None = None
 
     def __post_init__(self):
         if self.dimension != 1:
             raise ConfigError(f"dimension must be 1 for StochVol, "
                               f"got {self.dimension}")
+        _check_start(self)
         if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
             raise ConfigError(f"sigma0 must be finite and > 0 for StochVol, "
                               f"got {self.sigma0}")
@@ -314,7 +310,8 @@ class PathBundle:
         nodes), shape (paths, nodes, d); a view of ``x`` when the process
         has no shift."""
         x = self.x[:, ::self.grid.refine_factor if coarse else stride]
-        return x if self.spec.shift is None else x + self.shifts[:, None, :]
+        shifted = self.spec.shift_half_width is not None
+        return x + self.shifts[:, None, :] if shifted else x
 
 
 def _diffusion_nodes(spec: DeterministicGaussian, grid: TimeGrid) -> np.ndarray:
@@ -369,7 +366,7 @@ def _assemble(spec: ProcessSpec, grid: TimeGrid, x: np.ndarray,
         sigma *= spec.sigma0
         z *= sigma[:, :-1, None]
         z *= sqrt_dt
-    x0 = np.asarray(spec.initial.point, dtype=float).reshape(spec.dimension)
+    x0 = np.asarray(spec.x0)
     np.cumsum(z, axis=1, out=z)
     z += x0
     x[:, 0] = x0
@@ -414,13 +411,14 @@ def _simulate(spec: ProcessSpec, grid: TimeGrid, x: np.ndarray,
               sigma: np.ndarray | None, master_seed: int,
               first_path_index: int) -> PathBundle:
     """Draw each path's shift and normals into the buffers, then assemble."""
-    count, d = len(x), spec.dimension
+    count, d, w = len(x), spec.dimension, spec.shift_half_width
     shifts = np.zeros((count, d))
     indices = first_path_index + np.arange(count)
     for i, rng in enumerate(_path_streams(master_seed, indices)):
-        # the shift, then the (fine_count, d) normals, from the main stream
-        if spec.shift is not None:
-            shifts[i] = spec.shift.sample(rng, d)
+        # the shift, uniform on [-w, w]^d, then the (fine_count, d) normals,
+        # from the main stream
+        if w is not None:
+            shifts[i] = rng.uniform(-w, w, size=d)
         rng.standard_normal(out=x[i, 1:])
     if isinstance(spec, StochVol):
         for i, rng in enumerate(_path_streams(master_seed, indices,

@@ -171,6 +171,8 @@ def test_bad_override_exits_1(tmp_path, capsys):
              "[function] descriptor"),
             ("rate-study", ("function.descriptor=lacunary(s=1.2,cutoff=0)",),
              "[function] descriptor"),
+            ("rate-study", ("function.descriptor=lacunary(s=1.2,s=0.3)",),
+             "[function] descriptor"),
             ("norms", ("function.descriptor=lacunary(s=1.2,cutoff=0)",),
              "[function] descriptor"),
             ("norms", ("function.descriptor=lacunary(s=1.2,cutoff=-3)",),
@@ -184,6 +186,7 @@ def test_bad_override_exits_1(tmp_path, capsys):
             ("diagnostics", ("study.n_list=255,256,257",), "[study] n_list"),
             ("diagnostics", ("process.x0=nan",), "[process] x0"),
             ("rate-study", ("process.x0=inf",), "[process] x0"),
+            ("rate-study", ("process.x0=0,1",), "[process] x0"),
             ("diagnostics", ("process.shift_half_width=nan",),
              "[process] shift_half_width"),
             ("diagnostics", ("process.shift_half_width=-1",),
@@ -194,6 +197,8 @@ def test_bad_override_exits_1(tmp_path, capsys):
              "[process] eta"),
             ("rate-study", ("process.dimension=-1",), "[process] dimension"),
             ("rate-study", ("process.dimension=0",), "[process] dimension"),
+            ("diagnostics", ("process.kind=deterministic_gaussian",
+                             "process.dimension=0"), "[process] dimension"),
             ("rate-study", mismatch, "[process] dimension"),
             ("efficiency", mismatch, "[process] dimension"),
             ("clt-check", mismatch, "[process] dimension"),

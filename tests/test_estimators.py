@@ -9,7 +9,6 @@ from occutime import (
     BrownianMotion,
     CapabilityError,
     ConfigError,
-    FixedStart,
     StochVol,
     TestFunction,
     bridge_conditional_estimate,
@@ -165,7 +164,7 @@ def test_bridge_rejects_non_brownian_spec():
 
 def test_bridge_tensor_product_factorizes():
     grid = build_grid(1.0, 8, 1)
-    spec = BrownianMotion(dimension=2, initial=FixedStart((0.0, 0.0)))
+    spec = BrownianMotion(dimension=2, x0=(0.0, 0.0))
     bundle = simulate_paths(spec, grid, 50, master_seed=3)
     f2 = tensor_product([gaussian_bump(), gaussian_bump()])
     joint = bridge_conditional_estimate(f2, bundle.observed(coarse=True), grid)

@@ -10,10 +10,8 @@ from scipy.integrate import quad
 from occutime import (
     BrownianMotion,
     ConfigError,
-    FixedStart,
     StochVol,
     StudyConfig,
-    UniformShift,
     clt_check,
     constant,
     diagnostics_study,
@@ -57,6 +55,16 @@ def _cfg(**kw):
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
         _cfg(**bad)
+
+
+@pytest.mark.parametrize("kind", ["rate", "clt", "efficiency"])
+def test_study_rejects_a_function_of_another_dimension(kind):
+    plane = BrownianMotion(dimension=2)
+    with pytest.raises(ConfigError, match=r"^\[process\] dimension is 2, "
+                       r"but gaussian_bump takes points of dimension 1"):
+        _cfg(kind=kind, spec=plane)
+    # the diagnostics study does not read the function
+    assert _cfg(kind="diagnostics", spec=plane).spec is plane
 
 
 def test_refine_floor_enforced():
@@ -106,7 +114,7 @@ def test_non_nesting_diagnostics_runs_on_the_lcm_grid(monkeypatch):
 
 
 def test_coupled_top_rows_equal_single_resolution_study():
-    spec = BrownianMotion(shift=UniformShift(0.5))
+    spec = BrownianMotion(shift_half_width=0.5)
     estimators = ("riemann", "trapezoid", "bridge")
     coupled = rate_study(_cfg(spec=spec, estimators=estimators))
     single = rate_study(_cfg(spec=spec, estimators=estimators, n_list=(64,)))
@@ -163,7 +171,7 @@ def test_log_rms_cov_diagonal_is_the_wls_variance():
 def test_studies_read_one_set_of_errors():
     # rate, efficiency and clt take the same finest-grid pass, so their
     # top-resolution errors agree to rounding
-    spec = BrownianMotion(shift=UniformShift(0.5))
+    spec = BrownianMotion(shift_half_width=0.5)
     rates = rate_study(_cfg(spec=spec)).tables["rates"]
     top = {row["estimator"]: row for row in rates if row["n"] == 64}
     delta = 1.0 / 64
@@ -275,7 +283,7 @@ _CHUNK_WORKERS = {
 
 @cache
 def _chunked_outputs(kind, chunk_size):
-    return _ensemble_map(BrownianMotion(shift=UniformShift(0.5)),
+    return _ensemble_map(BrownianMotion(shift_half_width=0.5),
                          build_grid(1.0, 8, 8), 100, 5, _CHUNK_WORKERS[kind],
                          chunk_size=chunk_size)
 
@@ -292,7 +300,7 @@ def test_worker_outputs_independent_of_chunk_size(kind, chunk_size):
 
 
 @pytest.mark.parametrize("spec, worker", [
-    *((BrownianMotion(shift=UniformShift(0.5)), _CHUNK_WORKERS[kind])
+    *((BrownianMotion(shift_half_width=0.5), _CHUNK_WORKERS[kind])
       for kind in sorted(_CHUNK_WORKERS)),
     # the bridge needs Brownian motion
     (StochVol(), partial(_study_outputs, gaussian_bump(), 0.75, (2, 4, 8),
@@ -358,7 +366,7 @@ def test_two_thread_chunks_with_a_partial_last_match_one_chunk():
 def test_study_layout_budgets_path_floats():
     # 4097 fine nodes: 2**18 floats hold 63 paths in d = 1 and 31 in d = 2
     bump = gaussian_bump()
-    plane = BrownianMotion(dimension=2, initial=FixedStart((0.0, 0.0)))
+    plane = BrownianMotion(dimension=2, x0=(0.0, 0.0))
     for spec, f, chunk_size in (
             (BrownianMotion(), bump, 63),
             (plane, tensor_product([bump, bump]), 31)):
@@ -427,7 +435,7 @@ def test_thread_count_does_not_change_results():
 def test_shift_does_not_change_slope_conclusion():
     plain = rate_study(_cfg(paths=300))
     shifted = rate_study(_cfg(paths=300,
-                              spec=BrownianMotion(shift=UniformShift(0.5))))
+                              spec=BrownianMotion(shift_half_width=0.5)))
     for name in ("riemann", "trapezoid"):
         a, b = plain.summary[name], shifted.summary[name]
         gap = abs(a["slope"] - b["slope"])

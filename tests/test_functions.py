@@ -374,3 +374,12 @@ def test_parse_function_round_trips():
 def test_parse_function_rejects_bad_descriptors(text):
     with pytest.raises(ConfigError):
         parse_function(text)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("lacunary(s=1.2, s=0.3)", "parameter 's' of lacunary given twice"),
+    ("lacunary(J=4, 0.3)", "positional argument '0.3' of lacunary follows"),
+])
+def test_parse_function_rejects_repeated_or_misplaced_arguments(text, named):
+    with pytest.raises(ConfigError, match=named):
+        parse_function(text)

@@ -1,4 +1,6 @@
 import io
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,14 +9,12 @@ from occutime import (
     BrownianMotion,
     ConfigError,
     DeterministicGaussian,
-    FixedStart,
     SimulationError,
     StochVol,
-    UniformShift,
     build_grid,
     simulate_paths,
 )
-from occutime.config import build_process, load_config
+from occutime.config import _SCHEMA, build_process, load_config
 from occutime.processes import (STREAM_MAIN, STREAM_VOL, _path_streams,
                                 _stream_keys, dump_paths_csv, path_buffers)
 
@@ -27,8 +27,7 @@ def path_rng(master_seed, path_index, stream=STREAM_MAIN):
 
 
 @pytest.mark.parametrize("spec", [
-    BrownianMotion(dimension=2, initial=FixedStart((0.0, 1.0)),
-                   shift=UniformShift(0.5)),
+    BrownianMotion(dimension=2, x0=(0.0, 1.0), shift_half_width=0.5),
     DeterministicGaussian(dimension=1, drift=lambda t: t[..., None],
                           diffusion=lambda t: (1.0 + t)[..., None, None]),
     StochVol(),
@@ -50,8 +49,8 @@ def test_streams_independent_of_chunking(spec):
 
 
 OUT_SPECS = [
-    BrownianMotion(shift=UniformShift(0.5)),
-    BrownianMotion(dimension=2, initial=FixedStart((0.0, 1.0))),
+    BrownianMotion(shift_half_width=0.5),
+    BrownianMotion(dimension=2, x0=(0.0, 1.0)),
     DeterministicGaussian(dimension=1, drift=lambda t: np.sin(3.0 * t)[..., None],
                           diffusion=lambda t: (1.0 + 0.5 * t)[..., None, None]),
     StochVol(),
@@ -110,7 +109,7 @@ def test_simulate_into_bad_buffers_raises(spec):
 def test_stochvol_matches_per_path_euler():
     # oracle: each path's two streams drawn alone, the volatility and the
     # Euler increments assembled one path at a time
-    spec = StochVol(sigma0=1.5, eta=-0.3, initial=FixedStart((0.2,)))
+    spec = StochVol(sigma0=1.5, eta=-0.3, x0=(0.2,))
     grid = build_grid(1.0, 4, 8)
     bundle = simulate_paths(spec, grid, 3, master_seed=12, first_path_index=2)
     sqrt_dt = np.sqrt(grid.fine_step)
@@ -211,8 +210,7 @@ def test_stream_keys_match_seed_sequence(seed):
 
 
 def test_shift_then_normals_drawn_as_the_oracle():
-    spec = BrownianMotion(dimension=2, initial=FixedStart((0.0, 1.0)),
-                          shift=UniformShift(0.5))
+    spec = BrownianMotion(dimension=2, x0=(0.0, 1.0), shift_half_width=0.5)
     grid = build_grid(1.0, 4, 8)
     bundle = simulate_paths(spec, grid, 3, master_seed=2 ** 40 + 9,
                             first_path_index=2 ** 32 - 3)
@@ -247,7 +245,7 @@ def test_no_seed_sequence_per_path(monkeypatch):
         raise AssertionError("SeedSequence built during simulation")
 
     grid = build_grid(1.0, 4, 4)
-    spec = StochVol(shift=UniformShift(0.2))
+    spec = StochVol(shift_half_width=0.2)
     want = simulate_paths(spec, grid, 5, master_seed=3)
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
     got = simulate_paths(spec, grid, 5, master_seed=3)
@@ -271,7 +269,7 @@ def test_deterministic_gaussian_matches_closed_form():
         dimension=1,
         drift=lambda t: np.full(t.shape + (1,), 1.0),
         diffusion=lambda t: np.full(t.shape + (1, 1), 2.0),
-        initial=FixedStart((1.0,)))
+        x0=(1.0,))
     grid = build_grid(1.0, 8, 8)
     bundle = simulate_paths(spec, grid, 3000, master_seed=3)
     x_end = bundle.x[:, -1, 0]
@@ -315,14 +313,72 @@ def test_stochvol_rejects_vanishing_volatility(kwargs):
         StochVol(**kwargs)
 
 
+FAMILIES = {
+    "brownian": BrownianMotion,
+    "deterministic": partial(DeterministicGaussian, dimension=1,
+                             drift=lambda t: 0.0, diffusion=lambda t: 1.0),
+    "stochvol": StochVol,
+}
+
+
 @pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf")])
 def test_uniform_shift_rejects_bad_width(width):
-    with pytest.raises(ConfigError):
-        UniformShift(width)
+    for family in FAMILIES.values():
+        with pytest.raises(ConfigError, match="^shift_half_width"):
+            family(shift_half_width=width)
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    ({"x0": (0.0, 1.0)}, "x0"),
+    ({"x0": ()}, "x0"),
+    ({"x0": (float("nan"),)}, "x0"),
+    ({"x0": (float("-inf"),)}, "x0"),
+    ({"dimension": 1.0}, "dimension"),
+    ({"dimension": 0.5}, "dimension"),
+    ({"dimension": "1"}, "dimension"),
+], ids=["x0-long", "x0-empty", "x0-nan", "x0-inf", "dim-float", "dim-half",
+        "dim-str"])
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+def test_specs_reject_a_bad_start_at_construction(family, kwargs, key):
+    with pytest.raises(ConfigError, match=f"^{key}"):
+        FAMILIES[family](**kwargs)
+
+
+def test_specs_store_the_start_as_floats():
+    assert BrownianMotion().x0 == (0.0,)
+    assert BrownianMotion(dimension=3).x0 == (0.0, 0.0, 0.0)
+    spec = StochVol(x0=np.array([2]))
+    assert spec.x0 == (2.0,) and type(spec.x0[0]) is float
+
+
+@pytest.mark.parametrize("family, d", [
+    (BrownianMotion, 2),
+    (BrownianMotion, 3),
+    (partial(DeterministicGaussian, drift=lambda t: np.array([0.4, -0.2]),
+             diffusion=_sigma_2d), 2),
+], ids=["brownian-2d", "brownian-3d", "deterministic-2d"])
+def test_default_start_is_the_origin_in_every_dimension(family, d):
+    grid = build_grid(1.0, 4, 4)
+    default = simulate_paths(family(dimension=d), grid, 5, master_seed=17)
+    origin = simulate_paths(family(dimension=d, x0=(0.0,) * d), grid, 5,
+                            master_seed=17)
+    assert default.x.shape == (5, grid.fine_count + 1, d)
+    assert default.x.tobytes() == origin.x.tobytes()
+    assert not default.x[:, 0].any()
+
+
+def test_process_config_keys_are_spec_fields():
+    # build_process passes these [process] keys to the specs by name
+    shared = {"dimension", "x0", "shift_half_width"}
+    for family, keys in ((BrownianMotion, shared),
+                         (DeterministicGaussian, shared),
+                         (StochVol, shared | {"sigma0", "eta"})):
+        assert keys <= {f.name for f in fields(family)}, family
+    assert shared | {"sigma0", "eta"} <= _SCHEMA["process"]
 
 
 def test_uniform_shift_sampled_once_per_path():
-    spec = BrownianMotion(shift=UniformShift(0.5))
+    spec = BrownianMotion(shift_half_width=0.5)
     grid = build_grid(1.0, 4, 2)
     bundle = simulate_paths(spec, grid, 200, master_seed=2)
     assert bundle.shifts.shape == (200, 1)
@@ -332,13 +388,12 @@ def test_uniform_shift_sampled_once_per_path():
 
 def test_observed_paths_apply_the_shift_once():
     grid = build_grid(1.0, 4, 3)
-    plain = simulate_paths(BrownianMotion(dimension=2,
-                                          initial=FixedStart((0.0, 1.0))),
-                           grid, 6, master_seed=4)
+    plain = simulate_paths(BrownianMotion(dimension=2, x0=(0.0, 1.0)), grid,
+                           6, master_seed=4)
     assert np.shares_memory(plain.observed(), plain.x)
     assert np.shares_memory(plain.observed(coarse=True), plain.x)
     assert np.shares_memory(plain.observed(stride=2), plain.x)
-    shifted = simulate_paths(BrownianMotion(shift=UniformShift(0.5)), grid, 6,
+    shifted = simulate_paths(BrownianMotion(shift_half_width=0.5), grid, 6,
                              master_seed=4)
     y = shifted.x + shifted.shifts[:, None, :]
     np.testing.assert_array_equal(shifted.observed(), y)
@@ -359,9 +414,9 @@ def _dump_paths_per_value(bundle, stream):
 
 
 @pytest.mark.parametrize("spec", [
-    BrownianMotion(dimension=2, initial=FixedStart((0.3, -1.0))),
-    BrownianMotion(dimension=3, initial=FixedStart((0.0, 2.0, -0.5))),
-    BrownianMotion(shift=UniformShift(0.5)),
+    BrownianMotion(dimension=2, x0=(0.3, -1.0)),
+    BrownianMotion(dimension=3, x0=(0.0, 2.0, -0.5)),
+    BrownianMotion(shift_half_width=0.5),
     StochVol(),
 ], ids=["brownian-2d", "brownian-3d", "brownian-shift", "stochvol"])
 def test_dump_paths_csv_matches_per_value_writer(spec):
@@ -375,7 +430,7 @@ def test_dump_paths_csv_matches_per_value_writer(spec):
 
 def test_dump_paths_csv_layout():
     grid = build_grid(1.0, 2, 2)
-    spec = BrownianMotion(dimension=2, initial=FixedStart((0.0, 0.0)))
+    spec = BrownianMotion(dimension=2, x0=(0.0, 0.0))
     bundle = simulate_paths(spec, grid, 2, master_seed=8)
     buf = io.StringIO()
     dump_paths_csv(bundle, buf)
