@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: OCCUTIME_THREADS or cores)")
+                       help="worker threads (default: cores)")
         p.add_argument("--set", action="append", default=[], dest="overrides",
                        metavar="SECTION.KEY=VALUE",
                        help="override a config value (repeatable)")
@@ -58,12 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_threads(flag: int | None) -> int:
     if flag is not None:
         return max(1, flag)
-    env = os.environ.get("OCCUTIME_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"OCCUTIME_THREADS={env!r} is not an integer") from exc
     return os.cpu_count() or 1
 
 

@@ -181,12 +181,9 @@ def _constant_gaussian(cfg: ResolvedConfig, **common) -> DeterministicGaussian:
                           "per dimension")
     bv = np.asarray(b)
     sm = np.diag(s)
-    cov = sm @ sm.T
     return DeterministicGaussian(
         drift=lambda t: bv,
         diffusion=lambda t: sm,
-        drift_integral=lambda t0, t1: np.multiply.outer(t1 - t0, bv),
-        covariance_integral=lambda t0, t1: np.multiply.outer(t1 - t0, cov),
         nondegenerate=all(v != 0 for v in s), **common)
 
 

@@ -24,6 +24,7 @@ for each path instead of building a SeedSequence per path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -131,23 +132,32 @@ def _path_streams(master_seed: int, indices, stream: int = STREAM_MAIN):
 # coefficient specifications
 
 
+def _finite(value) -> bool:
+    """Whether value is a finite real number (not a string or a sequence)."""
+    return isinstance(value, Real) and bool(np.isfinite(value))
+
+
 def _check_start(spec) -> None:
     """Check the fields every family shares: ``dimension`` an integer
     >= 1, ``x0`` (stored as a tuple of floats, the origin when None) one
-    finite coordinate per dimension, and ``shift_half_width`` finite and
-    > 0 when set."""
+    finite number per dimension, and ``shift_half_width`` a finite
+    number > 0 when set."""
     d = spec.dimension
     if not (isinstance(d, (int, np.integer)) and d >= 1):
         raise ConfigError(f"dimension must be an integer >= 1, got {d!r}")
-    x0 = (0.0,) * d if spec.x0 is None else tuple(map(float, spec.x0))
+    x0 = (0.0,) * d if spec.x0 is None else spec.x0
+    if not np.iterable(x0):
+        raise ConfigError(f"x0 must be a sequence of numbers, got {x0!r}")
+    x0 = tuple(x0)
     if len(x0) != d:
         raise ConfigError(f"x0 has {len(x0)} coordinates for dimension {d}")
-    if not np.isfinite(x0).all():
-        raise ConfigError(f"x0 must be finite, got {x0}")
-    object.__setattr__(spec, "x0", x0)
+    if not all(map(_finite, x0)):
+        raise ConfigError(f"x0 must hold finite numbers, got {x0!r}")
+    object.__setattr__(spec, "x0", tuple(map(float, x0)))
     w = spec.shift_half_width
-    if w is not None and not (np.isfinite(w) and w > 0):
-        raise ConfigError(f"shift_half_width must be finite and > 0, got {w}")
+    if w is not None and not (_finite(w) and w > 0):
+        raise ConfigError(f"shift_half_width must be a finite number > 0, "
+                          f"got {w!r}")
 
 
 @dataclass(frozen=True)
@@ -169,11 +179,9 @@ class DeterministicGaussian:
     The coefficients take arrays of times: ``drift(t)`` returns an array of
     shape ``t.shape + (d,)`` and ``diffusion(t)`` one of shape
     ``t.shape + (d, d)``; a constant of shape (d,) or (d, d) broadcasts.
-    Optional ``drift_integral(t0, t1)`` / ``covariance_integral(t0, t1)``
-    give closed forms for the transition moments, broadcasting ``t0`` against
-    ``t1`` in the same way; otherwise 16-point Gauss-Legendre per fine step
-    is used. ``nondegenerate=False`` opts out of the eigenvalue check,
-    allowing degenerate examples such as sigma = 0.
+    The transition moments are their 16-point Gauss-Legendre integrals.
+    ``nondegenerate=False`` opts out of the eigenvalue check, allowing
+    degenerate examples such as sigma = 0.
     """
 
     dimension: int
@@ -181,8 +189,6 @@ class DeterministicGaussian:
     diffusion: Callable[[np.ndarray], np.ndarray]
     x0: tuple[float, ...] | None = None
     shift_half_width: float | None = None
-    drift_integral: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    covariance_integral: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     nondegenerate: bool = True
 
     def __post_init__(self):
@@ -205,21 +211,26 @@ class DeterministicGaussian:
 
     def transition_moments(self, t0, t1) -> tuple[np.ndarray, np.ndarray]:
         """Mean and covariance of X_{t1} - X_{t0} for broadcast arrays of
-        times t0, t1: shapes (..., d) and (..., d, d)."""
+        times t0, t1: shapes (..., d) and (..., d, d).
+
+        These are the integrals of b and sigma sigma^T over [t0, t1]: the
+        weighted means at the 16 Gauss-Legendre nodes of the unit interval,
+        times t1 - t0, so finite coefficients give finite moments. The nodes
+        are summed one by one in a fixed order, so an array call rounds
+        exactly as scalar calls do, and a constant coefficient is squared
+        and summed before it is broadcast over the times."""
         t0, t1 = np.broadcast_arrays(np.asarray(t0, float),
                                      np.asarray(t1, float))
-        if self.drift_integral is not None:
-            mu = self._shaped(self.drift_integral(t0, t1), t0, False)
-        else:
-            mu = _gl_integrate(self.drift_at, t0, t1)
-        if self.covariance_integral is not None:
-            cov = self._shaped(self.covariance_integral(t0, t1), t0, True)
-        else:
-            def sigma_sigma_t(t):
-                sigma = self.diffusion_at(t)
-                return sigma @ np.swapaxes(sigma, -1, -2)
-            cov = _gl_integrate(sigma_sigma_t, t0, t1)
-        return mu, cov
+        step = t1 - t0
+        mean = second = 0.0
+        for tau, w in zip(*gauss_legendre(16, unit=True)):
+            t = t0 + tau * step
+            # a scalar diffusion of d = 1 squares as a 1 x 1 matrix
+            sigma = np.atleast_2d(np.asarray(self.diffusion(t), float))
+            mean = mean + w * np.asarray(self.drift(t), float)
+            second = second + w * (sigma @ np.swapaxes(sigma, -1, -2))
+        return (self._shaped(step[..., None] * mean, t0, False),
+                self._shaped(step[..., None, None] * second, t0, True))
 
 
 @dataclass(frozen=True)
@@ -240,28 +251,16 @@ class StochVol:
             raise ConfigError(f"dimension must be 1 for StochVol, "
                               f"got {self.dimension}")
         _check_start(self)
-        if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
-            raise ConfigError(f"sigma0 must be finite and > 0 for StochVol, "
-                              f"got {self.sigma0}")
-        if not abs(self.eta) < 1:
+        if not (_finite(self.sigma0) and self.sigma0 > 0):
+            raise ConfigError(f"sigma0 must be a finite number > 0 for "
+                              f"StochVol, got {self.sigma0!r}")
+        if not (isinstance(self.eta, Real) and abs(self.eta) < 1):
             raise ConfigError(
                 f"eta must satisfy |eta| < 1 so that sigma stays positive, "
-                f"got {self.eta}")
+                f"got {self.eta!r}")
 
 
 ProcessSpec = BrownianMotion | DeterministicGaussian | StochVol
-
-
-def _gl_integrate(fn, t0, t1):
-    """16-point Gauss-Legendre integral over [t0, t1] of a coefficient fn of
-    times, for arrays t0, t1 of one shape S; fn(t) has shape S + (...)."""
-    nodes, weights = gauss_legendre(16)
-    half = 0.5 * (t1 - t0)
-    mid = 0.5 * (t1 + t0)
-    out = 0.0
-    for y, w in zip(nodes, weights):
-        out = out + w * fn(mid + half * y)
-    return half.reshape(half.shape + (1,) * (out.ndim - half.ndim)) * out
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:

@@ -140,16 +140,6 @@ def test_reruns_byte_identical_across_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_env_threads_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("OCCUTIME_THREADS", "2")
-    cfg = _write(tmp_path, STUDY_CFG)
-    assert main(["rate-study", "--config", cfg,
-                 "--out", str(tmp_path / "env")]) == 0
-    monkeypatch.setenv("OCCUTIME_THREADS", "junk")
-    rc = main(["rate-study", "--config", cfg, "--out", str(tmp_path / "bad")])
-    assert rc == 1
-
-
 def test_bad_override_exits_1(tmp_path, capsys):
     cfg = _write(tmp_path, STUDY_CFG)
     mismatch = ("process.dimension=2", "process.x0=0,0")

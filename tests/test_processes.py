@@ -1,6 +1,9 @@
+import ast
 import io
-from dataclasses import fields
+import re
+from dataclasses import MISSING, fields
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,9 @@ from occutime import (
 from occutime.config import _SCHEMA, build_process, load_config
 from occutime.processes import (STREAM_MAIN, STREAM_VOL, _path_streams,
                                 _stream_keys, dump_paths_csv, path_buffers)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def path_rng(master_seed, path_index, stream=STREAM_MAIN):
@@ -141,17 +147,29 @@ def _constant_gaussian(d):
         f"diffusion_const = {','.join(['0.8', '1.3'][:d])}\n"))
 
 
-@pytest.mark.parametrize("spec", [
-    DeterministicGaussian(dimension=1, drift=lambda t: t[..., None],
-                          diffusion=lambda t: (1.0 + t)[..., None, None]),
-    DeterministicGaussian(
+def _polynomial_moments(t0, t1):
+    # b = t and sigma = 1 + t: 16-point Gauss-Legendre is exact for these
+    return (0.5 * (t1 ** 2 - t0 ** 2),
+            ((1.0 + t1) ** 3 - (1.0 + t0) ** 3) / 3.0)
+
+
+def _constant_moments(t0, t1):
+    # b = 0.3 and sigma = 0.8 of _constant_gaussian(1)
+    return (t1 - t0) * 0.3, (t1 - t0) * 0.8 ** 2
+
+
+@pytest.mark.parametrize("spec, exact, rtol", [
+    (DeterministicGaussian(dimension=1, drift=lambda t: t[..., None],
+                           diffusion=lambda t: (1.0 + t)[..., None, None]),
+     _polynomial_moments, 1e-13),
+    (DeterministicGaussian(
         dimension=2, drift=lambda t: np.stack([t, 1.0 - t * t], axis=-1),
-        diffusion=_sigma_2d),
-    _constant_gaussian(1),
-    _constant_gaussian(2),
-], ids=["gauss-legendre-1d", "gauss-legendre-2d", "closed-form-1d",
-        "closed-form-2d"])
-def test_array_transition_moments_match_scalar_calls(spec):
+        diffusion=_sigma_2d), None, None),
+    (_constant_gaussian(1), _constant_moments, 1e-15),
+    (_constant_gaussian(2), None, None),
+], ids=["gauss-legendre-1d", "gauss-legendre-2d", "constant-1d",
+        "constant-2d"])
+def test_array_transition_moments_match_scalar_calls(spec, exact, rtol):
     d = spec.dimension
     t0 = np.array([[0.0], [0.25], [0.5]])
     t1 = t0 + np.array([0.0, 0.01, 0.3, 0.5])
@@ -162,13 +180,10 @@ def test_array_transition_moments_match_scalar_calls(spec):
         assert m.shape == (d,) and c.shape == (d, d)
         np.testing.assert_array_equal(mu[i, j], m)
         np.testing.assert_array_equal(cov[i, j], c)
-    if d == 1 and spec.drift_integral is None:
-        # 16-point Gauss-Legendre is exact for these polynomials
-        np.testing.assert_allclose(mu[..., 0], 0.5 * (t1 ** 2 - t0 ** 2),
-                                   rtol=1e-13, atol=1e-16)
-        np.testing.assert_allclose(cov[..., 0, 0],
-                                   ((1.0 + t1) ** 3 - (1.0 + t0) ** 3) / 3.0,
-                                   rtol=1e-13, atol=1e-16)
+    if d == 1:
+        mean, var = exact(t0, t1)
+        np.testing.assert_allclose(mu[..., 0], mean, rtol=rtol)
+        np.testing.assert_allclose(cov[..., 0, 0], var, rtol=rtol)
 
 
 def test_constant_coefficients_broadcast_over_times():
@@ -328,20 +343,32 @@ def test_uniform_shift_rejects_bad_width(width):
             family(shift_half_width=width)
 
 
-@pytest.mark.parametrize("kwargs, key", [
-    ({"x0": (0.0, 1.0)}, "x0"),
-    ({"x0": ()}, "x0"),
-    ({"x0": (float("nan"),)}, "x0"),
-    ({"x0": (float("-inf"),)}, "x0"),
-    ({"dimension": 1.0}, "dimension"),
-    ({"dimension": 0.5}, "dimension"),
-    ({"dimension": "1"}, "dimension"),
-], ids=["x0-long", "x0-empty", "x0-nan", "x0-inf", "dim-float", "dim-half",
-        "dim-str"])
-@pytest.mark.parametrize("family", FAMILIES, ids=str)
-def test_specs_reject_a_bad_start_at_construction(family, kwargs, key):
+BAD_STARTS = {
+    "x0-long": {"x0": (0.0, 1.0)},
+    "x0-empty": {"x0": ()},
+    "x0-nan": {"x0": (float("nan"),)},
+    "x0-inf": {"x0": (float("-inf"),)},
+    "x0-str": {"x0": ("a",)},
+    "x0-scalar": {"x0": 0.5},
+    "x0-nested": {"x0": [[0.0]]},
+    "width-str": {"shift_half_width": "a"},
+    "dim-float": {"dimension": 1.0},
+    "dim-half": {"dimension": 0.5},
+    "dim-str": {"dimension": "1"},
+}
+BAD_FIELDS = [pytest.param(FAMILIES[family], kwargs, id=f"{family}-{case}")
+              for family in FAMILIES for case, kwargs in BAD_STARTS.items()]
+BAD_FIELDS += [
+    pytest.param(StochVol, {"sigma0": "a"}, id="stochvol-sigma0-str"),
+    pytest.param(StochVol, {"eta": "a"}, id="stochvol-eta-str")]
+
+
+@pytest.mark.parametrize("family, kwargs", BAD_FIELDS)
+def test_specs_reject_a_bad_start_at_construction(family, kwargs):
+    # a value of the wrong type is a ConfigError too, opening with the key
+    (key,) = kwargs
     with pytest.raises(ConfigError, match=f"^{key}"):
-        FAMILIES[family](**kwargs)
+        family(**kwargs)
 
 
 def test_specs_store_the_start_as_floats():
@@ -375,6 +402,22 @@ def test_process_config_keys_are_spec_fields():
                          (StochVol, shared | {"sigma0", "eta"})):
         assert keys <= {f.name for f in fields(family)}, family
     assert shared | {"sigma0", "eta"} <= _SCHEMA["process"]
+
+
+def test_readme_lists_the_spec_fields():
+    # README's library section lists each spec's signature by hand
+    listed = {}
+    for name, args in re.findall(r"^- `(\w+)\(([^)]*)\)`", README.read_text(),
+                                 re.MULTILINE):
+        call = ast.parse(f"f({args})", mode="eval").body
+        listed[name] = ([(arg.id, MISSING) for arg in call.args]
+                        + [(kw.arg, ast.literal_eval(kw.value))
+                           for kw in call.keywords])
+    families = (BrownianMotion, DeterministicGaussian, StochVol)
+    assert set(listed) == {family.__name__ for family in families}
+    for family in families:
+        assert listed[family.__name__] == [(f.name, f.default)
+                                           for f in fields(family)], family
 
 
 def test_uniform_shift_sampled_once_per_path():
