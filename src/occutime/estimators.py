@@ -99,7 +99,8 @@ def bridge_conditional_estimate(f: TestFunction, coarse_x: np.ndarray,
     tau, tw = gauss_legendre(BRIDGE_TIME_NODES, unit=True)
     left = coarse_x[..., :k, None, :]
     step = coarse_x[..., 1:k + 1, None, :] - left
-    mean = left + tau[:, None] * step               # (..., k, nodes, d)
+    mean = np.multiply(tau[:, None], step)          # (..., k, nodes, d)
+    mean += left
     expect = gaussian_mean(f, mean[..., 0] if f.dimension == 1 else mean,
                            tau * (1.0 - tau) * grid.coarse_step)
     return grid.coarse_step * (expect @ tw).sum(axis=-1)

@@ -13,8 +13,10 @@ rate slope is a generalized least-squares fit under the path-level
 covariance of the log-RMS values.
 
 Each worker thread of a pass simulates all its chunks into one set of path
-and volatility buffers, so a chunk worker's outputs must own their data:
-the thread's next chunk overwrites the bundle it was given.
+and volatility buffers, and hands its chunk worker one dict of pass buffers
+(``_pass_buffer``), in which the worker keeps f and grad f at the nodes and
+its other chunk-sized arrays. So a chunk worker's outputs must own their
+data: the thread's next chunk overwrites the bundle and the buffers.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .estimators import (
     trapezoid_estimate,
 )
 from .functions import TestFunction, eval_on_path
-from .fourier import (_interval_nodes, _require_gaussian, compute_E,
-                      compute_F, decompose, f_weights)
+from .fourier import (_node_table, _require_gaussian, compute_E, compute_F,
+                      decompose, f_weights)
 from .grids import build_grid
 from .limits import gradient_energy, mean_se, root_mean_se
 from .processes import (BrownianMotion, DeterministicGaussian, ProcessSpec,
@@ -117,7 +119,15 @@ class StudyConfig:
                 f"[process] dimension is {self.spec.dimension}, but "
                 f"{self.function.name} takes points of dimension "
                 f"{self.function.dimension}")
-        if self.kind in ("clt", "efficiency") and not self.function.gradient:
+        d = self.function.dimension
+        origin = np.zeros(1 if d == 1 else (1, d))      # one point
+        if self.kind != "diagnostics" and np.iscomplexobj(
+                self.function.value(origin)):
+            raise ConfigError(f"[function] descriptor: the {self.kind} study "
+                              f"needs a real-valued function; "
+                              f"{self.function.name} takes complex values")
+        if self.kind in ("clt", "efficiency") and (
+                self.function.value_and_gradient is None):
             raise ConfigError(f"[function] descriptor: the {self.kind} study "
                               f"needs a gradient; {self.function.name} has none")
         if self.kind == "efficiency" and not brownian:
@@ -151,16 +161,33 @@ def _chunk_size(spec, grid) -> int:
     return int(np.clip(CHUNK_FLOATS // floats, 16, CHUNK_SIZE))
 
 
+def _pass_buffer(buffers: dict | None, name: str, shape,
+                 dtype=float) -> np.ndarray:
+    """An uninitialized array of ``shape``: a view of the buffer ``name`` in
+    a thread's pass buffers, made (or grown) at its first use in the pass,
+    or a new array when ``buffers`` is None."""
+    if buffers is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    flat = buffers.get(name)
+    if flat is None or flat.size < size:
+        flat = buffers[name] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
+
+
 def _ensemble_map(spec, grid, paths: int, seed: int, worker,
                   threads: int = 1, chunk_size: int | None = None) -> dict:
-    """Apply ``worker(bundle) -> dict of arrays`` chunk-wise and concatenate.
+    """Apply ``worker(bundle, buffers) -> dict of arrays`` chunk-wise and
+    concatenate.
 
     Per-path random streams make the result independent of the chunk
     layout and of ``threads``; the chunk size only bounds peak memory, so
     it shrinks as the fine grid or the dimension grows. Each thread of the
     pass simulates all its chunks into one set of path (and volatility)
-    buffers, so a bundle is only valid while its worker runs: the worker's
-    outputs must own their data, not view the bundle's arrays.
+    buffers and hands every chunk the same dict of pass buffers (see
+    :func:`_pass_buffer`), all dropped when the pass ends. So a bundle and
+    the buffers are only valid while its worker runs: the worker's outputs
+    must own their data, not view either.
     """
     if chunk_size is None:
         chunk_size = _chunk_size(spec, grid)
@@ -169,13 +196,12 @@ def _ensemble_map(spec, grid, paths: int, seed: int, worker,
 
     def run(start):
         count = min(chunk_size, paths - start)
-        buffers = getattr(local, "buffers", None)
-        if buffers is None:
-            buffers = local.buffers = path_buffers(spec, grid,
-                                                   min(chunk_size, paths))
+        if not hasattr(local, "buffers"):
+            local.paths = path_buffers(spec, grid, min(chunk_size, paths))
+            local.buffers = {}
         bundle = simulate_paths(spec, grid, count, seed,
-                                first_path_index=start, out=buffers)
-        return worker(bundle)
+                                first_path_index=start, out=local.paths)
+        return worker(bundle, local.buffers)
 
     if threads <= 1:
         parts = [run(s) for s in starts]
@@ -186,15 +212,21 @@ def _ensemble_map(spec, grid, paths: int, seed: int, worker,
 
 
 def _study_outputs(f: TestFunction, t: float, n_list, estimators,
-                   limit: bool, bundle) -> dict:
+                   limit: bool, bundle, buffers: dict | None = None) -> dict:
     """Reference minus estimator at t per path and n in ``n_list``, shape
     (paths, len(n_list)), from one evaluation of f at the fine nodes of the
     observed paths: the coarse grid of n is every (fine_count / n)-th fine
     node and the fine sum is the reference for every n. With ``limit`` also
     the gradient energy up to t and the realized endpoint bias
-    (f(Y_t) - f(Y_0)) / 2, which the limit laws need."""
+    (f(Y_t) - f(Y_0)) / 2, which the limit laws need. Y, f(Y) and grad f(Y)
+    go to the pass buffers ``buffers`` (new arrays without them)."""
     grid = bundle.grid
-    vals = eval_on_path(f, bundle, gradient=limit)
+    shape = bundle.x.shape
+    shifted = bundle.spec.shift_half_width is not None
+    targets = (_pass_buffer(buffers, "points", shape) if shifted else None,
+               _pass_buffer(buffers, "values", shape[:2]),
+               _pass_buffer(buffers, "gradients", shape) if limit else None)
+    vals = eval_on_path(f, bundle, gradient=limit, out=targets)
     if limit:
         vals, grad = vals
     ref = reference_value(vals, grid, t)
@@ -389,17 +421,21 @@ def efficiency_study(cfg: StudyConfig) -> StudyReport:
     return StudyReport({"efficiency": rows}, summary, layout)
 
 
-def _g_decay_outputs(strides, weights, bundle) -> dict:
+def _g_decay_outputs(strides, weights, bundle, buffers=None) -> dict:
     """Scaled sup over the coarse times of |F1|^2 + |F2|^2 per path and
     (n, u), from each n's coarse grid (every stride-th fine node) and its
-    ``weights`` (u, c1, c2, scale) per u, c1 and c2 from :func:`f_weights`."""
+    ``weights`` (u, c1, c2, scale) per u, c1 and c2 from :func:`f_weights`.
+    F1, F2 and the sup's terms live in the pass buffers ``buffers``."""
     out = np.empty((bundle.count, len(strides), len(weights[0])))
+    # one set of arrays for every n and u, sized for the finest n: a
+    # temporary per step made the allocator unmap and fault in memory again
+    size = bundle.count * (bundle.grid.fine_count // min(strides))
+    phases = _pass_buffer(buffers, "phases", (2, size), complex)
+    terms = _pass_buffer(buffers, "terms", (size,))
     for i, (stride, row) in enumerate(zip(strides, weights)):
         y_left = bundle.observed(stride=stride)[:, :-1, 0]
-        # one set of arrays per n, reused for every u: a temporary per step
-        # made the allocator unmap and fault in memory again for each one
-        f1, f2 = np.empty((2,) + y_left.shape, complex)
-        sup = np.empty(y_left.shape)
+        f1, f2 = phases[:, :y_left.size].reshape((2,) + y_left.shape)
+        sup = terms[:y_left.size].reshape(y_left.shape)
         for j, (u, c1, c2, scale) in enumerate(row):
             np.exp(np.multiply(1j * u, y_left, out=f2), out=f2)   # the phase
             np.multiply(f2, c1, out=f1)
@@ -413,7 +449,8 @@ def _g_decay_outputs(strides, weights, bundle) -> dict:
 
 
 def g_decay_probe(u_list, n_list, spec, count: int, seed: int,
-                  horizon: float = 1.0, threads: int = 1) -> dict:
+                  horizon: float = 1.0, threads: int = 1,
+                  tables: dict | None = None) -> dict:
     """Empirical normalized bound sup_t (|F1|^2 + |F2|^2), scaled by
     step^-2 (1 + |u|^2)^-G_DECAY_ORDER, tabulated over a (u, n) probe grid
     on [0, horizon] with a Kendall monotonicity statistic per frequency.
@@ -422,14 +459,15 @@ def g_decay_probe(u_list, n_list, spec, count: int, seed: int,
 
     Returns two tables of row dicts: ``g_decay`` (u, n, g_hat, stderr),
     one row per (n, u) with n outer, and ``g_trend`` (u, kendall_tau,
-    p_value), one row per entry of ``u_list``."""
+    p_value), one row per entry of ``u_list``. ``tables`` keeps the node
+    tables for other readers, as in :mod:`occutime.fourier`."""
     _require_gaussian(spec, "g_decay_probe")
     n_list = [int(n) for n in n_list]
     fine = math.lcm(*n_list)
     weights = []
     for n in n_list:
         grid = build_grid(horizon, n, 1)
-        nodes = _interval_nodes(spec, grid, n)
+        nodes = _node_table(spec, grid, n, tables)
         weights.append([
             (float(u), *f_weights(float(u), nodes),
              grid.coarse_step ** -2 / (1.0 + u * u) ** G_DECAY_ORDER)
@@ -459,8 +497,9 @@ def diagnostics_study(cfg: StudyConfig) -> StudyReport:
     over (u, n) from one chunked pass, and the decomposition identity
     residuals on a small exponential probe ensemble."""
     count = min(cfg.paths, 2000)
+    nodes = {}          # the node tables, shared by the probe and the split
     tables = g_decay_probe(cfg.u_list, cfg.n_list, cfg.spec, count,
-                           cfg.master_seed, cfg.horizon, cfg.threads)
+                           cfg.master_seed, cfg.horizon, cfg.threads, nodes)
     layout = _layout(cfg.spec, build_grid(cfg.horizon, math.lcm(*cfg.n_list)),
                      count, cfg.threads)
     summary = {"sup_g_hat": max(r["g_hat"] for r in tables["g_decay"])}
@@ -473,9 +512,9 @@ def diagnostics_study(cfg: StudyConfig) -> StudyReport:
         fine_vals = eval_on_path(f, bundle)
         realized = (reference_value(fine_vals, grid)
                     - riemann_estimate(fine_vals[:, ::grid.refine_factor], grid))
-        trace = decompose(f, bundle)
-        f1, f2 = compute_F(float(cfg.u_list[0]), bundle)
-        drift_gap = trace.drift - compute_E(f, bundle) - f1 - f2
+        trace = decompose(f, bundle, tables=nodes)
+        f1, f2 = compute_F(float(cfg.u_list[0]), bundle, tables=nodes)
+        drift_gap = trace.drift - compute_E(f, bundle, tables=nodes) - f1 - f2
         summary["max_decomposition_residual"] = float(
             np.max(np.abs(trace.total - realized)))
         summary["max_drift_identity_residual"] = float(

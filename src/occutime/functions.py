@@ -6,6 +6,12 @@ dimensional families take plain arrays; multi-dimensional functions are
 tensor products and take arrays with a trailing coordinate axis. Every
 registered family carries E[f(N(mu, v))] in closed form, which is the only
 way ``gaussian_mean`` computes it.
+
+Kernels follow one protocol: ``value(x, out=None)`` returns f at the points
+x and ``value_and_gradient(x, out=None)`` returns the pair (f, grad f) from
+one pass over x. Given ``out`` (an array, or a pair of arrays for the pair
+kernel) they write their results there and return it, with the same bits
+as a call that makes new arrays.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -29,36 +36,73 @@ class TestFunction:
     __test__ = False        # not a pytest test class despite the name
 
     name: str
-    value: Callable
-    gradient: Callable | None = None
+    value: Callable                      # (x, out=None) -> f(x)
+    value_and_gradient: Callable | None = None   # (x, out=None) -> (f, grad f)
     fourier: Callable | None = None
     osc_scale: float = 1.0               # node density hint for u-quadrature
     dimension: int = 1
     gaussian_expectation: Callable | None = None  # (mu, var) -> E[f(N(mu, var I))]
     components: tuple | None = None      # tensor product factors
+    # grad f alone, the second half of value_and_gradient unless given; a
+    # field, so that ``dataclasses.replace`` can wrap it like the kernels
+    gradient: Callable | None = None
+
+    def __post_init__(self):
+        if self.gradient is None and self.value_and_gradient is not None:
+            object.__setattr__(self, "gradient",
+                               partial(_gradient_of, self.value_and_gradient))
 
     def __repr__(self):  # avoid dumping callables
         return f"TestFunction({self.name!r}, d={self.dimension})"
 
 
-def eval_on_path(f: TestFunction, bundle, gradient: bool = False):
+def _gradient_of(value_and_gradient, x):
+    return value_and_gradient(x)[1]
+
+
+def _into(out, result):
+    """``result`` copied into ``out``, or ``result`` itself without one."""
+    if out is None:
+        return result
+    np.copyto(out, result)
+    return out
+
+
+def _with_out(value):
+    """The kernel ``value(x, out=None)`` of a formula ``value(x)``."""
+    return lambda x, out=None: _into(out, value(x))
+
+
+def _paired(value, gradient):
+    """The kernel ``value_and_gradient(x, out=None)`` of two formulas."""
+    def kernel(x, out=None):
+        value_out, gradient_out = (None, None) if out is None else out
+        return _into(value_out, value(x)), _into(gradient_out, gradient(x))
+    return kernel
+
+
+def eval_on_path(f: TestFunction, bundle, gradient: bool = False, out=None):
     """Sample f (and optionally its gradient) at the fine nodes of the
     observed paths Y = X + xi (see ``PathBundle.observed``).
 
     Returns an array of shape (paths, nodes) or a pair with the gradient
     array (paths, nodes, d). A one-dimensional f gets the points without
-    their coordinate axis, and its gradient gets the axis back.
+    their coordinate axis, and its gradient gets the axis back. ``out`` is
+    None or the triple (points, values, gradients) of arrays to fill
+    instead of new ones, each of them None or of the shape above: points
+    (paths, nodes, d) takes Y of a shifted process.
     """
-    if gradient and f.gradient is None:
+    if gradient and f.value_and_gradient is None:
         raise CapabilityError(f"{f.name} has no gradient")
-    y = bundle.observed()
+    points, values, grads = (None, None, None) if out is None else out
+    y = bundle.observed(out=points)
     squeeze = f.dimension == 1 and y.shape[-1] == 1
     if squeeze:
         y = y[..., 0]
-    vals = f.value(y)
+        grads = None if grads is None else grads[..., 0]
     if not gradient:
-        return vals
-    grad = f.gradient(y)
+        return f.value(y, out=values)
+    vals, grad = f.value_and_gradient(y, out=(values, grads))
     return vals, (np.asarray(grad)[..., None] if squeeze else grad)
 
 
@@ -92,21 +136,37 @@ def _ramp_mean(d, sd):
 # registered one-dimensional families
 
 
-def _bump_value(x) -> np.ndarray:
-    """exp(-x^2 / 2) computed in one new array; x is never written. Rounds
-    as ``np.exp(-0.5 * x ** 2)`` does."""
+def _bump_value(x, out=None) -> np.ndarray:
+    """exp(-x^2 / 2) computed in ``out`` or one new array; x is never
+    written. Rounds as ``np.exp(-0.5 * x ** 2)`` does."""
     x = np.asarray(x, float)
-    out = np.square(x, out=np.empty(x.shape))   # out= keeps a 0-d array
-    out *= -0.5
+    out = np.square(x, out=np.empty(x.shape) if out is None else out)
+    out *= -0.5                                 # out= keeps a 0-d array
     return np.exp(out, out=out)
 
 
-def _bump_gradient(x) -> np.ndarray:
-    """-x exp(-x^2 / 2) computed in one new array; x is never written."""
+def _bump_value_and_gradient(x, out=None):
+    """(f, -x f) for f = exp(-x^2 / 2), one exp per point, computed in the
+    pair ``out`` or two new arrays; x is never written."""
     x = np.asarray(x, float)
-    out = _bump_value(x)
-    out *= x
-    return np.negative(out, out=out)
+    value, grad = (None, None) if out is None else out
+    value = _bump_value(x, value)
+    grad = np.multiply(x, value, out=np.empty(x.shape) if grad is None else grad)
+    return value, np.negative(grad, out=grad)
+
+
+def _bump_expectation(mu, var) -> np.ndarray:
+    """E exp(-N(mu, v)^2 / 2) = exp(-mu^2 / (2 (1 + v))) / sqrt(1 + v) in one
+    new array. Rounds as ``np.exp(-0.5 * mu * mu / (1.0 + var)) /
+    np.sqrt(1.0 + var)`` does."""
+    mu = np.asarray(mu, float)
+    out = np.multiply(mu, -0.5,
+                      out=np.empty(np.broadcast_shapes(mu.shape, np.shape(var))))
+    out *= mu
+    out /= 1.0 + var
+    np.exp(out, out=out)
+    out /= np.sqrt(1.0 + var)
+    return out
 
 
 def gaussian_bump() -> TestFunction:
@@ -114,12 +174,10 @@ def gaussian_bump() -> TestFunction:
     return TestFunction(
         name="gaussian_bump",
         value=_bump_value,
-        gradient=_bump_gradient,
+        value_and_gradient=_bump_value_and_gradient,
         fourier=lambda u: SQRT_2PI * np.exp(-0.5 * np.asarray(u, float) ** 2),
         osc_scale=1.0,
-        # E exp(-N(mu, v)^2 / 2) = exp(-mu^2 / (2 (1 + v))) / sqrt(1 + v)
-        gaussian_expectation=lambda mu, var: (
-            np.exp(-0.5 * mu * mu / (1.0 + var)) / np.sqrt(1.0 + var)),
+        gaussian_expectation=_bump_expectation,
     )
 
 
@@ -146,8 +204,8 @@ def hat() -> TestFunction:
         return (_ramp_mean(mu + 1.0, sd) - 2.0 * _ramp_mean(mu, sd)
                 + _ramp_mean(mu - 1.0, sd))
 
-    return TestFunction("hat", value, grad, fourier, osc_scale=2.0,
-                        gaussian_expectation=gauss_expect)
+    return TestFunction("hat", _with_out(value), _paired(value, grad), fourier,
+                        osc_scale=2.0, gaussian_expectation=gauss_expect)
 
 
 def indicator(a: float, b: float) -> TestFunction:
@@ -176,7 +234,7 @@ def indicator(a: float, b: float) -> TestFunction:
         return np.where(sd > 0, ndtr(hi) - ndtr(lo), point)
 
     scale = max(abs(a), abs(b), b - a)
-    return TestFunction(f"indicator({a},{b})", value, None, fourier,
+    return TestFunction(f"indicator({a},{b})", _with_out(value), None, fourier,
                         osc_scale=max(scale, 1.0),
                         gaussian_expectation=gauss_expect)
 
@@ -218,8 +276,9 @@ def power_singularity(alpha: float, cutoff: float = 1.0) -> TestFunction:
                    * hyp1f1(0.5 * alpha, 0.5, -0.5 * k * mu * mu / var))
         return np.where(var > 0, out, value(mu))
 
-    return TestFunction(f"power_singularity({alpha})", value, None, fourier,
-                        osc_scale=1.0, gaussian_expectation=gauss_expect)
+    return TestFunction(f"power_singularity({alpha})", _with_out(value), None,
+                        fourier, osc_scale=1.0,
+                        gaussian_expectation=gauss_expect)
 
 
 def _cosine_ladder(angle, freqs, cos):
@@ -266,11 +325,14 @@ def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
     # The gradient also needs the sines, so it doubles the pair: cos and sin
     # of 2a are (cos^2 - sin^2, 2 cos sin) of a, with a direct pair every
     # RESEED levels. The work runs in blocks of BLOCK points through a few
-    # block-sized buffers, so no ensemble-sized temporary is made.
-    def series(x, gradient):
+    # block-sized buffers, so no ensemble-sized temporary is made. The
+    # value and the gradient are two series: each keeps its own rounding.
+    def series(x, gradient, out=None):
         x = np.asarray(x, float)
         flat = np.ascontiguousarray(x).reshape(-1)
-        out = np.empty_like(flat)
+        direct = out is not None and out.flags.c_contiguous
+        result = out if direct else np.empty(x.shape)
+        flat_out = result.reshape(-1)
         buffers = [np.empty(min(BLOCK, flat.size)) for _ in range(5)]
         for lo in range(0, flat.size, BLOCK):
             xb = flat[lo:lo + BLOCK]
@@ -306,14 +368,15 @@ def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
                 cos /= c2
                 dacc -= cos
                 acc = dacc
-            np.multiply(tmp, acc, out=out[lo:lo + xb.size])
-        return out.reshape(x.shape)
+            np.multiply(tmp, acc, out=flat_out[lo:lo + xb.size])
+        return _into(None if direct else out, result)
 
-    def value(x):
-        return series(x, False)
+    def value(x, out=None):
+        return series(x, False, out)
 
-    def grad(x):
-        return series(x, True)
+    def value_and_gradient(x, out=None):
+        value_out, gradient_out = (None, None) if out is None else out
+        return series(x, False, value_out), series(x, True, gradient_out)
 
     def fourier(u):
         u = np.asarray(u, float)
@@ -336,8 +399,8 @@ def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
             acc += cj * np.exp(damp * (fj * fj)) * c
         return np.sqrt(shrink) * np.exp(-0.5 * mu * mu / (c2 + var)) * acc
 
-    return TestFunction(f"lacunary(s={s},J={J})", value, grad, fourier,
-                        osc_scale=4.0 * cutoff,
+    return TestFunction(f"lacunary(s={s},J={J})", value, value_and_gradient,
+                        fourier, osc_scale=4.0 * cutoff,
                         gaussian_expectation=gauss_expect)
 
 
@@ -352,28 +415,30 @@ def complex_exponential(u: float) -> TestFunction:
         # E exp(i u (mu + N(0, var))) = exp(i u mu - u^2 var / 2)
         return np.exp(1j * u * mu - 0.5 * u * u * var)
 
-    return TestFunction(f"complex_exponential({u})", value,
-                        gradient=lambda x: 1j * u * np.exp(1j * u * np.asarray(x, float)),
+    return TestFunction(f"complex_exponential({u})", _with_out(value),
+                        _paired(value, lambda x: 1j * u * value(x)),
                         gaussian_expectation=gauss_expect)
 
 
 def identity() -> TestFunction:
-    return TestFunction("identity", lambda x: np.asarray(x, float) + 0.0,
-                        gradient=lambda x: np.ones_like(np.asarray(x, float)),
+    value = lambda x: np.asarray(x, float) + 0.0
+    return TestFunction("identity", _with_out(value), _paired(
+                            value, lambda x: np.ones_like(np.asarray(x, float))),
                         gaussian_expectation=lambda mu, var: mu + 0.0 * var)
 
 
 def quadratic() -> TestFunction:
-    return TestFunction("quadratic", lambda x: np.asarray(x, float) ** 2,
-                        gradient=lambda x: 2.0 * np.asarray(x, float),
+    value = lambda x: np.asarray(x, float) ** 2
+    return TestFunction("quadratic", _with_out(value),
+                        _paired(value, lambda x: 2.0 * np.asarray(x, float)),
                         gaussian_expectation=lambda mu, var: mu * mu + var)
 
 
 def constant(c: float = 1.0) -> TestFunction:
     c = float(c)
-    return TestFunction(f"constant({c})",
-                        lambda x: np.full(np.shape(np.asarray(x)), c),
-                        gradient=lambda x: np.zeros_like(np.asarray(x, float)),
+    value = lambda x: np.full(np.shape(np.asarray(x)), c)
+    return TestFunction(f"constant({c})", _with_out(value), _paired(
+                            value, lambda x: np.zeros_like(np.asarray(x, float))),
                         gaussian_expectation=lambda mu, var: np.full(
                             np.broadcast(mu, var).shape, c))
 
@@ -389,8 +454,8 @@ def tensor_product(factors) -> TestFunction:
 
     def product(attr):
         """Product over the coordinates of the factors' ``attr``, or None
-        when a factor lacks it; value, transform and the expectation under
-        N(mu, var I) all separate so."""
+        when a factor lacks it; the transform and the expectation under
+        N(mu, var I) separate so, as the value does."""
         if any(getattr(f, attr) is None for f in factors):
             return None
 
@@ -402,22 +467,33 @@ def tensor_product(factors) -> TestFunction:
             return out
         return call
 
-    def grad(x):
-        x = np.asarray(x, float)
-        vals = [f.value(x[..., i]) for i, f in enumerate(factors)]
-        out = np.empty(x.shape)
-        for i, f in enumerate(factors):
-            g = f.gradient(x[..., i])
-            others = np.ones_like(g)
-            for j, v in enumerate(vals):
-                if j != i:
-                    others = others * v
-            out[..., i] = g * others
-        return out
+    def value(x, out=None):
+        x = np.asarray(x)
+        result = factors[0].value(x[..., 0], out=out)
+        for i in range(1, d):
+            result = np.multiply(result, factors[i].value(x[..., i]), out=out)
+        return result
 
+    def value_and_gradient(x, out=None):
+        # each factor's value once: f = v_0 v_1 ... and d_i f = g_i times
+        # the product of the other values, both in coordinate order
+        x = np.asarray(x, float)
+        value_out, grad = (None, None) if out is None else out
+        pairs = [f.value_and_gradient(x[..., i]) for i, f in enumerate(factors)]
+        vals = [v for v, _ in pairs]
+        value = vals[0]
+        for v in vals[1:]:
+            value = np.multiply(value, v, out=value_out)
+        grad = np.empty(x.shape) if grad is None else grad
+        for i, (_, g) in enumerate(pairs):
+            others = reduce(np.multiply, vals[:i] + vals[i + 1:])
+            np.multiply(g, others, out=grad[..., i])
+        return value, grad
+
+    smooth = all(f.value_and_gradient for f in factors)
     return TestFunction(
         "tensor(" + ",".join(f.name for f in factors) + ")",
-        product("value"), grad if all(f.gradient for f in factors) else None,
+        value, value_and_gradient if smooth else None,
         product("fourier"), osc_scale=max(f.osc_scale for f in factors),
         dimension=d, gaussian_expectation=product("gaussian_expectation"),
         components=factors)

@@ -20,18 +20,21 @@ from .processes import PathBundle
 
 
 def _sigma_transpose_grad(bundle: PathBundle, grad: np.ndarray) -> np.ndarray:
-    """sigma_t^T grad f(Y_t) along all paths, shape (paths, nodes, d)."""
+    """sigma_t^T grad f(Y_t) along all paths, shape (paths, nodes, d); in
+    ``grad`` itself unless sigma is a matrix."""
     if bundle.sigma is None:         # Brownian motion: sigma is the identity
         return grad
     if bundle.sigma.ndim == 3:       # deterministic, shared across paths
         return np.einsum("jab,ija->ijb", bundle.sigma, grad)
-    return bundle.sigma[:, :, None] * grad    # scalar stochastic volatility
+    grad *= bundle.sigma[:, :, None]     # scalar stochastic volatility
+    return grad
 
 
 def gradient_energy(bundle: PathBundle, grad: np.ndarray,
                     t: float | None = None) -> np.ndarray:
     """Per-path (1/12) int_0^t |sigma_r^T grad f(Y_r)|^2 dr as the left-point
     fine sum, from ``grad`` = grad f(Y) at the fine nodes (paths, nodes, d).
+    ``grad`` is consumed: the sum squares sigma^T grad f in its place.
 
     It is the conditional variance of the limit of the trapezoidal error at
     t and, averaged over paths, the square of the efficiency floor.
@@ -39,8 +42,8 @@ def gradient_energy(bundle: PathBundle, grad: np.ndarray,
     grid = bundle.grid
     stg = _sigma_transpose_grad(bundle, grad)
     j = grid.fine_index(grid.horizon if t is None else t)
-    energy = (np.square(stg[:, :, 0]) if stg.shape[2] == 1
-              else np.sum(stg ** 2, axis=2))
+    np.square(stg, out=stg)
+    energy = stg[:, :, 0] if stg.shape[2] == 1 else np.sum(stg, axis=2)
     return _time_sum(energy, j, grid.fine_step, False, "gradient_energy") / 12.0
 
 

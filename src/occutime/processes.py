@@ -304,13 +304,15 @@ class PathBundle:
     def path_indices(self) -> np.ndarray:
         return self.first_path_index + np.arange(self.count)
 
-    def observed(self, coarse: bool = False, stride: int = 1) -> np.ndarray:
+    def observed(self, coarse: bool = False, stride: int = 1,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Y = X + xi at every ``stride``-th fine node (or at the coarse
-        nodes), shape (paths, nodes, d); a view of ``x`` when the process
-        has no shift."""
+        nodes), shape (paths, nodes, d), in ``out`` or a new array; a view
+        of ``x`` when the process has no shift, and ``out`` is unused."""
         x = self.x[:, ::self.grid.refine_factor if coarse else stride]
-        shifted = self.spec.shift_half_width is not None
-        return x + self.shifts[:, None, :] if shifted else x
+        if self.spec.shift_half_width is None:
+            return x
+        return np.add(x, self.shifts[:, None, :], out=out)
 
 
 def _diffusion_nodes(spec: DeterministicGaussian, grid: TimeGrid) -> np.ndarray:

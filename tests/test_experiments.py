@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import cache, partial
 
 import numpy as np
@@ -10,20 +11,23 @@ from scipy.integrate import quad
 from occutime import (
     BrownianMotion,
     ConfigError,
+    DeterministicGaussian,
     StochVol,
     StudyConfig,
     clt_check,
+    complex_exponential,
     constant,
     diagnostics_study,
     efficiency_study,
     build_grid,
     gaussian_bump,
     identity,
+    lacunary,
     rate_study,
     simulate_paths,
     tensor_product,
 )
-from occutime import experiments
+from occutime import experiments, fourier
 from occutime.experiments import (_ensemble_map, _fit_slope, _gls_line,
                                   _log_rms_cov, _rms_stats, _study_outputs,
                                   _study_pass, g_decay_probe)
@@ -65,6 +69,21 @@ def test_study_rejects_a_function_of_another_dimension(kind):
         _cfg(kind=kind, spec=plane)
     # the diagnostics study does not read the function
     assert _cfg(kind="diagnostics", spec=plane).spec is plane
+
+
+@pytest.mark.parametrize("kind", ["rate", "clt", "efficiency"])
+def test_study_rejects_a_complex_valued_function(kind):
+    with pytest.raises(ConfigError, match=r"^\[function\] descriptor: the "
+                       rf"{kind} study needs a real-valued function; "
+                       r"complex_exponential\(2\.0\) takes complex values"):
+        _cfg(kind=kind, function=complex_exponential(2.0))
+
+
+def test_diagnostics_accepts_a_complex_valued_function():
+    # its decomposition probe evaluates its own complex exponential
+    cfg = _cfg(kind="diagnostics", function=complex_exponential(2.0),
+               n_list=(8, 16), refine=8, paths=100, u_list=(1.0,))
+    assert np.isfinite(diagnostics_study(cfg).summary["sup_g_hat"])
 
 
 def test_refine_floor_enforced():
@@ -278,12 +297,24 @@ _CHUNK_WORKERS = {
                           ("riemann", "trapezoid", "bridge"), True),
     "rate": partial(_study_outputs, gaussian_bump(), 0.75, (2, 4, 8),
                     ("riemann", "trapezoid", "bridge"), False),
+    "lacunary": partial(_study_outputs, lacunary(1.2, J=7), 0.75, (2, 4, 8),
+                        ("riemann", "trapezoid", "bridge"), True),
+    "tensor-2d": partial(_study_outputs,
+                         tensor_product([gaussian_bump(), lacunary(1.2, J=7)]),
+                         0.75, (2, 4, 8), ("riemann", "trapezoid", "bridge"),
+                         True),
 }
+
+
+def _brownian(kind, **kwargs):
+    """Brownian motion of the dimension of the worker's function."""
+    f = _CHUNK_WORKERS[kind].args[0]
+    return BrownianMotion(dimension=f.dimension, **kwargs)
 
 
 @cache
 def _chunked_outputs(kind, chunk_size):
-    return _ensemble_map(BrownianMotion(shift_half_width=0.5),
+    return _ensemble_map(_brownian(kind, shift_half_width=0.5),
                          build_grid(1.0, 8, 8), 100, 5, _CHUNK_WORKERS[kind],
                          chunk_size=chunk_size)
 
@@ -300,7 +331,7 @@ def test_worker_outputs_independent_of_chunk_size(kind, chunk_size):
 
 
 @pytest.mark.parametrize("spec, worker", [
-    *((BrownianMotion(shift_half_width=0.5), _CHUNK_WORKERS[kind])
+    *((_brownian(kind, shift_half_width=0.5), _CHUNK_WORKERS[kind])
       for kind in sorted(_CHUNK_WORKERS)),
     # the bridge needs Brownian motion
     (StochVol(), partial(_study_outputs, gaussian_bump(), 0.75, (2, 4, 8),
@@ -319,28 +350,32 @@ def test_default_chunks_of_a_large_grid_match_one_chunk(spec, worker):
 def test_one_thread_reuses_its_chunk_buffers():
     seen = []
 
-    def worker(bundle):
-        seen.append(bundle)
+    def worker(bundle, buffers):
+        seen.append((bundle, buffers))
         return {"count": np.array([bundle.count])}
 
     out = _ensemble_map(StochVol(), build_grid(1.0, 8, 8), 100, 5, worker,
                         chunk_size=40)
     assert out["count"].tolist() == [40, 40, 20]
-    for bundle in seen[1:]:
-        assert np.shares_memory(bundle.x, seen[0].x)
-        assert np.shares_memory(bundle.sigma, seen[0].sigma)
+    first, buffers = seen[0]
+    for bundle, chunk_buffers in seen[1:]:
+        assert np.shares_memory(bundle.x, first.x)
+        assert np.shares_memory(bundle.sigma, first.sigma)
+        assert chunk_buffers is buffers
 
 
 _STOCHVOL_LIMIT = partial(_study_outputs, gaussian_bump(), 0.75, (2, 4, 8),
                           ("riemann", "trapezoid"), True)
 
-
-@pytest.mark.parametrize("spec, worker", [
+_OWNERSHIP_CASES = pytest.mark.parametrize("spec, worker", [
     # no shift: the observed points are a view of bundle.x
-    *((BrownianMotion(), _CHUNK_WORKERS[kind])
+    *((_brownian(kind), _CHUNK_WORKERS[kind])
       for kind in sorted(_CHUNK_WORKERS)),
     (StochVol(), _STOCHVOL_LIMIT),
 ], ids=[*sorted(_CHUNK_WORKERS), "stochvol-limit"])
+
+
+@_OWNERSHIP_CASES
 def test_chunk_worker_outputs_own_their_data(spec, worker):
     # the next chunk overwrites the bundle's buffers before the outputs
     # are concatenated, so no output may view them
@@ -349,6 +384,68 @@ def test_chunk_worker_outputs_own_their_data(spec, worker):
         for array in (bundle.x, bundle.sigma):
             if array is not None:
                 assert not np.shares_memory(value, array), key
+
+
+@_OWNERSHIP_CASES
+def test_chunk_worker_outputs_do_not_view_the_pass_buffers(spec, worker):
+    # nor the pass buffers, which the thread's next chunk overwrites too
+    bundle = simulate_paths(replace(spec, shift_half_width=0.5),
+                            build_grid(1.0, 8, 8), 20, 5)
+    buffers = {}
+    outputs = worker(bundle, buffers)
+    assert buffers
+    for key, value in outputs.items():
+        for name, array in buffers.items():
+            assert not np.shares_memory(value, array), (key, name)
+
+
+def test_one_thread_reuses_its_value_and_gradient_buffers(monkeypatch):
+    seen = []
+    evaluate = experiments.eval_on_path
+
+    def recording(*args, **kwargs):
+        seen.append(evaluate(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(experiments, "eval_on_path", recording)
+    _ensemble_map(BrownianMotion(shift_half_width=0.5), build_grid(1.0, 8, 8),
+                  100, 5, _CHUNK_WORKERS["clt"], chunk_size=40)
+    assert len(seen) == 3
+    (values, grads), rest = seen[0], seen[1:]
+    for chunk_values, chunk_grads in rest:
+        assert np.shares_memory(chunk_values, values)
+        assert np.shares_memory(chunk_grads, grads)
+
+
+def test_limit_pass_allocates_no_chunk_array_beyond_its_buffers():
+    # three chunks of 40 paths on 2049 fine nodes, on one thread: the path
+    # buffer and the pass buffers (Y, f and grad f) are made for the first
+    # chunk and reused, and every other array of a chunk, the bridge's and
+    # numpy's fixed-size ufunc buffers included, is well below one chunk
+    held = []
+
+    def worker(bundle, buffers):
+        held.append((bundle.x, buffers))
+        return _CHUNK_WORKERS["efficiency"](bundle, buffers)
+
+    run = partial(_ensemble_map, BrownianMotion(shift_half_width=0.5),
+                  build_grid(1.0, 8, 256), 120, 5, worker, chunk_size=40)
+    run()               # first calls import modules and fill lru caches
+    held.clear()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = 40 * 2049 * 8
+    paths, buffers = held[0]
+    assert paths.nbytes == chunk
+    assert sorted(buffers) == ["gradients", "points", "values"]
+    assert all(b is buffers for _, b in held)
+    kept = paths.nbytes + sum(a.nbytes for a in buffers.values())
+    assert kept == 4 * chunk
+    assert peak < kept + chunk / 2
 
 
 def test_two_thread_chunks_with_a_partial_last_match_one_chunk():
@@ -398,6 +495,26 @@ def test_diagnostics_study_tables():
     assert report.summary["max_decomposition_residual"] < 1e-10
     assert report.summary["max_drift_identity_residual"] < 1e-10
     assert np.isfinite(report.summary["sup_g_hat"])
+
+
+def test_diagnostics_builds_each_node_table_once(monkeypatch):
+    # the decay probe's first n, decompose, compute_E and compute_F read
+    # one table of the 8 coarse steps
+    built = []
+    build = fourier._interval_nodes
+
+    def counting(spec, grid, K):
+        built.append((grid.horizon, grid.coarse_count, K))
+        return build(spec, grid, K)
+
+    monkeypatch.setattr(fourier, "_interval_nodes", counting)
+    spec = DeterministicGaussian(dimension=1, drift=lambda t: 0.3,
+                                 diffusion=lambda t: 0.8)
+    report = diagnostics_study(_cfg(kind="diagnostics", spec=spec,
+                                    n_list=(8, 16, 32), refine=8, paths=100,
+                                    u_list=(1.0, 3.0)))
+    assert sorted(built) == [(1.0, 8, 8), (1.0, 16, 16), (1.0, 32, 32)]
+    assert report.summary["max_decomposition_residual"] < 1e-10
 
 
 def test_diagnostics_g_decay_honours_horizon():

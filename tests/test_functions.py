@@ -332,6 +332,39 @@ def test_power_singularity_transform_against_quadrature(alpha, cutoff, u):
     assert float(f.fourier(u)) == pytest.approx(2.0 * (near + far), rel=1e-10)
 
 
+def _kernel_cases():
+    for name in sorted(FAMILY_CASES):
+        label, f, _, _ = FAMILY_CASES[name]
+        yield pytest.param(f, (7, 9), id=label)
+    yield pytest.param(tensor_product([gaussian_bump(), lacunary(1.2, J=7)]),
+                       (7, 9, 2), id="tensor-2d")
+
+
+def _outs(like):
+    """A C-contiguous and a strided array of the shape and dtype of ``like``."""
+    strided = np.empty(like.shape + (2,), like.dtype)[..., 1]
+    return np.empty_like(like), strided
+
+
+@pytest.mark.parametrize("f, shape", _kernel_cases())
+def test_kernels_fill_out_with_the_bits_of_a_fresh_call(f, shape):
+    x = np.random.default_rng(5).normal(scale=2.0, size=shape)
+    value = f.value(x)
+    for out in _outs(value):
+        assert f.value(x, out=out) is out
+        assert np.array_equal(out, value)
+    if f.value_and_gradient is None:
+        return
+    fresh_value, grad = f.value_and_gradient(x)
+    assert np.array_equal(fresh_value, value)
+    assert np.array_equal(f.gradient(x), grad)
+    for out in zip(_outs(value), _outs(grad)):
+        got = f.value_and_gradient(x, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert np.array_equal(out[0], value)
+        assert np.array_equal(out[1], grad)
+
+
 def test_complex_exponential_is_unimodular():
     f = complex_exponential(2.0)
     x = np.linspace(-3, 3, 7)

@@ -77,8 +77,9 @@ def test_lower_bound_constant_function_zero(brownian_bundle):
 def test_scale_equivariance(brownian_bundle):
     from occutime.functions import TestFunction
     f = gaussian_bump()
-    g = TestFunction("scaled", lambda x: 2.0 * f.value(x),
-                     gradient=lambda x: 2.0 * f.gradient(x))
+    g = TestFunction("scaled", lambda x, out=None: 2.0 * f.value(x),
+                     value_and_gradient=lambda x, out=None: tuple(
+                         2.0 * a for a in f.value_and_gradient(x)))
     cv_f = _energy(f, brownian_bundle)
     cv_g = _energy(g, brownian_bundle)
     np.testing.assert_allclose(cv_g, 4.0 * cv_f, rtol=1e-12)

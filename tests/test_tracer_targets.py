@@ -2,6 +2,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
 # names the benchmark tracer wraps that the program no longer has; a
@@ -61,3 +63,17 @@ def test_diagnostics_calls_the_traced_module_globals(monkeypatch):
         u_list=(1.0,)))
     assert events == ["g_decay_probe", "simulate_paths", "/simulate_paths",
                       "/g_decay_probe", "simulate_paths", "/simulate_paths"]
+
+
+def test_tracer_wraps_a_test_function(monkeypatch):
+    # Recorder.wrap_function wraps f.value and f.gradient, and rebuilds f
+    # with dataclasses.replace; the fused value_and_gradient is left as is
+    from occutime import gaussian_bump, hat, tensor_product
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    tracer = importlib.import_module("tracer")
+    f = tensor_product([gaussian_bump(), hat()])
+    traced = tracer.Recorder().wrap_function(f)
+    x = np.random.default_rng(2).normal(size=(4, 2))
+    assert np.array_equal(traced.value(x), f.value(x))
+    assert np.array_equal(traced.gradient(x), f.gradient(x))
+    assert traced.value_and_gradient is f.value_and_gradient
