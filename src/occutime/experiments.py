@@ -37,8 +37,8 @@ from .estimators import (
     trapezoid_estimate,
 )
 from .functions import TestFunction, eval_on_path
-from .fourier import (_node_table, _require_gaussian, compute_E, compute_F,
-                      decompose, f_weights)
+from .fourier import (_interval_nodes, _require_gaussian, compute_E,
+                      compute_F, decompose, f_weights)
 from .grids import build_grid
 from .limits import gradient_energy, mean_se, root_mean_se
 from .processes import (BrownianMotion, DeterministicGaussian, ProcessSpec,
@@ -126,8 +126,7 @@ class StudyConfig:
             raise ConfigError(f"[function] descriptor: the {self.kind} study "
                               f"needs a real-valued function; "
                               f"{self.function.name} takes complex values")
-        if self.kind in ("clt", "efficiency") and (
-                self.function.value_and_gradient is None):
+        if self.kind in ("clt", "efficiency") and not self.function.gradient:
             raise ConfigError(f"[function] descriptor: the {self.kind} study "
                               f"needs a gradient; {self.function.name} has none")
         if self.kind == "efficiency" and not brownian:
@@ -161,13 +160,9 @@ def _chunk_size(spec, grid) -> int:
     return int(np.clip(CHUNK_FLOATS // floats, 16, CHUNK_SIZE))
 
 
-def _pass_buffer(buffers: dict | None, name: str, shape,
-                 dtype=float) -> np.ndarray:
+def _pass_buffer(buffers: dict, name: str, shape, dtype=float) -> np.ndarray:
     """An uninitialized array of ``shape``: a view of the buffer ``name`` in
-    a thread's pass buffers, made (or grown) at its first use in the pass,
-    or a new array when ``buffers`` is None."""
-    if buffers is None:
-        return np.empty(shape, dtype)
+    a thread's pass buffers, made (or grown) at its first use in the pass."""
     size = math.prod(shape)
     flat = buffers.get(name)
     if flat is None or flat.size < size:
@@ -212,20 +207,21 @@ def _ensemble_map(spec, grid, paths: int, seed: int, worker,
 
 
 def _study_outputs(f: TestFunction, t: float, n_list, estimators,
-                   limit: bool, bundle, buffers: dict | None = None) -> dict:
+                   limit: bool, bundle, buffers: dict) -> dict:
     """Reference minus estimator at t per path and n in ``n_list``, shape
     (paths, len(n_list)), from one evaluation of f at the fine nodes of the
     observed paths: the coarse grid of n is every (fine_count / n)-th fine
     node and the fine sum is the reference for every n. With ``limit`` also
     the gradient energy up to t and the realized endpoint bias
-    (f(Y_t) - f(Y_0)) / 2, which the limit laws need. Y, f(Y) and grad f(Y)
-    go to the pass buffers ``buffers`` (new arrays without them)."""
+    (f(Y_t) - f(Y_0)) / 2, which the limit laws need. The kernels may
+    write Y, f(Y) and grad f(Y) into the pass buffers ``buffers``, and
+    the gradient energy squares sigma^T grad f(Y) in the one of grad f."""
     grid = bundle.grid
     shape = bundle.x.shape
     shifted = bundle.spec.shift_half_width is not None
+    grad_buffer = _pass_buffer(buffers, "gradients", shape) if limit else None
     targets = (_pass_buffer(buffers, "points", shape) if shifted else None,
-               _pass_buffer(buffers, "values", shape[:2]),
-               _pass_buffer(buffers, "gradients", shape) if limit else None)
+               _pass_buffer(buffers, "values", shape[:2]), grad_buffer)
     vals = eval_on_path(f, bundle, gradient=limit, out=targets)
     if limit:
         vals, grad = vals
@@ -249,7 +245,7 @@ def _study_outputs(f: TestFunction, t: float, n_list, estimators,
             out[f"err_{name}"][:, col] = ref - est
     if limit:
         j = grid.fine_index(t)
-        out["grad_energy"] = gradient_energy(bundle, grad, t)
+        out["grad_energy"] = gradient_energy(bundle, grad, t, grad_buffer)
         out["bias_realized"] = 0.5 * (vals[:, j] - vals[:, 0]).real
     return out
 
@@ -421,7 +417,7 @@ def efficiency_study(cfg: StudyConfig) -> StudyReport:
     return StudyReport({"efficiency": rows}, summary, layout)
 
 
-def _g_decay_outputs(strides, weights, bundle, buffers=None) -> dict:
+def _g_decay_outputs(strides, weights, bundle, buffers: dict) -> dict:
     """Scaled sup over the coarse times of |F1|^2 + |F2|^2 per path and
     (n, u), from each n's coarse grid (every stride-th fine node) and its
     ``weights`` (u, c1, c2, scale) per u, c1 and c2 from :func:`f_weights`.
@@ -449,8 +445,7 @@ def _g_decay_outputs(strides, weights, bundle, buffers=None) -> dict:
 
 
 def g_decay_probe(u_list, n_list, spec, count: int, seed: int,
-                  horizon: float = 1.0, threads: int = 1,
-                  tables: dict | None = None) -> dict:
+                  horizon: float = 1.0, threads: int = 1) -> dict:
     """Empirical normalized bound sup_t (|F1|^2 + |F2|^2), scaled by
     step^-2 (1 + |u|^2)^-G_DECAY_ORDER, tabulated over a (u, n) probe grid
     on [0, horizon] with a Kendall monotonicity statistic per frequency.
@@ -459,15 +454,14 @@ def g_decay_probe(u_list, n_list, spec, count: int, seed: int,
 
     Returns two tables of row dicts: ``g_decay`` (u, n, g_hat, stderr),
     one row per (n, u) with n outer, and ``g_trend`` (u, kendall_tau,
-    p_value), one row per entry of ``u_list``. ``tables`` keeps the node
-    tables for other readers, as in :mod:`occutime.fourier`."""
+    p_value), one row per entry of ``u_list``."""
     _require_gaussian(spec, "g_decay_probe")
     n_list = [int(n) for n in n_list]
     fine = math.lcm(*n_list)
     weights = []
     for n in n_list:
         grid = build_grid(horizon, n, 1)
-        nodes = _node_table(spec, grid, n, tables)
+        nodes = _interval_nodes(spec, grid, n)
         weights.append([
             (float(u), *f_weights(float(u), nodes),
              grid.coarse_step ** -2 / (1.0 + u * u) ** G_DECAY_ORDER)
@@ -497,9 +491,8 @@ def diagnostics_study(cfg: StudyConfig) -> StudyReport:
     over (u, n) from one chunked pass, and the decomposition identity
     residuals on a small exponential probe ensemble."""
     count = min(cfg.paths, 2000)
-    nodes = {}          # the node tables, shared by the probe and the split
     tables = g_decay_probe(cfg.u_list, cfg.n_list, cfg.spec, count,
-                           cfg.master_seed, cfg.horizon, cfg.threads, nodes)
+                           cfg.master_seed, cfg.horizon, cfg.threads)
     layout = _layout(cfg.spec, build_grid(cfg.horizon, math.lcm(*cfg.n_list)),
                      count, cfg.threads)
     summary = {"sup_g_hat": max(r["g_hat"] for r in tables["g_decay"])}
@@ -512,9 +505,9 @@ def diagnostics_study(cfg: StudyConfig) -> StudyReport:
         fine_vals = eval_on_path(f, bundle)
         realized = (reference_value(fine_vals, grid)
                     - riemann_estimate(fine_vals[:, ::grid.refine_factor], grid))
-        trace = decompose(f, bundle, tables=nodes)
-        f1, f2 = compute_F(float(cfg.u_list[0]), bundle, tables=nodes)
-        drift_gap = trace.drift - compute_E(f, bundle, tables=nodes) - f1 - f2
+        trace = decompose(f, bundle)
+        f1, f2 = compute_F(float(cfg.u_list[0]), bundle)
+        drift_gap = trace.drift - compute_E(f, bundle) - f1 - f2
         summary["max_decomposition_residual"] = float(
             np.max(np.abs(trace.total - realized)))
         summary["max_drift_identity_residual"] = float(

@@ -13,9 +13,7 @@ mean and variance of X_r - X_{t_k} at the Gauss-Legendre times r of every
 coarse interval and at its right end, with b_r, sigma_r^2 and the F weights.
 The table is built once per grid, for all frequencies, and is the only place
 that tells Brownian from deterministic coefficients; every reader is array
-arithmetic over (paths, intervals, nodes). A study that reads one table
-several times passes the readers one dict, ``tables``, in which
-``_node_table`` keeps each table it builds; the tables are read-only.
+arithmetic over (paths, intervals, nodes).
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 from .errors import CapabilityError
 from .estimators import reference_value, riemann_estimate
 from .functions import TestFunction, gaussian_mean
-from .grids import TimeGrid, _read_only, gauss_legendre
+from .grids import TimeGrid, gauss_legendre
 from .processes import BrownianMotion, DeterministicGaussian, PathBundle
 
 GL_ORDER = 16          # Gauss-Legendre nodes per coarse interval
@@ -73,25 +71,11 @@ def _interval_nodes(spec, grid: TimeGrid, K: int) -> _IntervalNodes:
         mean, var = mu[..., 0], cov[..., 0, 0]
         drift = spec.drift_at(r)[..., 0]
         sig2 = np.sum(spec.diffusion_at(r)[..., 0, :] ** 2, axis=-1)
-    return _IntervalNodes(*_read_only((
-        mean[:, :-1], var[:, :-1], mean[:, -1], var[:, -1], drift, sig2, tw,
-        (0.5 - tau) * delta * delta * tw)))
+    return _IntervalNodes(mean[:, :-1], var[:, :-1], mean[:, -1], var[:, -1],
+                          drift, sig2, tw, (0.5 - tau) * delta * delta * tw)
 
 
-def _node_table(spec, grid: TimeGrid, K: int,
-                tables: dict | None = None) -> _IntervalNodes:
-    """:func:`_interval_nodes` of (spec, grid, K), built once per (spec,
-    horizon, coarse count, K) in the dict ``tables`` when one is given."""
-    if tables is None:
-        return _interval_nodes(spec, grid, K)
-    key = (spec, grid.horizon, grid.coarse_count, K)
-    if key not in tables:
-        tables[key] = _interval_nodes(spec, grid, K)
-    return tables[key]
-
-
-def _setup(bundle: PathBundle, t: float | None, what: str,
-           tables: dict | None):
+def _setup(bundle: PathBundle, t: float | None, what: str):
     """Checks shared by the readers; the node table of the K intervals up to
     t and the coarse observations Y_{t_0}, ..., Y_{t_K} (shift included)."""
     _require_gaussian(bundle.spec, what)
@@ -100,7 +84,7 @@ def _setup(bundle: PathBundle, t: float | None, what: str,
     grid = bundle.grid
     K = grid.coarse_index(grid.horizon if t is None else t)
     y = bundle.observed(coarse=True)[:, :K + 1, 0]
-    return _node_table(bundle.spec, grid, K, tables), y
+    return _interval_nodes(bundle.spec, grid, K), y
 
 
 @dataclass(frozen=True)
@@ -119,12 +103,12 @@ class DecompositionTrace:
         return self.martingale + self.drift
 
 
-def decompose(f: TestFunction, bundle: PathBundle, t: float | None = None,
-              tables: dict | None = None) -> DecompositionTrace:
+def decompose(f: TestFunction, bundle: PathBundle,
+              t: float | None = None) -> DecompositionTrace:
     """Split the realized error Gamma_t - Gamma_hat into the martingale part
     M (integrand centered at its conditional expectation) and the drift part
     D (conditional expectation of the increment of f along the path)."""
-    nodes, y = _setup(bundle, t, "decompose", tables)
+    nodes, y = _setup(bundle, t, "decompose")
     grid = bundle.grid
     fy = f.value(bundle.observed()[:, :, 0])
     cond = gaussian_mean(f, y[:, :-1, None] + nodes.mean, nodes.var)
@@ -134,10 +118,9 @@ def decompose(f: TestFunction, bundle: PathBundle, t: float | None = None,
         cond_int - riemann_estimate(fy[:, ::grid.refine_factor], grid, t))
 
 
-def compute_E(f: TestFunction, bundle: PathBundle, t: float | None = None,
-              tables: dict | None = None) -> np.ndarray:
+def compute_E(f: TestFunction, bundle: PathBundle, t: float | None = None) -> np.ndarray:
     """(step / 2) sum_k E[f(Y_{t_k}) - f(Y_{t_{k-1}}) | F_{t_{k-1}}]."""
-    nodes, y = _setup(bundle, t, "compute_E", tables)
+    nodes, y = _setup(bundle, t, "compute_E")
     left = y[:, :-1]
     ce = gaussian_mean(f, left + nodes.mean_end, nodes.var_end)
     return 0.5 * bundle.grid.coarse_step * (ce - f.value(left)).sum(axis=1)
@@ -156,10 +139,10 @@ def f_weights(u: float, nodes: _IntervalNodes) -> tuple[np.ndarray, np.ndarray]:
     return c1, c2
 
 
-def compute_F(u: float, bundle: PathBundle, t: float | None = None,
-              tables: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+def compute_F(u: float, bundle: PathBundle,
+              t: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(F1, F2) per path at time t, from one node table."""
-    nodes, y = _setup(bundle, t, "compute_F", tables)
+    nodes, y = _setup(bundle, t, "compute_F")
     c1, c2 = f_weights(float(u), nodes)
     left = np.exp(1j * float(u) * y[:, :-1])
     return (left * c1).sum(axis=1), (left * c2).sum(axis=1)

@@ -9,9 +9,11 @@ way ``gaussian_mean`` computes it.
 
 Kernels follow one protocol: ``value(x, out=None)`` returns f at the points
 x and ``value_and_gradient(x, out=None)`` returns the pair (f, grad f) from
-one pass over x. Given ``out`` (an array, or a pair of arrays for the pair
-kernel) they write their results there and return it, with the same bits
-as a call that makes new arrays.
+one pass over x. ``out`` (an array, or a pair of arrays for the pair
+kernel) is room the kernel may write its results into; callers use the
+returned arrays, which have the bits of a call without ``out``. The
+Gaussian bump and the lacunary series write there; the other families
+ignore it. ``gradient(x)`` alone takes no ``out``.
 """
 
 from __future__ import annotations
@@ -33,24 +35,34 @@ RESEED = 6          # lacunary levels per direct cos (and sin, for gradients)
 
 @dataclass(frozen=True)
 class TestFunction:
+    """A test function and what is known of it in closed form.
+
+    Give grad f as ``gradient(x)``, as ``value_and_gradient(x, out=None)``
+    or as both; the one left out is derived from the other, and derived
+    again when ``dataclasses.replace`` changes what it came from. ``value``
+    must accept ``out=`` (it may ignore it), since the study passes give
+    it one."""
     __test__ = False        # not a pytest test class despite the name
 
     name: str
     value: Callable                      # (x, out=None) -> f(x)
-    value_and_gradient: Callable | None = None   # (x, out=None) -> (f, grad f)
+    gradient: Callable | None = None     # x -> grad f(x)
     fourier: Callable | None = None
     osc_scale: float = 1.0               # node density hint for u-quadrature
     dimension: int = 1
     gaussian_expectation: Callable | None = None  # (mu, var) -> E[f(N(mu, var I))]
     components: tuple | None = None      # tensor product factors
-    # grad f alone, the second half of value_and_gradient unless given; a
-    # field, so that ``dataclasses.replace`` can wrap it like the kernels
-    gradient: Callable | None = None
+    value_and_gradient: Callable | None = None    # (x, out=None) -> (f, grad f)
 
     def __post_init__(self):
-        if self.gradient is None and self.value_and_gradient is not None:
-            object.__setattr__(self, "gradient",
-                               partial(_gradient_of, self.value_and_gradient))
+        gradient, pair = (None if _derived(k) else k
+                          for k in (self.gradient, self.value_and_gradient))
+        if pair is None and gradient is not None:
+            pair = partial(_pair_of, self.value, gradient)
+        if gradient is None and pair is not None:
+            gradient = partial(_gradient_of, pair)
+        object.__setattr__(self, "gradient", gradient)
+        object.__setattr__(self, "value_and_gradient", pair)
 
     def __repr__(self):  # avoid dumping callables
         return f"TestFunction({self.name!r}, d={self.dimension})"
@@ -60,25 +72,14 @@ def _gradient_of(value_and_gradient, x):
     return value_and_gradient(x)[1]
 
 
-def _into(out, result):
-    """``result`` copied into ``out``, or ``result`` itself without one."""
-    if out is None:
-        return result
-    np.copyto(out, result)
-    return out
+def _pair_of(value, gradient, x, out=None):
+    """(value(x), gradient(x)); writes nothing into ``out``."""
+    return value(x), gradient(x)
 
 
-def _with_out(value):
-    """The kernel ``value(x, out=None)`` of a formula ``value(x)``."""
-    return lambda x, out=None: _into(out, value(x))
-
-
-def _paired(value, gradient):
-    """The kernel ``value_and_gradient(x, out=None)`` of two formulas."""
-    def kernel(x, out=None):
-        value_out, gradient_out = (None, None) if out is None else out
-        return _into(value_out, value(x)), _into(gradient_out, gradient(x))
-    return kernel
+def _derived(kernel) -> bool:
+    return isinstance(kernel, partial) and kernel.func in (_gradient_of,
+                                                           _pair_of)
 
 
 def eval_on_path(f: TestFunction, bundle, gradient: bool = False, out=None):
@@ -88,9 +89,9 @@ def eval_on_path(f: TestFunction, bundle, gradient: bool = False, out=None):
     Returns an array of shape (paths, nodes) or a pair with the gradient
     array (paths, nodes, d). A one-dimensional f gets the points without
     their coordinate axis, and its gradient gets the axis back. ``out`` is
-    None or the triple (points, values, gradients) of arrays to fill
-    instead of new ones, each of them None or of the shape above: points
-    (paths, nodes, d) takes Y of a shifted process.
+    None or the triple (points, values, gradients) of arrays the kernels
+    may fill (see the module docstring), each of them None or of the shape
+    above: points (paths, nodes, d) takes Y of a shifted process.
     """
     if gradient and f.value_and_gradient is None:
         raise CapabilityError(f"{f.name} has no gradient")
@@ -101,9 +102,11 @@ def eval_on_path(f: TestFunction, bundle, gradient: bool = False, out=None):
         y = y[..., 0]
         grads = None if grads is None else grads[..., 0]
     if not gradient:
-        return f.value(y, out=values)
+        return f.value(y) if values is None else f.value(y, out=values)
     vals, grad = f.value_and_gradient(y, out=(values, grads))
-    return vals, (np.asarray(grad)[..., None] if squeeze else grad)
+    # expand_dims keeps the strides of a 3-d grads buffer, so a ufunc from
+    # the returned gradient into that buffer sees one array, not an overlap
+    return vals, (np.expand_dims(grad, -1) if squeeze else grad)
 
 
 def gaussian_mean(f: TestFunction, mean, var) -> np.ndarray:
@@ -183,7 +186,7 @@ def gaussian_bump() -> TestFunction:
 
 def hat() -> TestFunction:
     """Piecewise linear hat max(0, 1 - |x|); gradient one-sided at the kinks."""
-    def value(x):
+    def value(x, out=None):
         return np.maximum(0.0, 1.0 - np.abs(np.asarray(x, float)))
 
     def grad(x):
@@ -204,8 +207,8 @@ def hat() -> TestFunction:
         return (_ramp_mean(mu + 1.0, sd) - 2.0 * _ramp_mean(mu, sd)
                 + _ramp_mean(mu - 1.0, sd))
 
-    return TestFunction("hat", _with_out(value), _paired(value, grad), fourier,
-                        osc_scale=2.0, gaussian_expectation=gauss_expect)
+    return TestFunction("hat", value, grad, fourier, osc_scale=2.0,
+                        gaussian_expectation=gauss_expect)
 
 
 def indicator(a: float, b: float) -> TestFunction:
@@ -213,7 +216,7 @@ def indicator(a: float, b: float) -> TestFunction:
     if not b > a:
         raise ConfigError(f"indicator needs a < b, got [{a}, {b}]")
 
-    def value(x):
+    def value(x, out=None):
         x = np.asarray(x, float)
         return ((x >= a) & (x <= b)).astype(float)
 
@@ -234,7 +237,7 @@ def indicator(a: float, b: float) -> TestFunction:
         return np.where(sd > 0, ndtr(hi) - ndtr(lo), point)
 
     scale = max(abs(a), abs(b), b - a)
-    return TestFunction(f"indicator({a},{b})", _with_out(value), None, fourier,
+    return TestFunction(f"indicator({a},{b})", value, None, fourier,
                         osc_scale=max(scale, 1.0),
                         gaussian_expectation=gauss_expect)
 
@@ -247,11 +250,11 @@ def power_singularity(alpha: float, cutoff: float = 1.0) -> TestFunction:
         raise ConfigError(f"power singularity needs cutoff > 0, got {cutoff}")
     from scipy.special import gamma, hyp1f1  # slow to import; only used here
 
-    def value(x):
+    def value(x, out=None):
         x = np.asarray(x, float)
         with np.errstate(divide="ignore"):
-            out = np.abs(x) ** (-alpha) * np.exp(-0.5 * (x / cutoff) ** 2)
-        return np.where(x == 0.0, 0.0, out)
+            fx = np.abs(x) ** (-alpha) * np.exp(-0.5 * (x / cutoff) ** 2)
+        return np.where(x == 0.0, 0.0, fx)
 
     # Ff(u) = 2 int_0^inf x^-alpha exp(-x^2 / (2 c^2)) cos(u x) dx
     #       = (2 c^2)^a Gamma(a) 1F1(a; 1/2; -c^2 u^2 / 2), a = (1 - alpha) / 2
@@ -276,9 +279,8 @@ def power_singularity(alpha: float, cutoff: float = 1.0) -> TestFunction:
                    * hyp1f1(0.5 * alpha, 0.5, -0.5 * k * mu * mu / var))
         return np.where(var > 0, out, value(mu))
 
-    return TestFunction(f"power_singularity({alpha})", _with_out(value), None,
-                        fourier, osc_scale=1.0,
-                        gaussian_expectation=gauss_expect)
+    return TestFunction(f"power_singularity({alpha})", value, None, fourier,
+                        osc_scale=1.0, gaussian_expectation=gauss_expect)
 
 
 def _cosine_ladder(angle, freqs, cos):
@@ -369,7 +371,7 @@ def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
                 dacc -= cos
                 acc = dacc
             np.multiply(tmp, acc, out=flat_out[lo:lo + xb.size])
-        return _into(None if direct else out, result)
+        return result
 
     def value(x, out=None):
         return series(x, False, out)
@@ -399,46 +401,47 @@ def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
             acc += cj * np.exp(damp * (fj * fj)) * c
         return np.sqrt(shrink) * np.exp(-0.5 * mu * mu / (c2 + var)) * acc
 
-    return TestFunction(f"lacunary(s={s},J={J})", value, value_and_gradient,
-                        fourier, osc_scale=4.0 * cutoff,
-                        gaussian_expectation=gauss_expect)
+    return TestFunction(f"lacunary(s={s},J={J})", value, None, fourier,
+                        osc_scale=4.0 * cutoff,
+                        gaussian_expectation=gauss_expect,
+                        value_and_gradient=value_and_gradient)
 
 
 def complex_exponential(u: float) -> TestFunction:
     """f(x) = exp(i u x), the diagnostic frequency probe."""
     u = float(u)
 
-    def value(x):
+    def value(x, out=None):
         return np.exp(1j * u * np.asarray(x, float))
 
     def gauss_expect(mu, var):
         # E exp(i u (mu + N(0, var))) = exp(i u mu - u^2 var / 2)
         return np.exp(1j * u * mu - 0.5 * u * u * var)
 
-    return TestFunction(f"complex_exponential({u})", _with_out(value),
-                        _paired(value, lambda x: 1j * u * value(x)),
+    return TestFunction(f"complex_exponential({u})", value,
+                        gradient=lambda x: 1j * u * np.exp(1j * u * np.asarray(x, float)),
                         gaussian_expectation=gauss_expect)
 
 
 def identity() -> TestFunction:
-    value = lambda x: np.asarray(x, float) + 0.0
-    return TestFunction("identity", _with_out(value), _paired(
-                            value, lambda x: np.ones_like(np.asarray(x, float))),
+    return TestFunction("identity",
+                        lambda x, out=None: np.asarray(x, float) + 0.0,
+                        gradient=lambda x: np.ones_like(np.asarray(x, float)),
                         gaussian_expectation=lambda mu, var: mu + 0.0 * var)
 
 
 def quadratic() -> TestFunction:
-    value = lambda x: np.asarray(x, float) ** 2
-    return TestFunction("quadratic", _with_out(value),
-                        _paired(value, lambda x: 2.0 * np.asarray(x, float)),
+    return TestFunction("quadratic",
+                        lambda x, out=None: np.asarray(x, float) ** 2,
+                        gradient=lambda x: 2.0 * np.asarray(x, float),
                         gaussian_expectation=lambda mu, var: mu * mu + var)
 
 
 def constant(c: float = 1.0) -> TestFunction:
     c = float(c)
-    value = lambda x: np.full(np.shape(np.asarray(x)), c)
-    return TestFunction(f"constant({c})", _with_out(value), _paired(
-                            value, lambda x: np.zeros_like(np.asarray(x, float))),
+    return TestFunction(f"constant({c})",
+                        lambda x, out=None: np.full(np.shape(np.asarray(x)), c),
+                        gradient=lambda x: np.zeros_like(np.asarray(x, float)),
                         gaussian_expectation=lambda mu, var: np.full(
                             np.broadcast(mu, var).shape, c))
 
@@ -493,10 +496,11 @@ def tensor_product(factors) -> TestFunction:
     smooth = all(f.value_and_gradient for f in factors)
     return TestFunction(
         "tensor(" + ",".join(f.name for f in factors) + ")",
-        value, value_and_gradient if smooth else None,
-        product("fourier"), osc_scale=max(f.osc_scale for f in factors),
-        dimension=d, gaussian_expectation=product("gaussian_expectation"),
-        components=factors)
+        value, None, product("fourier"),
+        osc_scale=max(f.osc_scale for f in factors), dimension=d,
+        gaussian_expectation=product("gaussian_expectation"),
+        components=factors,
+        value_and_gradient=value_and_gradient if smooth else None)
 
 
 # ---------------------------------------------------------------------------

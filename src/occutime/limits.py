@@ -19,30 +19,32 @@ from .estimators import _time_sum
 from .processes import PathBundle
 
 
-def _sigma_transpose_grad(bundle: PathBundle, grad: np.ndarray) -> np.ndarray:
-    """sigma_t^T grad f(Y_t) along all paths, shape (paths, nodes, d); in
-    ``grad`` itself unless sigma is a matrix."""
+def _sigma_transpose_grad(bundle: PathBundle, grad: np.ndarray,
+                          out=None) -> np.ndarray:
+    """sigma_t^T grad f(Y_t) along all paths, shape (paths, nodes, d): grad
+    itself for Brownian motion, in ``out`` (or a new array) for scalar
+    stochastic volatility, in a new array for a matrix sigma."""
     if bundle.sigma is None:         # Brownian motion: sigma is the identity
         return grad
     if bundle.sigma.ndim == 3:       # deterministic, shared across paths
         return np.einsum("jab,ija->ijb", bundle.sigma, grad)
-    grad *= bundle.sigma[:, :, None]     # scalar stochastic volatility
-    return grad
+    return np.multiply(bundle.sigma[:, :, None], grad, out=out)   # scalar SV
 
 
 def gradient_energy(bundle: PathBundle, grad: np.ndarray,
-                    t: float | None = None) -> np.ndarray:
+                    t: float | None = None, out=None) -> np.ndarray:
     """Per-path (1/12) int_0^t |sigma_r^T grad f(Y_r)|^2 dr as the left-point
     fine sum, from ``grad`` = grad f(Y) at the fine nodes (paths, nodes, d).
-    ``grad`` is consumed: the sum squares sigma^T grad f in its place.
+    ``out``, an array of the shape of ``grad`` (``grad`` itself, say), takes
+    |sigma^T grad f|^2 on the way instead of a new array; ``grad`` is left
+    as it is unless it is ``out``.
 
     It is the conditional variance of the limit of the trapezoidal error at
     t and, averaged over paths, the square of the efficiency floor.
     """
     grid = bundle.grid
-    stg = _sigma_transpose_grad(bundle, grad)
+    stg = np.square(_sigma_transpose_grad(bundle, grad, out), out=out)
     j = grid.fine_index(grid.horizon if t is None else t)
-    np.square(stg, out=stg)
     energy = stg[:, :, 0] if stg.shape[2] == 1 else np.sum(stg, axis=2)
     return _time_sum(energy, j, grid.fine_step, False, "gradient_energy") / 12.0
 

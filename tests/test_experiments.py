@@ -27,7 +27,7 @@ from occutime import (
     simulate_paths,
     tensor_product,
 )
-from occutime import experiments, fourier
+from occutime import experiments
 from occutime.experiments import (_ensemble_map, _fit_slope, _gls_line,
                                   _log_rms_cov, _rms_stats, _study_outputs,
                                   _study_pass, g_decay_probe)
@@ -380,7 +380,7 @@ def test_chunk_worker_outputs_own_their_data(spec, worker):
     # the next chunk overwrites the bundle's buffers before the outputs
     # are concatenated, so no output may view them
     bundle = simulate_paths(spec, build_grid(1.0, 8, 8), 20, 5)
-    for key, value in worker(bundle).items():
+    for key, value in worker(bundle, {}).items():
         for array in (bundle.x, bundle.sigma):
             if array is not None:
                 assert not np.shares_memory(value, array), key
@@ -495,26 +495,6 @@ def test_diagnostics_study_tables():
     assert report.summary["max_decomposition_residual"] < 1e-10
     assert report.summary["max_drift_identity_residual"] < 1e-10
     assert np.isfinite(report.summary["sup_g_hat"])
-
-
-def test_diagnostics_builds_each_node_table_once(monkeypatch):
-    # the decay probe's first n, decompose, compute_E and compute_F read
-    # one table of the 8 coarse steps
-    built = []
-    build = fourier._interval_nodes
-
-    def counting(spec, grid, K):
-        built.append((grid.horizon, grid.coarse_count, K))
-        return build(spec, grid, K)
-
-    monkeypatch.setattr(fourier, "_interval_nodes", counting)
-    spec = DeterministicGaussian(dimension=1, drift=lambda t: 0.3,
-                                 diffusion=lambda t: 0.8)
-    report = diagnostics_study(_cfg(kind="diagnostics", spec=spec,
-                                    n_list=(8, 16, 32), refine=8, paths=100,
-                                    u_list=(1.0, 3.0)))
-    assert sorted(built) == [(1.0, 8, 8), (1.0, 16, 16), (1.0, 32, 32)]
-    assert report.summary["max_decomposition_residual"] < 1e-10
 
 
 def test_diagnostics_g_decay_honours_horizon():

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from occutime import (
 )
 from occutime.fourier import (
     _interval_nodes,
-    _node_table,
     compute_E,
     compute_F,
     decompose,
@@ -47,19 +46,6 @@ def test_interval_node_ends_closed_form():
     nodes = _interval_nodes(scaled, grid, 2)
     np.testing.assert_allclose(np.exp(-0.5 * nodes.var_end), np.exp(-1.0))
     np.testing.assert_allclose(nodes.mean_end, 2.5)
-
-
-def test_node_tables_are_built_once_per_key_and_read_only():
-    tables = {}
-    nodes = _node_table(BrownianMotion(), build_grid(1.0, 8, 4), 8, tables)
-    # the refinement is not part of the key: the table reads coarse times
-    assert _node_table(BrownianMotion(), build_grid(1.0, 8, 16), 8,
-                       tables) is nodes
-    assert _node_table(BrownianMotion(), build_grid(1.0, 8, 4), 6,
-                       tables) is not nodes
-    assert len(tables) == 2
-    for field in fields(nodes):
-        assert not getattr(nodes, field.name).flags.writeable, field.name
 
 
 def test_constant_function_decomposes_to_zero(bundle):
