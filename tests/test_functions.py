@@ -376,6 +376,18 @@ def test_bump_and_lacunary_write_into_out(f):
     assert got[0] is value_out and got[1] is grad_out
 
 
+def test_eval_on_path_hands_back_the_gradient_buffer_of_a_1d_function():
+    # with the strides of the 3-d buffer, so that squaring the gradient
+    # into that buffer is one in-place ufunc, not an overlapping copy
+    bundle = simulate_paths(BrownianMotion(), build_grid(1.0, 4, 4), 3, 1)
+    values, grads = np.empty(bundle.x.shape[:2]), np.empty(bundle.x.shape)
+    vals, grad = eval_on_path(gaussian_bump(), bundle, gradient=True,
+                              out=(None, values, grads))
+    assert vals is values
+    assert grad.shape == grads.shape and grad.strides == grads.strides
+    assert np.shares_memory(grad, grads)
+
+
 def test_replace_derives_gradient_kernels_again():
     # dataclasses.replace of one gradient kernel derives the other from it
     x = np.linspace(-2.0, 2.0, 9)
