@@ -126,7 +126,8 @@ class StudyConfig:
             raise ConfigError(f"[function] descriptor: the {self.kind} study "
                               f"needs a real-valued function; "
                               f"{self.function.name} takes complex values")
-        if self.kind in ("clt", "efficiency") and not self.function.gradient:
+        if self.kind in ("clt", "efficiency") and (
+                self.function.value_and_gradient is None):
             raise ConfigError(f"[function] descriptor: the {self.kind} study "
                               f"needs a gradient; {self.function.name} has none")
         if self.kind == "efficiency" and not brownian:

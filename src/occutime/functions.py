@@ -13,7 +13,8 @@ one pass over x. ``out`` (an array, or a pair of arrays for the pair
 kernel) is room the kernel may write its results into; callers use the
 returned arrays, which have the bits of a call without ``out``. The
 Gaussian bump and the lacunary series write there; the other families
-ignore it. ``gradient(x)`` alone takes no ``out``.
+ignore it. grad f is given only as ``value_and_gradient``, no longer as
+``gradient=``; ``gradient(x)``, the pair's second array, is read-only.
 """
 
 from __future__ import annotations
@@ -37,16 +38,16 @@ RESEED = 6          # lacunary levels per direct cos (and sin, for gradients)
 class TestFunction:
     """A test function and what is known of it in closed form.
 
-    Give grad f as ``gradient(x)``, as ``value_and_gradient(x, out=None)``
-    or as both; the one left out is derived from the other, and derived
-    again when ``dataclasses.replace`` changes what it came from. ``value``
-    must accept ``out=`` (it may ignore it), since the study passes give
-    it one."""
+    Give grad f as ``value_and_gradient(x, out=None)``. ``gradient`` is
+    read-only: it is always derived from the pair, also when
+    ``dataclasses.replace`` changes the pair, and a ``gradient`` given
+    without a pair raises ``ConfigError``. ``value`` must accept ``out=``
+    (it may ignore it), since the study passes give it one."""
     __test__ = False        # not a pytest test class despite the name
 
     name: str
     value: Callable                      # (x, out=None) -> f(x)
-    gradient: Callable | None = None     # x -> grad f(x)
+    gradient: Callable | None = None     # x -> grad f(x), derived; read-only
     fourier: Callable | None = None
     osc_scale: float = 1.0               # node density hint for u-quadrature
     dimension: int = 1
@@ -55,14 +56,12 @@ class TestFunction:
     value_and_gradient: Callable | None = None    # (x, out=None) -> (f, grad f)
 
     def __post_init__(self):
-        gradient, pair = (None if _derived(k) else k
-                          for k in (self.gradient, self.value_and_gradient))
-        if pair is None and gradient is not None:
-            pair = partial(_pair_of, self.value, gradient)
-        if gradient is None and pair is not None:
-            gradient = partial(_gradient_of, pair)
-        object.__setattr__(self, "gradient", gradient)
-        object.__setattr__(self, "value_and_gradient", pair)
+        pair = self.value_and_gradient
+        if pair is None and self.gradient is not None:
+            raise ConfigError(f"{self.name}: give grad f as value_and_gradient=;"
+                              f" gradient is derived from it")
+        object.__setattr__(self, "gradient",
+                           None if pair is None else partial(_gradient_of, pair))
 
     def __repr__(self):  # avoid dumping callables
         return f"TestFunction({self.name!r}, d={self.dimension})"
@@ -70,16 +69,6 @@ class TestFunction:
 
 def _gradient_of(value_and_gradient, x):
     return value_and_gradient(x)[1]
-
-
-def _pair_of(value, gradient, x, out=None):
-    """(value(x), gradient(x)); writes nothing into ``out``."""
-    return value(x), gradient(x)
-
-
-def _derived(kernel) -> bool:
-    return isinstance(kernel, partial) and kernel.func in (_gradient_of,
-                                                           _pair_of)
 
 
 def eval_on_path(f: TestFunction, bundle, gradient: bool = False, out=None):
@@ -123,6 +112,13 @@ def gaussian_mean(f: TestFunction, mean, var) -> np.ndarray:
         raise ValueError(f"var of shape {var.shape} does not broadcast "
                          f"to the shape {shape} of the means")
     return f.gaussian_expectation(mean, var)
+
+
+def _finite(family: str, **params) -> None:
+    """Raise ConfigError naming the first parameter that is not finite."""
+    for key, v in params.items():
+        if not math.isfinite(v):
+            raise ConfigError(f"{family} needs a finite {key}, got {v}")
 
 
 def _ramp_mean(d, sd):
@@ -189,11 +185,11 @@ def hat() -> TestFunction:
     def value(x, out=None):
         return np.maximum(0.0, 1.0 - np.abs(np.asarray(x, float)))
 
-    def grad(x):
+    def value_and_gradient(x, out=None):
         x = np.asarray(x, float)
         # right-limit convention at the kink set {-1, 0, 1}
-        return np.where((x >= -1.0) & (x < 0.0), 1.0,
-                        np.where((x >= 0.0) & (x < 1.0), -1.0, 0.0))
+        return value(x), np.where((x >= -1.0) & (x < 0.0), 1.0,
+                                  np.where((x >= 0.0) & (x < 1.0), -1.0, 0.0))
 
     def fourier(u):
         u = np.asarray(u, float)
@@ -207,12 +203,14 @@ def hat() -> TestFunction:
         return (_ramp_mean(mu + 1.0, sd) - 2.0 * _ramp_mean(mu, sd)
                 + _ramp_mean(mu - 1.0, sd))
 
-    return TestFunction("hat", value, grad, fourier, osc_scale=2.0,
-                        gaussian_expectation=gauss_expect)
+    return TestFunction("hat", value, fourier=fourier, osc_scale=2.0,
+                        gaussian_expectation=gauss_expect,
+                        value_and_gradient=value_and_gradient)
 
 
 def indicator(a: float, b: float) -> TestFunction:
     """Indicator of [a, b]; no gradient; H^s only for s < 1/2."""
+    _finite("indicator", a=a, b=b)
     if not b > a:
         raise ConfigError(f"indicator needs a < b, got [{a}, {b}]")
 
@@ -246,6 +244,7 @@ def power_singularity(alpha: float, cutoff: float = 1.0) -> TestFunction:
     """|x|^(-alpha) localized by a smooth bump of width ``cutoff``."""
     if not 0 < alpha < 1:
         raise ConfigError("power singularity needs 0 < alpha < 1 in d = 1")
+    _finite("power singularity", cutoff=cutoff)
     if not cutoff > 0:
         raise ConfigError(f"power singularity needs cutoff > 0, got {cutoff}")
     from scipy.special import gamma, hyp1f1  # slow to import; only used here
@@ -314,6 +313,7 @@ def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
     width ``cutoff``; the dyadic coefficient decay places the H^sigma
     membership boundary at sigma = s.
     """
+    _finite("lacunary series", s=s, cutoff=cutoff)
     if not (float(J).is_integer() and J >= 1):
         raise ConfigError(f"lacunary series needs an integer J >= 1, got {J}")
     if not cutoff > 0:
@@ -410,6 +410,7 @@ def lacunary(s: float, J: int = 12, cutoff: float = 3.0) -> TestFunction:
 def complex_exponential(u: float) -> TestFunction:
     """f(x) = exp(i u x), the diagnostic frequency probe."""
     u = float(u)
+    _finite("complex exponential", u=u)
 
     def value(x, out=None):
         return np.exp(1j * u * np.asarray(x, float))
@@ -419,29 +420,35 @@ def complex_exponential(u: float) -> TestFunction:
         return np.exp(1j * u * mu - 0.5 * u * u * var)
 
     return TestFunction(f"complex_exponential({u})", value,
-                        gradient=lambda x: 1j * u * np.exp(1j * u * np.asarray(x, float)),
                         gaussian_expectation=gauss_expect)
 
 
 def identity() -> TestFunction:
     return TestFunction("identity",
                         lambda x, out=None: np.asarray(x, float) + 0.0,
-                        gradient=lambda x: np.ones_like(np.asarray(x, float)),
+                        value_and_gradient=lambda x, out=None: (
+                            np.asarray(x, float) + 0.0,
+                            np.ones_like(np.asarray(x, float))),
                         gaussian_expectation=lambda mu, var: mu + 0.0 * var)
 
 
 def quadratic() -> TestFunction:
     return TestFunction("quadratic",
                         lambda x, out=None: np.asarray(x, float) ** 2,
-                        gradient=lambda x: 2.0 * np.asarray(x, float),
+                        value_and_gradient=lambda x, out=None: (
+                            np.asarray(x, float) ** 2,
+                            2.0 * np.asarray(x, float)),
                         gaussian_expectation=lambda mu, var: mu * mu + var)
 
 
 def constant(c: float = 1.0) -> TestFunction:
     c = float(c)
+    _finite("constant", c=c)
     return TestFunction(f"constant({c})",
                         lambda x, out=None: np.full(np.shape(np.asarray(x)), c),
-                        gradient=lambda x: np.zeros_like(np.asarray(x, float)),
+                        value_and_gradient=lambda x, out=None: (
+                            np.full(np.shape(np.asarray(x)), c),
+                            np.zeros_like(np.asarray(x, float))),
                         gaussian_expectation=lambda mu, var: np.full(
                             np.broadcast(mu, var).shape, c))
 

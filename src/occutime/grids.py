@@ -3,6 +3,7 @@ nodes."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -55,7 +56,7 @@ class TimeGrid:
         return self._index(t, self.fine_step, self.fine_count)
 
     def _index(self, t: float, step: float, count: int) -> int:
-        if t < 0 or t > self.horizon * (1 + FLOOR_GUARD):
+        if not 0 <= t <= self.horizon * (1 + FLOOR_GUARD):
             raise ConfigError(f"time {t} outside [0, {self.horizon}]")
         return min(int(np.floor(t / step + FLOOR_GUARD)), count)
 
@@ -63,11 +64,11 @@ class TimeGrid:
 def build_grid(horizon: float, n: int, m: int = 1) -> TimeGrid:
     """Construct a :class:`TimeGrid` with ``n`` coarse steps over
     ``[0, horizon]`` and ``m`` fine sub-steps per coarse step."""
-    if not horizon > 0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
-    if int(n) != n or n < 1:
+    if not 0 < horizon < math.inf:
+        raise ConfigError(f"horizon must be finite and > 0, got {horizon}")
+    if not 1 <= n < math.inf or int(n) != n:
         raise ConfigError(f"coarse count must be an integer >= 1, got {n}")
-    if int(m) != m or m < 1:
+    if not 1 <= m < math.inf or int(m) != m:
         raise ConfigError(f"refine factor must be an integer >= 1, got {m}")
     return TimeGrid(float(horizon), int(n), int(m))
 

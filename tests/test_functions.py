@@ -306,6 +306,32 @@ def test_indicator_requires_ordered_endpoints():
         indicator(1.0, 1.0)
 
 
+@pytest.mark.parametrize("build, named", [
+    pytest.param(lambda: indicator(0.0, math.inf), "finite b", id="indicator-b"),
+    pytest.param(lambda: indicator(math.nan, 1.0), "finite a", id="indicator-a"),
+    pytest.param(lambda: lacunary(math.nan), "finite s", id="lacunary-s"),
+    pytest.param(lambda: lacunary(1.2, cutoff=math.inf), "finite cutoff",
+                 id="lacunary-cutoff"),
+    pytest.param(lambda: power_singularity(0.3, cutoff=math.inf),
+                 "finite cutoff", id="power_singularity-cutoff"),
+    pytest.param(lambda: constant(math.nan), "finite c", id="constant-c"),
+    pytest.param(lambda: complex_exponential(math.inf), "finite u",
+                 id="complex_exponential-u"),
+    pytest.param(lambda: build_grid(math.inf, 4), "horizon", id="grid-horizon"),
+    pytest.param(lambda: build_grid(math.nan, 4), "horizon",
+                 id="grid-horizon-nan"),
+    pytest.param(lambda: build_grid(1.0, math.inf), "coarse count",
+                 id="grid-n"),
+    pytest.param(lambda: build_grid(1.0, 4, math.nan), "refine factor",
+                 id="grid-m"),
+    pytest.param(lambda: build_grid(1.0, 4, 2).fine_index(math.nan),
+                 "time nan", id="grid-fine_index"),
+])
+def test_non_finite_parameters_are_rejected(build, named):
+    with pytest.raises(ConfigError, match=named):
+        build()
+
+
 def test_power_singularity_blows_up_near_zero():
     f = power_singularity(0.4)
     small, smaller = f.value(np.array([0.01])), f.value(np.array([0.001]))
@@ -339,6 +365,8 @@ def _kernel_cases():
         yield pytest.param(f, (7, 9), id=label)
     yield pytest.param(tensor_product([gaussian_bump(), lacunary(1.2, J=7)]),
                        (7, 9, 2), id="tensor-2d")
+    yield pytest.param(tensor_product([gaussian_bump(), hat()]), (7, 9, 2),
+                       id="tensor-bump-hat")
 
 
 def _outs(like):
@@ -388,29 +416,46 @@ def test_eval_on_path_hands_back_the_gradient_buffer_of_a_1d_function():
     assert np.shares_memory(grad, grads)
 
 
+def test_gradient_families():
+    have = sorted(name for name, (_, f, _, _) in FAMILY_CASES.items()
+                  if f.value_and_gradient is not None)
+    assert have == ["constant", "gaussian_bump", "hat", "identity",
+                    "lacunary", "quadratic"]
+
+
+def test_hat_gradient_matches_finite_differences_off_its_kinks():
+    f = hat()
+    x = np.linspace(-2.5, 2.5, 41) + 1.0 / 16.0   # 1/16 from every kink
+    h = 1e-6
+    numeric = (f.value(x + h) - f.value(x - h)) / (2 * h)
+    np.testing.assert_allclose(f.gradient(x), numeric, atol=1e-4, rtol=1e-4)
+
+
 def test_replace_derives_gradient_kernels_again():
-    # dataclasses.replace of one gradient kernel derives the other from it
+    # dataclasses.replace of the pair kernel derives gradient from it again
     x = np.linspace(-2.0, 2.0, 9)
     f = gaussian_bump()
     tripled = dataclasses.replace(
         f, value_and_gradient=lambda x, out=None: (f.value(x),
                                                    3.0 * f.gradient(x)))
     assert np.array_equal(tripled.gradient(x), 3.0 * f.gradient(x))
-    square = TestFunction("square", lambda x, out=None: x * x,
-                          gradient=lambda x: 2.0 * x)
-    assert np.array_equal(square.value_and_gradient(x)[1], 2.0 * x)
-    cube = dataclasses.replace(square, value=lambda x, out=None: x ** 3,
-                               gradient=lambda x: 3.0 * x * x)
-    value, grad = cube.value_and_gradient(x)
-    assert np.array_equal(value, x ** 3)
-    assert np.array_equal(grad, 3.0 * x * x)
+    # a gradient passed along with the pair is overwritten, not kept
+    stale = dataclasses.replace(tripled, gradient=f.gradient)
+    assert np.array_equal(stale.gradient(x), 3.0 * f.gradient(x))
+
+
+def test_gradient_alone_is_rejected():
+    with pytest.raises(ConfigError, match="value_and_gradient"):
+        TestFunction("square", lambda x, out=None: x * x,
+                     gradient=lambda x: 2.0 * x)
 
 
 def test_complex_exponential_is_unimodular():
     f = complex_exponential(2.0)
     x = np.linspace(-3, 3, 7)
     np.testing.assert_allclose(np.abs(f.value(x)), 1.0)
-    np.testing.assert_allclose(f.gradient(x), 2j * f.value(x))
+    # no study reads the gradient of a complex f, so it has none
+    assert f.value_and_gradient is None and f.gradient is None
 
 
 def test_tensor_product_value_and_gradient():

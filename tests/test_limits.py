@@ -77,8 +77,9 @@ def test_lower_bound_constant_function_zero(brownian_bundle):
 
 def test_scale_equivariance(brownian_bundle):
     f = gaussian_bump()
-    g = TestFunction("scaled", lambda x: 2.0 * f.value(x),
-                     gradient=lambda x: 2.0 * f.gradient(x))
+    g = TestFunction("scaled", lambda x, out=None: 2.0 * f.value(x),
+                     value_and_gradient=lambda x, out=None: (
+                         2.0 * f.value(x), 2.0 * f.gradient(x)))
     cv_f = _energy(f, brownian_bundle)
     cv_g = _energy(g, brownian_bundle)
     np.testing.assert_allclose(cv_g, 4.0 * cv_f, rtol=1e-12)
@@ -87,15 +88,14 @@ def test_scale_equivariance(brownian_bundle):
 
 
 def test_custom_gradient_kernel_serves_the_limit_pass(brownian_bundle):
-    # a TestFunction given value and gradient kernels gets the pair kernel
-    # the limit pass calls, with the bits of the two kernels
+    # a custom pair kernel passes StudyConfig's check, serves the limit
+    # pass and gives the derived gradient its bits
     f = gaussian_bump()
     g = TestFunction("scaled", lambda x, out=None: 2.0 * f.value(x),
-                     gradient=lambda x: 2.0 * f.gradient(x))
+                     value_and_gradient=lambda x, out=None: (
+                         2.0 * f.value(x), 2.0 * f.gradient(x)))
     x = brownian_bundle.x[:3, :, 0]
-    value, grad = g.value_and_gradient(x)
-    assert np.array_equal(value, 2.0 * f.value(x))
-    assert np.array_equal(grad, 2.0 * f.gradient(x))
+    assert np.array_equal(g.gradient(x), 2.0 * f.gradient(x))
     StudyConfig(BrownianMotion(), g, (8, 16), 16, 100, 1, "clt")
     limit = [_study_outputs(h, 1.0, (8,), ("trapezoid",), True,
                             brownian_bundle, {})["grad_energy"] for h in (f, g)]
@@ -119,7 +119,7 @@ def test_limit_pass_leaves_the_paths_alone(brownian_bundle):
     # unshifted paths; the gradient energy must not square it in place
     half_square = TestFunction(
         "half_square", lambda x, out=None: 0.5 * np.asarray(x) ** 2,
-        gradient=lambda x: x)
+        value_and_gradient=lambda x, out=None: (0.5 * np.asarray(x) ** 2, x))
     paths = brownian_bundle.x.copy()
     out = _study_outputs(half_square, 1.0, (8,), ("trapezoid",), True,
                          brownian_bundle, {})
