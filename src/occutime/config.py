@@ -159,12 +159,18 @@ def build_process(cfg: ResolvedConfig) -> ProcessSpec:
     else:
         raise ConfigError(f"[process] kind: unknown process kind {kind!r}; "
                           "choose brownian, deterministic_gaussian or stochvol")
+    return _in_section("process", make)
+
+
+def _in_section(section: str, make):
+    """``make()``, whose ConfigError messages open with the key's name: in
+    [section] unless the message names a section."""
     try:
         return make()
-    except ConfigError as exc:      # its messages open with the key's name,
-        text = str(exc)             # in [process] unless a section is named
+    except ConfigError as exc:
+        text = str(exc)
         raise ConfigError(text if text.startswith("[")
-                          else f"[process] {text}") from exc
+                          else f"[{section}] {text}") from exc
 
 
 def _constant_gaussian(cfg: ResolvedConfig, **common) -> DeterministicGaussian:
@@ -205,7 +211,8 @@ def build_study(cfg: ResolvedConfig, kind: str, seed_override: int | None = None
     estimators = tuple(
         p.strip() for p in cfg.get("study", "estimators",
                                    "riemann,trapezoid").split(",") if p.strip())
-    values = dict(
+    return _in_section("study", partial(
+        StudyConfig,
         spec=spec,
         function=function,
         n_list=n_list,
@@ -218,10 +225,4 @@ def build_study(cfg: ResolvedConfig, kind: str, seed_override: int | None = None
         horizon=cfg.number("study", "horizon", "1.0"),
         threads=threads,
         u_list=cfg.numbers("study", "u_list", "1,3,10"),
-    )
-    try:
-        return StudyConfig(**values)
-    except ConfigError as exc:      # its messages open with the key's name,
-        text = str(exc)             # in [study] unless a section is named
-        raise ConfigError(text if text.startswith("[")
-                          else f"[study] {text}") from exc
+    ))

@@ -12,11 +12,11 @@ a grid of lcm(n_list) steps. The errors are correlated across n, so the
 rate slope is a generalized least-squares fit under the path-level
 covariance of the log-RMS values.
 
-Each worker thread of a pass simulates all its chunks into one set of path
-and volatility buffers, and hands its chunk worker one dict of pass buffers
-(``_pass_buffer``), in which the worker keeps f and grad f at the nodes and
-its other chunk-sized arrays. So a chunk worker's outputs must own their
-data: the thread's next chunk overwrites the bundle and the buffers.
+Each worker thread of a pass keeps one dict of pass buffers
+(``processes._pass_buffer``): the simulator draws every chunk's paths into
+it, and the chunk worker keeps Y, f and grad f at the nodes and its other
+chunk-sized arrays there. So a chunk worker's outputs must own their data:
+the thread's next chunk overwrites the bundle and the buffers.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .fourier import (_interval_nodes, _require_gaussian, compute_E,
 from .grids import build_grid
 from .limits import gradient_energy, mean_se, root_mean_se
 from .processes import (BrownianMotion, DeterministicGaussian, ProcessSpec,
-                        path_buffers, simulate_paths)
+                        _pass_buffer, simulate_paths)
 
 ESTIMATOR_NAMES = ("riemann", "trapezoid", "bridge")
 DEGENERATE_RMS = 1e-12
@@ -161,16 +161,6 @@ def _chunk_size(spec, grid) -> int:
     return int(np.clip(CHUNK_FLOATS // floats, 16, CHUNK_SIZE))
 
 
-def _pass_buffer(buffers: dict, name: str, shape, dtype=float) -> np.ndarray:
-    """An uninitialized array of ``shape``: a view of the buffer ``name`` in
-    a thread's pass buffers, made (or grown) at its first use in the pass."""
-    size = math.prod(shape)
-    flat = buffers.get(name)
-    if flat is None or flat.size < size:
-        flat = buffers[name] = np.empty(size, dtype)
-    return flat[:size].reshape(shape)
-
-
 def _ensemble_map(spec, grid, paths: int, seed: int, worker,
                   threads: int = 1, chunk_size: int | None = None) -> dict:
     """Apply ``worker(bundle, buffers) -> dict of arrays`` chunk-wise and
@@ -179,11 +169,12 @@ def _ensemble_map(spec, grid, paths: int, seed: int, worker,
     Per-path random streams make the result independent of the chunk
     layout and of ``threads``; the chunk size only bounds peak memory, so
     it shrinks as the fine grid or the dimension grows. Each thread of the
-    pass simulates all its chunks into one set of path (and volatility)
-    buffers and hands every chunk the same dict of pass buffers (see
-    :func:`_pass_buffer`), all dropped when the pass ends. So a bundle and
-    the buffers are only valid while its worker runs: the worker's outputs
-    must own their data, not view either.
+    pass keeps one dict of pass buffers (see
+    :func:`~occutime.processes._pass_buffer`), dropped when the pass ends:
+    the simulator draws every chunk's paths into it, and the worker keeps
+    its chunk-sized arrays there. So a bundle and the buffers are only
+    valid while its worker runs: the worker's outputs must own their data,
+    not view either.
     """
     if chunk_size is None:
         chunk_size = _chunk_size(spec, grid)
@@ -191,12 +182,11 @@ def _ensemble_map(spec, grid, paths: int, seed: int, worker,
     local = threading.local()
 
     def run(start):
-        count = min(chunk_size, paths - start)
         if not hasattr(local, "buffers"):
-            local.paths = path_buffers(spec, grid, min(chunk_size, paths))
             local.buffers = {}
-        bundle = simulate_paths(spec, grid, count, seed,
-                                first_path_index=start, out=local.paths)
+        bundle = simulate_paths(spec, grid, min(chunk_size, paths - start),
+                                seed, first_path_index=start,
+                                buffers=local.buffers)
         return worker(bundle, local.buffers)
 
     if threads <= 1:

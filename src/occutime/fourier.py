@@ -83,7 +83,7 @@ def _setup(bundle: PathBundle, t: float | None, what: str):
         raise CapabilityError(f"{what} is implemented for dimension 1")
     grid = bundle.grid
     K = grid.coarse_index(grid.horizon if t is None else t)
-    y = bundle.observed(coarse=True)[:, :K + 1, 0]
+    y = bundle.observed(stride=grid.refine_factor)[:, :K + 1, 0]
     return _interval_nodes(bundle.spec, grid, K), y
 
 

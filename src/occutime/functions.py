@@ -40,8 +40,8 @@ class TestFunction:
 
     Give grad f as ``value_and_gradient(x, out=None)``. ``gradient`` is
     read-only: it is always derived from the pair, also when
-    ``dataclasses.replace`` changes the pair, and a ``gradient`` given
-    without a pair raises ``ConfigError``. ``value`` must accept ``out=``
+    ``dataclasses.replace`` changes or drops the pair, and a ``gradient``
+    given without a pair raises ``ConfigError``. ``value`` must accept ``out=``
     (it may ignore it), since the study passes give it one."""
     __test__ = False        # not a pytest test class despite the name
 
@@ -56,8 +56,11 @@ class TestFunction:
     value_and_gradient: Callable | None = None    # (x, out=None) -> (f, grad f)
 
     def __post_init__(self):
-        pair = self.value_and_gradient
-        if pair is None and self.gradient is not None:
+        pair, given = self.value_and_gradient, self.gradient
+        # dataclasses.replace hands back the derived gradient: not given
+        if isinstance(given, partial) and given.func is _gradient_of:
+            given = None
+        if pair is None and given is not None:
             raise ConfigError(f"{self.name}: give grad f as value_and_gradient=;"
                               f" gradient is derived from it")
         object.__setattr__(self, "gradient",

@@ -19,10 +19,17 @@ seed is a non-negative integer and path indices lie in [0, 2**32), so each
 index is one spawn word. The keys of all paths of a call are computed in
 one array call (``_stream_keys``), and one generator per call is re-keyed
 for each path instead of building a SeedSequence per path.
+
+``_pass_buffer`` is the one allocator of chunk-sized arrays. Given a dict
+of pass buffers, as every thread of a study pass keeps one, it hands out a
+view of a named buffer there, which ``simulate_paths(buffers=)`` fills
+with the paths and the study's chunk worker with its own arrays; without
+one it returns a new array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 from typing import Callable
@@ -304,12 +311,13 @@ class PathBundle:
     def path_indices(self) -> np.ndarray:
         return self.first_path_index + np.arange(self.count)
 
-    def observed(self, coarse: bool = False, stride: int = 1,
+    def observed(self, stride: int = 1,
                  out: np.ndarray | None = None) -> np.ndarray:
-        """Y = X + xi at every ``stride``-th fine node (or at the coarse
-        nodes), shape (paths, nodes, d), in ``out`` or a new array; a view
-        of ``x`` when the process has no shift, and ``out`` is unused."""
-        x = self.x[:, ::self.grid.refine_factor if coarse else stride]
+        """Y = X + xi at every ``stride``-th fine node (the coarse nodes at
+        ``stride=grid.refine_factor``), shape (paths, nodes, d), in ``out``
+        or a new array; a view of ``x`` when the process has no shift, and
+        ``out`` is unused."""
+        x = self.x[:, ::stride]
         if self.spec.shift_half_width is None:
             return x
         return np.add(x, self.shifts[:, None, :], out=out)
@@ -374,70 +382,28 @@ def _assemble(spec: ProcessSpec, grid: TimeGrid, x: np.ndarray,
     return sigma
 
 
-def path_buffers(spec: ProcessSpec, grid: TimeGrid, rows: int):
-    """Uninitialized ``(x, sigma)`` buffers for up to ``rows`` paths on
-    ``grid``, for the ``out=`` argument of :func:`simulate_paths`: x of
-    shape (rows, fine_count + 1, d), and sigma of shape (rows,
-    fine_count + 1) for StochVol or None for the other families."""
-    nodes = grid.fine_count + 1
-    return (np.empty((rows, nodes, spec.dimension)),
-            np.empty((rows, nodes)) if isinstance(spec, StochVol) else None)
-
-
-def _out_rows(spec: ProcessSpec, grid: TimeGrid, count: int, out):
-    """The leading ``count`` rows of the ``out=`` buffers, checked against
-    the layout of :func:`path_buffers`."""
-    x, sigma = out
-    nodes = grid.fine_count + 1
-    vol = isinstance(spec, StochVol)
-    for name, buf, trailing in (("x", x, (nodes, spec.dimension)),
-                                ("sigma", sigma, (nodes,) if vol else None)):
-        if trailing is None:
-            if buf is not None:
-                raise ValueError(f"out {name} must be None for "
-                                 f"{type(spec).__name__}")
-            continue
-        if not isinstance(buf, np.ndarray) or buf.dtype != np.float64:
-            raise ValueError(f"out {name} must be a float64 array")
-        if buf.shape[1:] != trailing or len(buf) < count:
-            raise ValueError(f"out {name} must have shape (>= {count}, "
-                             f"{', '.join(map(str, trailing))}), "
-                             f"got {buf.shape}")
-        if not buf.flags.c_contiguous:
-            raise ValueError(f"out {name} must be C-contiguous")
-    return x[:count], None if sigma is None else sigma[:count]
-
-
-def _simulate(spec: ProcessSpec, grid: TimeGrid, x: np.ndarray,
-              sigma: np.ndarray | None, master_seed: int,
-              first_path_index: int) -> PathBundle:
-    """Draw each path's shift and normals into the buffers, then assemble."""
-    count, d, w = len(x), spec.dimension, spec.shift_half_width
-    shifts = np.zeros((count, d))
-    indices = first_path_index + np.arange(count)
-    for i, rng in enumerate(_path_streams(master_seed, indices)):
-        # the shift, uniform on [-w, w]^d, then the (fine_count, d) normals,
-        # from the main stream
-        if w is not None:
-            shifts[i] = rng.uniform(-w, w, size=d)
-        rng.standard_normal(out=x[i, 1:])
-    if isinstance(spec, StochVol):
-        for i, rng in enumerate(_path_streams(master_seed, indices,
-                                              STREAM_VOL)):
-            rng.standard_normal(out=sigma[i, 1:])
-    return PathBundle(grid, spec, first_path_index, x,
-                      _assemble(spec, grid, x, sigma), shifts)
+def _pass_buffer(buffers: dict | None, name: str, shape,
+                 dtype=float) -> np.ndarray:
+    """An uninitialized array of ``shape``: a new one without ``buffers``,
+    else a view of the buffer ``name`` in a thread's pass buffers, made (or
+    grown) at its first use in the pass."""
+    if buffers is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    flat = buffers.get(name)
+    if flat is None or flat.size < size:
+        flat = buffers[name] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
 
 
 def simulate_paths(spec: ProcessSpec, grid: TimeGrid, count: int,
                    master_seed: int, first_path_index: int = 0, *,
-                   out=None) -> PathBundle:
+                   buffers: dict | None = None) -> PathBundle:
     """Simulate ``count`` trajectories on the fine grid, each from its own
-    streams. With ``out=(x, sigma)`` from :func:`path_buffers` (any row
-    count of at least ``count``) the paths are drawn and assembled in the
-    leading ``count`` rows of those buffers instead of new arrays, with the
-    same bits; the bundle's ``x`` and ``sigma`` are views of them, valid
-    until the buffers are filled again."""
+    streams. With a dict of pass buffers the paths are drawn and assembled
+    in its buffers ``x`` (and ``sigma`` for StochVol) instead of new
+    arrays, with the same bits; the bundle's ``x`` and ``sigma`` are views
+    of them, valid until the buffers are filled again."""
     if count < 1:
         raise ConfigError(f"path count must be >= 1, got {count}")
     if first_path_index < 0 or first_path_index + count > _MAX_PATHS:
@@ -446,11 +412,24 @@ def simulate_paths(spec: ProcessSpec, grid: TimeGrid, count: int,
             f"to {first_path_index + count - 1}")
     if not isinstance(spec, (BrownianMotion, DeterministicGaussian, StochVol)):
         raise ConfigError(f"unknown process spec {type(spec).__name__}")
-    if out is None:
-        x, sigma = path_buffers(spec, grid, count)
-    else:
-        x, sigma = _out_rows(spec, grid, count, out)
-    return _simulate(spec, grid, x, sigma, master_seed, first_path_index)
+    nodes, d, w = grid.fine_count + 1, spec.dimension, spec.shift_half_width
+    vol = isinstance(spec, StochVol)
+    x = _pass_buffer(buffers, "x", (count, nodes, d))
+    sigma = _pass_buffer(buffers, "sigma", (count, nodes)) if vol else None
+    shifts = np.zeros((count, d))
+    indices = first_path_index + np.arange(count)
+    for i, rng in enumerate(_path_streams(master_seed, indices)):
+        # the shift, uniform on [-w, w]^d, then the (fine_count, d) normals,
+        # from the main stream
+        if w is not None:
+            shifts[i] = rng.uniform(-w, w, size=d)
+        rng.standard_normal(out=x[i, 1:])
+    if vol:
+        for i, rng in enumerate(_path_streams(master_seed, indices,
+                                              STREAM_VOL)):
+            rng.standard_normal(out=sigma[i, 1:])
+    return PathBundle(grid, spec, first_path_index, x,
+                      _assemble(spec, grid, x, sigma), shifts)
 
 
 def dump_paths_csv(bundle: PathBundle, stream) -> None:

@@ -100,7 +100,7 @@ def test_1_algebraic_identities():
     # bridge estimator equals the trapezoid for f = identity, 1e-10
     grid = build_grid(1.0, 32, 1)
     bundle = simulate_paths(BrownianMotion(), grid, 1000, master_seed=2)
-    coarse = bundle.observed(coarse=True)[:, :, 0]
+    coarse = bundle.observed(stride=grid.refine_factor)[:, :, 0]
     gap = np.max(np.abs(bridge_conditional_estimate(identity(), coarse, grid)
                         - trapezoid_estimate(coarse, grid)))
     bridge_ok = gap < 1e-10

@@ -83,7 +83,7 @@ def test_reference_value_is_fine_trapezoid():
 def test_bridge_equals_trapezoid_for_identity():
     grid = build_grid(1.0, 16, 1)
     bundle = simulate_paths(BrownianMotion(), grid, 100, master_seed=21)
-    coarse = bundle.observed(coarse=True)[:, :, 0]
+    coarse = bundle.observed(stride=grid.refine_factor)[:, :, 0]
     bridge = bridge_conditional_estimate(identity(), coarse, grid)
     trap = trapezoid_estimate(coarse, grid)
     np.testing.assert_allclose(bridge, trap, atol=1e-12)
@@ -167,7 +167,8 @@ def test_bridge_tensor_product_factorizes():
     spec = BrownianMotion(dimension=2, x0=(0.0, 0.0))
     bundle = simulate_paths(spec, grid, 50, master_seed=3)
     f2 = tensor_product([gaussian_bump(), gaussian_bump()])
-    joint = bridge_conditional_estimate(f2, bundle.observed(coarse=True), grid)
+    joint = bridge_conditional_estimate(
+        f2, bundle.observed(stride=grid.refine_factor), grid)
     assert joint.shape == (50,)
     assert np.all(joint >= 0) and np.all(joint <= 1.0)
 
@@ -185,6 +186,6 @@ def test_common_paths_error_ordering():
     err_riem = rms(ref - riemann_estimate(coarse, grid))
     err_trap = rms(ref - trapezoid_estimate(coarse, grid))
     err_bridge = rms(ref - bridge_conditional_estimate(
-        f, bundle.observed(coarse=True)[:, :, 0], grid))
+        f, bundle.observed(stride=grid.refine_factor)[:, :, 0], grid))
     assert err_bridge <= err_trap * 1.02
     assert err_trap < err_riem

@@ -418,10 +418,10 @@ def test_one_thread_reuses_its_value_and_gradient_buffers(monkeypatch):
 
 
 def test_limit_pass_allocates_no_chunk_array_beyond_its_buffers():
-    # three chunks of 40 paths on 2049 fine nodes, on one thread: the path
-    # buffer and the pass buffers (Y, f and grad f) are made for the first
-    # chunk and reused, and every other array of a chunk, the bridge's and
-    # numpy's fixed-size ufunc buffers included, is well below one chunk
+    # three chunks of 40 paths on 2049 fine nodes, on one thread: the pass
+    # buffers (X, Y, f and grad f) are made for the first chunk and reused,
+    # and every other array of a chunk, the bridge's and numpy's fixed-size
+    # ufunc buffers included, is well below one chunk
     held = []
 
     def worker(bundle, buffers):
@@ -441,9 +441,10 @@ def test_limit_pass_allocates_no_chunk_array_beyond_its_buffers():
     chunk = 40 * 2049 * 8
     paths, buffers = held[0]
     assert paths.nbytes == chunk
-    assert sorted(buffers) == ["gradients", "points", "values"]
+    assert sorted(buffers) == ["gradients", "points", "values", "x"]
+    assert np.shares_memory(paths, buffers["x"])
     assert all(b is buffers for _, b in held)
-    kept = paths.nbytes + sum(a.nbytes for a in buffers.values())
+    kept = sum(a.nbytes for a in buffers.values())
     assert kept == 4 * chunk
     assert peak < kept + chunk / 2
 

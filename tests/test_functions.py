@@ -450,6 +450,16 @@ def test_gradient_alone_is_rejected():
                      gradient=lambda x: 2.0 * x)
 
 
+@pytest.mark.parametrize("make", [
+    hat, lambda: lacunary(1.2, J=7),
+    lambda: tensor_product([gaussian_bump(), hat()]),
+], ids=["hat", "lacunary", "tensor-bump-hat"])
+def test_replace_can_drop_the_pair(make):
+    # replace carries the derived gradient over; it does not count as given
+    f = dataclasses.replace(make(), value_and_gradient=None)
+    assert f.value_and_gradient is None and f.gradient is None
+
+
 def test_complex_exponential_is_unimodular():
     f = complex_exponential(2.0)
     x = np.linspace(-3, 3, 7)

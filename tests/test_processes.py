@@ -19,7 +19,7 @@ from occutime import (
 )
 from occutime.config import _SCHEMA, build_process, load_config
 from occutime.processes import (STREAM_MAIN, STREAM_VOL, _path_streams,
-                                _stream_keys, dump_paths_csv, path_buffers)
+                                _stream_keys, dump_paths_csv)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -66,50 +66,31 @@ OUT_IDS = ["brownian-shift", "brownian-2d", "deterministic", "stochvol"]
 
 @pytest.mark.parametrize("spec", OUT_SPECS, ids=OUT_IDS)
 def test_simulate_into_buffers_matches_a_fresh_simulation(spec):
-    # 5 paths into the leading rows of 7-row buffers full of NaN
+    # one dict of pass buffers for 3, 5 and 2 paths: the buffers are made,
+    # grown once, then viewed, and are full of NaN before every call
     grid = build_grid(1.0, 4, 8)
-    buffers = path_buffers(spec, grid, 7)
-    for buf in buffers:
-        if buf is not None:
+    buffers = {}
+    for count, first in ((3, 0), (5, 3), (2, 8)):
+        for buf in buffers.values():
             buf.fill(np.nan)
-    bundle = simulate_paths(spec, grid, 5, 31, first_path_index=3,
-                            out=buffers)
-    fresh = simulate_paths(spec, grid, 5, 31, first_path_index=3)
-    for name in ("x", "sigma", "shifts"):
-        got, want = getattr(bundle, name), getattr(fresh, name)
-        if want is None:
-            assert got is None
-        else:
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-    assert np.shares_memory(bundle.x, buffers[0])
-    if isinstance(spec, StochVol):
-        assert np.shares_memory(bundle.sigma, buffers[1])
-    else:
-        assert buffers[1] is None
-
-
-@pytest.mark.parametrize("spec", OUT_SPECS, ids=OUT_IDS)
-def test_simulate_into_bad_buffers_raises(spec):
-    grid = build_grid(1.0, 4, 8)
-    x, sigma = path_buffers(spec, grid, 6)
-    nodes, d = x.shape[1:]
-    wide = np.empty((6, nodes, d + 1))
-    bad = [
-        (np.empty((6, nodes + 1, d)), sigma),           # trailing shape
-        (np.empty(x.shape, np.float32), sigma),         # dtype
-        (wide[:, :, :d], sigma),                        # not contiguous
-        (x[:3], sigma),                                 # too few rows
-    ]
-    if sigma is not None:
-        bad += [(x, np.empty((6, nodes + 1))),
-                (x, np.empty(sigma.shape, np.float32)),
-                (x, np.empty((12, nodes))[::2]), (x, None)]
-    else:
-        bad.append((x, np.empty((6, nodes))))           # sigma for no vol
-    for out in bad:
-        with pytest.raises(ValueError, match="out "):
-            simulate_paths(spec, grid, 5, 31, out=out)
+        held = dict(buffers)
+        bundle = simulate_paths(spec, grid, count, 31, first_path_index=first,
+                                buffers=buffers)
+        fresh = simulate_paths(spec, grid, count, 31, first_path_index=first)
+        for name in ("x", "sigma", "shifts"):
+            got, want = getattr(bundle, name), getattr(fresh, name)
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        vol = isinstance(spec, StochVol)
+        assert sorted(buffers) == (["sigma", "x"] if vol else ["x"])
+        assert np.shares_memory(bundle.x, buffers["x"])
+        if vol:
+            assert np.shares_memory(bundle.sigma, buffers["sigma"])
+        assert all((buffers[k] is held.get(k)) == (count == 2)
+                   for k in buffers)
 
 
 def test_stochvol_matches_per_path_euler():
@@ -434,13 +415,11 @@ def test_observed_paths_apply_the_shift_once():
     plain = simulate_paths(BrownianMotion(dimension=2, x0=(0.0, 1.0)), grid,
                            6, master_seed=4)
     assert np.shares_memory(plain.observed(), plain.x)
-    assert np.shares_memory(plain.observed(coarse=True), plain.x)
     assert np.shares_memory(plain.observed(stride=2), plain.x)
     shifted = simulate_paths(BrownianMotion(shift_half_width=0.5), grid, 6,
                              master_seed=4)
     y = shifted.x + shifted.shifts[:, None, :]
     np.testing.assert_array_equal(shifted.observed(), y)
-    np.testing.assert_array_equal(shifted.observed(coarse=True), y[:, ::3])
     np.testing.assert_array_equal(shifted.observed(stride=2), y[:, ::2])
 
 
