@@ -231,7 +231,13 @@ def main(argv=None) -> int:
         print(f"error: config file not found: {config_path}", file=sys.stderr)
         return 1
     try:
-        cfg = load_config(config_path.read_text(), args.overrides)
+        text = config_path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config file {config_path}: {exc}",
+              file=sys.stderr)
+        return 1
+    try:
+        cfg = load_config(text, args.overrides)
         started = time.perf_counter()
         out_dir = Path(args.out)
         layout = {}

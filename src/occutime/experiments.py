@@ -13,10 +13,10 @@ rate slope is a generalized least-squares fit under the path-level
 covariance of the log-RMS values.
 
 Each worker thread of a pass keeps one dict of pass buffers
-(``processes._pass_buffer``): the simulator draws every chunk's paths into
-it, and the chunk worker keeps Y, f and grad f at the nodes and its other
-chunk-sized arrays there. So a chunk worker's outputs must own their data:
-the thread's next chunk overwrites the bundle and the buffers.
+(``processes._pass_buffer``): the simulator draws every chunk's observed
+paths into it, and the chunk worker keeps f and grad f at the nodes and
+its other chunk-sized arrays there. So a chunk worker's outputs must own
+their data: the thread's next chunk overwrites the bundle and the buffers.
 """
 
 from __future__ import annotations
@@ -205,15 +205,13 @@ def _study_outputs(f: TestFunction, t: float, n_list, estimators,
     node and the fine sum is the reference for every n. With ``limit`` also
     the gradient energy up to t and the realized endpoint bias
     (f(Y_t) - f(Y_0)) / 2, which the limit laws need. The kernels may
-    write Y, f(Y) and grad f(Y) into the pass buffers ``buffers``, and
-    the gradient energy squares sigma^T grad f(Y) in the one of grad f."""
+    write f(Y) and grad f(Y) into the pass buffers ``buffers``, and the
+    gradient energy squares sigma^T grad f(Y) in the one of grad f."""
     grid = bundle.grid
     shape = bundle.x.shape
-    shifted = bundle.spec.shift_half_width is not None
     grad_buffer = _pass_buffer(buffers, "gradients", shape) if limit else None
-    targets = (_pass_buffer(buffers, "points", shape) if shifted else None,
-               _pass_buffer(buffers, "values", shape[:2]), grad_buffer)
-    vals = eval_on_path(f, bundle, gradient=limit, out=targets)
+    vals = eval_on_path(f, bundle, gradient=limit, out=(
+        _pass_buffer(buffers, "values", shape[:2]), grad_buffer))
     if limit:
         vals, grad = vals
     ref = reference_value(vals, grid, t)
@@ -229,7 +227,7 @@ def _study_outputs(f: TestFunction, t: float, n_list, estimators,
             elif name == "trapezoid":
                 est = trapezoid_estimate(coarse_vals, coarse, t)
             else:
-                y = bundle.observed(stride=stride)
+                y = bundle.x[:, ::stride]
                 x_arg = y[:, :, 0] if f.dimension == 1 else y
                 est = bridge_conditional_estimate(f, x_arg, coarse, t,
                                                   spec=bundle.spec)
@@ -420,7 +418,7 @@ def _g_decay_outputs(strides, weights, bundle, buffers: dict) -> dict:
     phases = _pass_buffer(buffers, "phases", (2, size), complex)
     terms = _pass_buffer(buffers, "terms", (size,))
     for i, (stride, row) in enumerate(zip(strides, weights)):
-        y_left = bundle.observed(stride=stride)[:, :-1, 0]
+        y_left = bundle.x[:, ::stride][:, :-1, 0]
         f1, f2 = phases[:, :y_left.size].reshape((2,) + y_left.shape)
         sup = terms[:y_left.size].reshape(y_left.shape)
         for j, (u, c1, c2, scale) in enumerate(row):

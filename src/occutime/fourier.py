@@ -8,12 +8,13 @@ characteristic function. This module assembles the split, the endpoint sum
 E and the weighted drift/diffusion integrals F1/F2 from given paths; the
 decay probe ``experiments.g_decay_probe`` reads their weights (``f_weights``).
 
-All of these read one deterministic node table (``_interval_nodes``): the
+All of these read a deterministic node table (``_interval_nodes``): the
 mean and variance of X_r - X_{t_k} at the Gauss-Legendre times r of every
 coarse interval and at its right end, with b_r, sigma_r^2 and the F weights.
-The table is built once per grid, for all frequencies, and is the only place
-that tells Brownian from deterministic coefficients; every reader is array
-arithmetic over (paths, intervals, nodes).
+``decompose``, ``compute_E``, ``compute_F`` and the decay probe each build
+their own, for every frequency of the call. The table is the only place that
+tells Brownian from deterministic coefficients; every reader is array
+arithmetic over (paths, intervals, nodes) of the observed paths ``bundle.x``.
 """
 
 from __future__ import annotations
@@ -77,13 +78,13 @@ def _interval_nodes(spec, grid: TimeGrid, K: int) -> _IntervalNodes:
 
 def _setup(bundle: PathBundle, t: float | None, what: str):
     """Checks shared by the readers; the node table of the K intervals up to
-    t and the coarse observations Y_{t_0}, ..., Y_{t_K} (shift included)."""
+    t and the coarse observations Y_{t_0}, ..., Y_{t_K}."""
     _require_gaussian(bundle.spec, what)
     if bundle.dimension != 1:
         raise CapabilityError(f"{what} is implemented for dimension 1")
     grid = bundle.grid
     K = grid.coarse_index(grid.horizon if t is None else t)
-    y = bundle.observed(stride=grid.refine_factor)[:, :K + 1, 0]
+    y = bundle.x[:, ::grid.refine_factor][:, :K + 1, 0]
     return _interval_nodes(bundle.spec, grid, K), y
 
 
@@ -110,7 +111,7 @@ def decompose(f: TestFunction, bundle: PathBundle,
     D (conditional expectation of the increment of f along the path)."""
     nodes, y = _setup(bundle, t, "decompose")
     grid = bundle.grid
-    fy = f.value(bundle.observed()[:, :, 0])
+    fy = f.value(bundle.x[:, :, 0])
     cond = gaussian_mean(f, y[:, :-1, None] + nodes.mean, nodes.var)
     cond_int = grid.coarse_step * (cond @ nodes.tw).sum(axis=1)
     return DecompositionTrace(

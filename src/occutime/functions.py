@@ -76,19 +76,18 @@ def _gradient_of(value_and_gradient, x):
 
 def eval_on_path(f: TestFunction, bundle, gradient: bool = False, out=None):
     """Sample f (and optionally its gradient) at the fine nodes of the
-    observed paths Y = X + xi (see ``PathBundle.observed``).
+    observed paths ``bundle.x``.
 
     Returns an array of shape (paths, nodes) or a pair with the gradient
     array (paths, nodes, d). A one-dimensional f gets the points without
     their coordinate axis, and its gradient gets the axis back. ``out`` is
-    None or the triple (points, values, gradients) of arrays the kernels
-    may fill (see the module docstring), each of them None or of the shape
-    above: points (paths, nodes, d) takes Y of a shifted process.
+    None or the pair (values, gradients) of arrays the kernels may fill
+    (see the module docstring), each of them None or of the shape above.
     """
     if gradient and f.value_and_gradient is None:
         raise CapabilityError(f"{f.name} has no gradient")
-    points, values, grads = (None, None, None) if out is None else out
-    y = bundle.observed(out=points)
+    values, grads = (None, None) if out is None else out
+    y = bundle.x
     squeeze = f.dimension == 1 and y.shape[-1] == 1
     if squeeze:
         y = y[..., 0]

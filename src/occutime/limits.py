@@ -3,10 +3,10 @@
 The limiting error of the coarse-grid quadrature at time t is mixed normal:
 a bias term from the path endpoints plus a Gaussian integral against an
 auxiliary Brownian motion, with conditional variance one twelfth of the
-time integral of |sigma^T grad f(Y)|^2 over [0, t], Y = X + xi the observed
-path. The same integral averaged over paths is the square of the minimal
-asymptotic root-mean-square constant. ``gradient_energy`` is the one
-implementation of that integral: the clt standardization and the
+time integral of |sigma^T grad f(Y)|^2 over [0, t], Y the observed path
+``PathBundle.x``. The same integral averaged over paths is the square of
+the minimal asymptotic root-mean-square constant. ``gradient_energy`` is
+the one implementation of that integral: the clt standardization and the
 efficiency floor both read it. Every study reports its Monte Carlo means
 with ``mean_se`` or ``root_mean_se``.
 """

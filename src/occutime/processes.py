@@ -6,12 +6,12 @@ Gaussian processes with deterministic time-dependent drift/diffusion
 example driven by an auxiliary Brownian motion (Euler-Maruyama on the
 fine grid). Each family takes ``dimension``, the start point ``x0`` (the
 origin by default) and ``shift_half_width`` w, which when set adds an
-independent shift uniform on [-w, w]^d, and checks them at construction.
-All three run one simulation loop: each path starts at ``x0`` and draws
-its shift and standard normals from a counter-based stream derived from
-``(master_seed, path_index)``, and only the rule that turns the normals
-into increments depends on the family. Ensembles are therefore
-reproducible bit for bit regardless of chunking or thread count.
+independent shift xi uniform on [-w, w]^d to the start, and checks them at
+construction. All three run one simulation loop: each path draws its shift
+and standard normals from a counter-based stream derived from
+``(master_seed, path_index)`` and starts at x0 + xi, and only the rule that
+turns the normals into increments depends on the family. Ensembles are
+therefore reproducible bit for bit regardless of chunking or thread count.
 
 The stream contract: the stream with tag ``tag`` of path ``i`` is
 ``Generator(Philox(SeedSequence(master_seed, spawn_key=(i, tag))))``. The
@@ -285,12 +285,13 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
 class PathBundle:
     """Ensemble of fine-grid trajectories.
 
-    ``x`` has shape (paths, fine_count + 1, d) and ``shifts`` (paths, d).
-    ``sigma`` is the diffusion coefficient at the fine nodes: None for
-    Brownian motion (the identity), (fine_count + 1, d, d) shared across
-    paths for deterministic coefficients, or (paths, fine_count + 1) for the
-    scalar stochastic volatility. The driving normals are not stored; they
-    are a pure function of (master_seed, path index).
+    ``x`` has shape (paths, fine_count + 1, d): the observed paths, each
+    started at x0 plus its shift. ``sigma`` is the diffusion coefficient at
+    the fine nodes: None for Brownian motion (the identity), shape
+    (fine_count + 1, d, d) shared across paths for deterministic
+    coefficients, or (paths, fine_count + 1) for the scalar stochastic
+    volatility. The driving normals and shifts are not stored; they are a
+    pure function of (master_seed, path index).
     """
 
     grid: TimeGrid
@@ -298,7 +299,6 @@ class PathBundle:
     first_path_index: int
     x: np.ndarray
     sigma: np.ndarray | None
-    shifts: np.ndarray
 
     @property
     def count(self) -> int:
@@ -310,17 +310,6 @@ class PathBundle:
 
     def path_indices(self) -> np.ndarray:
         return self.first_path_index + np.arange(self.count)
-
-    def observed(self, stride: int = 1,
-                 out: np.ndarray | None = None) -> np.ndarray:
-        """Y = X + xi at every ``stride``-th fine node (the coarse nodes at
-        ``stride=grid.refine_factor``), shape (paths, nodes, d), in ``out``
-        or a new array; a view of ``x`` when the process has no shift, and
-        ``out`` is unused."""
-        x = self.x[:, ::stride]
-        if self.spec.shift_half_width is None:
-            return x
-        return np.add(x, self.shifts[:, None, :], out=out)
 
 
 def _diffusion_nodes(spec: DeterministicGaussian, grid: TimeGrid) -> np.ndarray:
@@ -399,11 +388,11 @@ def _pass_buffer(buffers: dict | None, name: str, shape,
 def simulate_paths(spec: ProcessSpec, grid: TimeGrid, count: int,
                    master_seed: int, first_path_index: int = 0, *,
                    buffers: dict | None = None) -> PathBundle:
-    """Simulate ``count`` trajectories on the fine grid, each from its own
-    streams. With a dict of pass buffers the paths are drawn and assembled
-    in its buffers ``x`` (and ``sigma`` for StochVol) instead of new
-    arrays, with the same bits; the bundle's ``x`` and ``sigma`` are views
-    of them, valid until the buffers are filled again."""
+    """Simulate ``count`` trajectories from x0 plus a shift on the fine
+    grid, each from its own streams. With a dict of pass buffers the paths
+    are drawn and assembled in its buffers ``x`` (and ``sigma`` for StochVol)
+    instead of new arrays, with the same bits; the bundle's ``x`` and
+    ``sigma`` are views of them, valid until the buffers are filled again."""
     if count < 1:
         raise ConfigError(f"path count must be >= 1, got {count}")
     if first_path_index < 0 or first_path_index + count > _MAX_PATHS:
@@ -416,20 +405,22 @@ def simulate_paths(spec: ProcessSpec, grid: TimeGrid, count: int,
     vol = isinstance(spec, StochVol)
     x = _pass_buffer(buffers, "x", (count, nodes, d))
     sigma = _pass_buffer(buffers, "sigma", (count, nodes)) if vol else None
-    shifts = np.zeros((count, d))
+    shifts = None if w is None else np.empty((count, 1, d))
     indices = first_path_index + np.arange(count)
     for i, rng in enumerate(_path_streams(master_seed, indices)):
         # the shift, uniform on [-w, w]^d, then the (fine_count, d) normals,
         # from the main stream
         if w is not None:
-            shifts[i] = rng.uniform(-w, w, size=d)
+            shifts[i, 0] = rng.uniform(-w, w, size=d)
         rng.standard_normal(out=x[i, 1:])
     if vol:
         for i, rng in enumerate(_path_streams(master_seed, indices,
                                               STREAM_VOL)):
             rng.standard_normal(out=sigma[i, 1:])
-    return PathBundle(grid, spec, first_path_index, x,
-                      _assemble(spec, grid, x, sigma), shifts)
+    sigma = _assemble(spec, grid, x, sigma)
+    if w is not None:
+        x += shifts      # x0 first, then xi: (x0 + increments) + xi
+    return PathBundle(grid, spec, first_path_index, x, sigma)
 
 
 def dump_paths_csv(bundle: PathBundle, stream) -> None:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import occutime
+from occutime import BrownianMotion, build_grid, simulate_paths
 from occutime.cli import main
 
 STUDY_CFG = """\
@@ -56,6 +57,16 @@ def test_missing_config_exits_1(tmp_path, capsys):
     assert "absent.cfg" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_1_naming_file(tmp_path, capsys):
+    path = tmp_path / "bytes.cfg"
+    path.write_bytes(b"[study]\nn_list = 8\xff\xfe\n")
+    rc = main(["norms", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {path}: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_key_exits_1_naming_key(tmp_path, capsys):
     cfg = _write(tmp_path, NORMS_CFG + "typo_key = 3\n")
     rc = main(["norms", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -82,6 +93,22 @@ def test_simulate_writes_paths_csv(tmp_path):
     lines = (out / "paths.csv").read_text().strip().split("\n")
     assert lines[0] == "path_id,time,x_1"
     assert len(lines) == 1 + 3 * 9
+
+
+def test_simulate_writes_the_shifted_paths(tmp_path):
+    # the start rows are x0 + xi, and every value is that of the bundle
+    cfg = _write(tmp_path, SIM_CFG.replace(
+        "kind = brownian", "kind = brownian\nshift_half_width = 0.5"))
+    out = tmp_path / "shifted"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            (out / "paths.csv").read_text().strip().split("\n")[1:]]
+    bundle = simulate_paths(BrownianMotion(shift_half_width=0.5),
+                            build_grid(1.0, 4, 2), 3, 5)
+    starts = [float(row[2]) for row in rows if row[1] == "0.0"]
+    assert len(starts) == 3 and len(set(starts)) == 3
+    assert all(0.0 < abs(x) <= 0.5 for x in starts)    # x0 is the origin
+    assert [row[2] for row in rows] == list(map(repr, bundle.x.ravel().tolist()))
 
 
 def _reject_constant(name):

@@ -368,7 +368,7 @@ _STOCHVOL_LIMIT = partial(_study_outputs, gaussian_bump(), 0.75, (2, 4, 8),
                           ("riemann", "trapezoid"), True)
 
 _OWNERSHIP_CASES = pytest.mark.parametrize("spec, worker", [
-    # no shift: the observed points are a view of bundle.x
+    # no shift; the kernels read the observed paths bundle.x themselves
     *((_brownian(kind), _CHUNK_WORKERS[kind])
       for kind in sorted(_CHUNK_WORKERS)),
     (StochVol(), _STOCHVOL_LIMIT),
@@ -419,7 +419,7 @@ def test_one_thread_reuses_its_value_and_gradient_buffers(monkeypatch):
 
 def test_limit_pass_allocates_no_chunk_array_beyond_its_buffers():
     # three chunks of 40 paths on 2049 fine nodes, on one thread: the pass
-    # buffers (X, Y, f and grad f) are made for the first chunk and reused,
+    # buffers (Y, f and grad f) are made for the first chunk and reused,
     # and every other array of a chunk, the bridge's and numpy's fixed-size
     # ufunc buffers included, is well below one chunk
     held = []
@@ -441,11 +441,11 @@ def test_limit_pass_allocates_no_chunk_array_beyond_its_buffers():
     chunk = 40 * 2049 * 8
     paths, buffers = held[0]
     assert paths.nbytes == chunk
-    assert sorted(buffers) == ["gradients", "points", "values", "x"]
+    assert sorted(buffers) == ["gradients", "values", "x"]
     assert np.shares_memory(paths, buffers["x"])
     assert all(b is buffers for _, b in held)
     kept = sum(a.nbytes for a in buffers.values())
-    assert kept == 4 * chunk
+    assert kept == 3 * chunk
     assert peak < kept + chunk / 2
 
 

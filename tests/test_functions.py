@@ -134,7 +134,7 @@ def test_gaussian_bump_kernels_round_as_the_formula(shape):
 
 
 def test_gaussian_bump_leaves_the_paths_unwritten():
-    # without a shift the observed points are a view of bundle.x
+    # the kernels read the observed paths bundle.x themselves
     bundle = simulate_paths(BrownianMotion(), build_grid(1.0, 4, 4), 5, 1)
     before = bundle.x.copy()
     eval_on_path(gaussian_bump(), bundle, gradient=True)
@@ -410,7 +410,7 @@ def test_eval_on_path_hands_back_the_gradient_buffer_of_a_1d_function():
     bundle = simulate_paths(BrownianMotion(), build_grid(1.0, 4, 4), 3, 1)
     values, grads = np.empty(bundle.x.shape[:2]), np.empty(bundle.x.shape)
     vals, grad = eval_on_path(gaussian_bump(), bundle, gradient=True,
-                              out=(None, values, grads))
+                              out=(values, grads))
     assert vals is values
     assert grad.shape == grads.shape and grad.strides == grads.strides
     assert np.shares_memory(grad, grads)

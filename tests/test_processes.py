@@ -45,7 +45,6 @@ def test_streams_independent_of_chunking(spec):
     tail = simulate_paths(spec, grid, 4, master_seed=99, first_path_index=2)
     for part, rows in ((head, slice(0, 2)), (tail, slice(2, 6))):
         np.testing.assert_array_equal(whole.x[rows], part.x)
-        np.testing.assert_array_equal(whole.shifts[rows], part.shifts)
         if isinstance(spec, BrownianMotion):
             assert part.sigma is None
         elif isinstance(spec, DeterministicGaussian):
@@ -77,7 +76,7 @@ def test_simulate_into_buffers_matches_a_fresh_simulation(spec):
         bundle = simulate_paths(spec, grid, count, 31, first_path_index=first,
                                 buffers=buffers)
         fresh = simulate_paths(spec, grid, count, 31, first_path_index=first)
-        for name in ("x", "sigma", "shifts"):
+        for name in ("x", "sigma"):
             got, want = getattr(bundle, name), getattr(fresh, name)
             if want is None:
                 assert got is None
@@ -215,9 +214,10 @@ def test_shift_then_normals_drawn_as_the_oracle():
         rng = path_rng(2 ** 40 + 9, 2 ** 32 - 3 + i)
         shift = rng.uniform(-0.5, 0.5, size=2)
         z = rng.standard_normal((grid.fine_count, 2))
-        x = np.cumsum(z * sqrt_dt, axis=0) + np.array([0.0, 1.0])
-        assert bundle.shifts[i].tobytes() == shift.tobytes()
-        assert bundle.x[i, 1:].tobytes() == x.tobytes()
+        x0 = np.array([0.0, 1.0])
+        # x0 first, then the shift, once per node
+        x = np.vstack([x0, np.cumsum(z * sqrt_dt, axis=0) + x0]) + shift
+        assert bundle.x[i].tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("first, count", [(-1, 2), (2 ** 32 - 1, 2),
@@ -245,7 +245,7 @@ def test_no_seed_sequence_per_path(monkeypatch):
     want = simulate_paths(spec, grid, 5, master_seed=3)
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
     got = simulate_paths(spec, grid, 5, master_seed=3)
-    for name in ("x", "sigma", "shifts"):
+    for name in ("x", "sigma"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
@@ -405,22 +405,10 @@ def test_uniform_shift_sampled_once_per_path():
     spec = BrownianMotion(shift_half_width=0.5)
     grid = build_grid(1.0, 4, 2)
     bundle = simulate_paths(spec, grid, 200, master_seed=2)
-    assert bundle.shifts.shape == (200, 1)
-    assert np.all(np.abs(bundle.shifts) <= 0.5)
-    assert len(np.unique(bundle.shifts)) > 100
-
-
-def test_observed_paths_apply_the_shift_once():
-    grid = build_grid(1.0, 4, 3)
-    plain = simulate_paths(BrownianMotion(dimension=2, x0=(0.0, 1.0)), grid,
-                           6, master_seed=4)
-    assert np.shares_memory(plain.observed(), plain.x)
-    assert np.shares_memory(plain.observed(stride=2), plain.x)
-    shifted = simulate_paths(BrownianMotion(shift_half_width=0.5), grid, 6,
-                             master_seed=4)
-    y = shifted.x + shifted.shifts[:, None, :]
-    np.testing.assert_array_equal(shifted.observed(), y)
-    np.testing.assert_array_equal(shifted.observed(stride=2), y[:, ::2])
+    shifts = bundle.x[:, 0] - np.asarray(spec.x0)   # the start is x0 + xi
+    assert shifts.shape == (200, 1)
+    assert np.all(np.abs(shifts) <= 0.5)
+    assert len(np.unique(shifts)) > 100
 
 
 def _dump_paths_per_value(bundle, stream):
